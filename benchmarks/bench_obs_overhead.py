@@ -27,12 +27,6 @@ work still goes through the plain ``*Stats`` dataclasses), so the
 dominant enabled-mode cost is the scheduler-choice wrapper and, in
 full mode, timing the listener barrier.
 
-The **distributed arm** measures the sharded pipeline the same paired
-way: ``run_single_sharded`` with telemetry off vs ``--obs full``
-(cross-process spans, flow arrows, stall/queue histograms, and the
-telemetry capsules shipped back over the result channel), with its own
-committed **10% budget** (``DISTRIBUTED_BUDGET_PERCENT``).
-
 Run with::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_obs_overhead.py -q
@@ -48,7 +42,6 @@ import os
 import platform
 import statistics
 import sys
-import time
 
 BENCH_NAMES = ["hsqldb6", "xalan6", "sor"]
 #: interleaved paired rounds for the off-vs-loop comparison
@@ -60,16 +53,6 @@ ENABLED_ROUNDS = 4
 #: maximum tolerated disabled-mode slowdown vs the pre-telemetry loop
 #: (the PR acceptance budget)
 OVERHEAD_BUDGET_PERCENT = 2.0
-
-#: the distributed arm: a sharded pipeline run with --obs full (trace
-#: spans, flow arrows, stall/queue histograms, telemetry capsules
-#: shipped back over the result channel) vs the same run with
-#: telemetry off — paired ABBA wall-clock rounds, min-elapsed ratio
-DISTRIBUTED_SHARDS = 2
-DISTRIBUTED_ROUNDS = 5
-DISTRIBUTED_ITERATIONS = 120
-#: maximum tolerated full-mode slowdown of the sharded pipeline
-DISTRIBUTED_BUDGET_PERCENT = 10.0
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "..", "results")
 RESULTS_PATH = os.path.join(RESULTS_DIR, "BENCH_obs.json")
@@ -151,76 +134,10 @@ def _measure():
             if ref:
                 entry["committed_executor_reference"] = ref
             report[name] = entry
-        report["distributed"] = _measure_distributed()
     finally:
         if gc_was_enabled:
             gc.enable()
     return report
-
-
-def _measure_distributed():
-    """Full-mode overhead of the *sharded* pipeline, paired.
-
-    Both arms run the identical coordinator + analysis shard + log
-    shard pipeline on the PCD-heavy workload; the full arm additionally
-    pays for spans, flow arrows, stall/queue-depth histograms, quantum
-    events, and shipping the children's telemetry capsules home.  The
-    ratio of per-arm minimum wall-clock over ABBA rounds is the
-    distributed telemetry cost (the fork/queue machinery is identical
-    in both arms, so it cancels).
-    """
-    from repro.core.doublechecker import DoubleChecker
-    from repro.harness.runner import make_scheduler
-    from repro.obs.registry import MetricsRegistry, use_registry
-    from repro.shard.coordinator import run_single_sharded
-    from repro.spec.specification import AtomicitySpecification
-    from repro.workloads.builder import build_program
-
-    sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-    from bench_sharded_analysis import SEED, _pcdheavy_spec
-
-    spec = _pcdheavy_spec(iterations=DISTRIBUTED_ITERATIONS)
-
-    def run(mode):
-        registry = MetricsRegistry(mode) if mode else None
-        previous = use_registry(registry)
-        try:
-            program = build_program(spec)
-            checker = DoubleChecker(AtomicitySpecification.initial(program))
-            started = time.perf_counter()
-            result, _ = run_single_sharded(
-                checker, program, make_scheduler(SEED), DISTRIBUTED_SHARDS
-            )
-            return time.perf_counter() - started, result.execution.steps
-        finally:
-            use_registry(previous)
-
-    off, full = [], []
-    steps = 0
-    for attempt in range(MAX_ATTEMPTS):
-        for _ in range(DISTRIBUTED_ROUNDS):
-            gc.collect()
-            elapsed, steps = run(None)
-            off.append(elapsed)
-            elapsed, _ = run("full")
-            full.append(elapsed)
-            elapsed, _ = run("full")
-            full.append(elapsed)
-            elapsed, _ = run(None)
-            off.append(elapsed)
-        overhead = 100.0 * (min(full) / min(off) - 1.0)
-        if overhead <= DISTRIBUTED_BUDGET_PERCENT:
-            break
-    return {
-        "workload": "pcdheavy",
-        "shards": DISTRIBUTED_SHARDS,
-        "sharded_off_steps_per_second": round(steps / min(off)),
-        "sharded_full_steps_per_second": round(steps / min(full)),
-        "sharded_full_overhead_percent": round(
-            100.0 * (min(full) / min(off) - 1.0), 2
-        ),
-        "budget_percent": DISTRIBUTED_BUDGET_PERCENT,
-    }
 
 
 def write_report():
@@ -229,11 +146,8 @@ def write_report():
         "python": platform.python_version(),
         "rounds": ROUNDS,
         "overhead_budget_percent": OVERHEAD_BUDGET_PERCENT,
-        "distributed_budget_percent": DISTRIBUTED_BUDGET_PERCENT,
         "max_disabled_overhead_percent": max(
-            stats["disabled_overhead_percent"]
-            for stats in workloads.values()
-            if "disabled_overhead_percent" in stats
+            stats["disabled_overhead_percent"] for stats in workloads.values()
         ),
         "workloads": workloads,
     }
@@ -255,39 +169,23 @@ def check_overhead_budget(report=None):
     budget = report["overhead_budget_percent"]
     violations = []
     for name, stats in sorted(report["workloads"].items()):
-        if "disabled_overhead_percent" in stats:
-            overhead = stats["disabled_overhead_percent"]
-            if overhead > budget:
-                violations.append(
-                    f"{name}: disabled-mode overhead {overhead:.2f}% exceeds "
-                    f"the {budget:.0f}% budget "
-                    f"(off={stats['off_steps_per_second']} vs "
-                    f"loop={stats['pretelemetry_loop_steps_per_second']})"
-                )
-        if "sharded_full_overhead_percent" in stats:
-            overhead = stats["sharded_full_overhead_percent"]
-            if overhead > DISTRIBUTED_BUDGET_PERCENT:
-                violations.append(
-                    f"{name}: sharded full-mode overhead {overhead:.2f}% "
-                    f"exceeds the {DISTRIBUTED_BUDGET_PERCENT:.0f}% "
-                    f"distributed budget "
-                    f"(full={stats['sharded_full_steps_per_second']} vs "
-                    f"off={stats['sharded_off_steps_per_second']})"
-                )
+        overhead = stats["disabled_overhead_percent"]
+        if overhead > budget:
+            violations.append(
+                f"{name}: disabled-mode overhead {overhead:.2f}% exceeds "
+                f"the {budget:.0f}% budget "
+                f"(off={stats['off_steps_per_second']} vs "
+                f"loop={stats['pretelemetry_loop_steps_per_second']})"
+            )
     return violations
 
 
 def test_disabled_mode_overhead():
     """Off-mode throughput must stay within the 2% budget of the
-    pre-telemetry loop (median of paired rounds), and the sharded
-    pipeline's full-mode overhead within the 10% distributed budget;
-    refreshes ``results/BENCH_obs.json`` as a side effect."""
+    pre-telemetry loop (median of paired rounds); refreshes
+    ``results/BENCH_obs.json`` as a side effect."""
     report = write_report()
-    for name, stats in report["workloads"].items():
-        if name == "distributed":
-            assert stats["sharded_off_steps_per_second"] > 0
-            assert stats["sharded_full_steps_per_second"] > 0
-            continue
+    for stats in report["workloads"].values():
         assert stats["off_steps_per_second"] > 0
         assert stats["counters_steps_per_second"] > 0
         assert stats["full_steps_per_second"] > 0

@@ -49,7 +49,6 @@ BASELINES = {
     "BENCH_obs.json": ("bench_obs_overhead", 0.30),
     "BENCH_faults.json": ("bench_fault_overhead", 0.30),
     "BENCH_access.json": ("bench_access_barrier", 0.30),
-    "BENCH_sharded.json": ("bench_sharded_analysis", 0.30),
 }
 
 #: fallback tolerance for baselines discovered on disk but missing

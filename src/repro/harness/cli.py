@@ -9,18 +9,8 @@ Regenerates the paper's evaluation artefacts as text tables::
 ``--jobs N`` (or the ``DOUBLECHECKER_JOBS`` environment variable) fans
 independent (workload, checker, seed) cells across N worker processes;
 ``--jobs 0`` uses one worker per CPU.  Rendered tables are identical
-for any job count.
-
-``--shards N`` (or ``DOUBLECHECKER_SHARDS``) partitions each *single
-analysis run* across N worker processes (see :mod:`repro.shard`);
-results are byte-identical for any shard count, so sharding composes
-with ``--jobs`` (multiplicatively — each cell worker forks its own
-shard processes), with ``--checkpoint`` (a resumed run may use a
-different shard count and still renders the identical output), and
-with ``--fault-spec`` retries.  ``--analysis-shards A`` (or
-``DOUBLECHECKER_ANALYSIS_SHARDS``) additionally splits each sharded
-run's analysis shard into A partition workers plus an exchange owner —
-still byte-identical at any combination of counts.
+for any job count.  Each single analysis run executes in-process
+(:meth:`repro.core.doublechecker.DoubleChecker.run_single`).
 
 Fault tolerance (see ``docs/ROBUSTNESS.md``):
 
@@ -43,20 +33,20 @@ Telemetry (see :mod:`repro.obs` and ``docs/OBSERVABILITY.md``):
   (implies at least ``--obs counters``).
 * ``--trace-out FILE`` writes a Chrome trace-event JSON loadable in
   Perfetto / ``chrome://tracing`` (implies ``--obs full``).
-* Under ``--shards N`` the trace is a single merged timeline: shard
-  processes inherit the run's trace id and clock epoch, ship their
-  spans back over the existing result channels, and queue hand-offs
-  appear as flow arrows (see ``docs/OBSERVABILITY.md``).
+* Under ``--jobs N`` the trace is a single merged timeline: cell
+  workers inherit the run's trace id and clock epoch and ship their
+  spans back with each cell's result; each worker is its own
+  ``cell-worker`` track (see ``docs/OBSERVABILITY.md``).
 * Flag combinations that cannot be honored — an explicit ``--obs off``
   with ``--metrics-out``/``--trace-out``, or ``--obs counters`` with
   ``--trace-out`` (counters mode records no events) — fail the
   pre-flight check with exit status 2 instead of silently writing an
   empty file.
 
-``doublechecker-experiments obs analyze TRACE [--metrics FILE]``
-delegates to :mod:`repro.obs.analyze`: a critical-path report over a
-merged trace (per-stage wall attribution, longest cross-process
-blocking chain, stall/queue/CPU tables, suggested next bottleneck).
+``doublechecker-experiments obs analyze TRACE`` delegates to
+:mod:`repro.obs.analyze`: a critical-path report over a merged trace
+(per-process utilization, per-stage wall attribution, longest spans,
+suggested next bottleneck).
 """
 
 from __future__ import annotations
@@ -80,12 +70,6 @@ from repro.obs import (
     write_metrics_json,
 )
 from repro.obs.registry import MetricsRegistry
-from repro.shard import (
-    ANALYSIS_SHARDS_ENV,
-    SHARDS_ENV,
-    resolve_analysis_shards,
-    resolve_shards,
-)
 
 EXPERIMENTS = (
     "table2",
@@ -229,34 +213,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         ),
     )
     parser.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help=(
-            "worker processes per single-run analysis (partitions the "
-            "(object, field) address space; results are byte-identical "
-            "for any shard count, so --checkpoint resume and "
-            "--fault-spec retries compose safely — a cell re-run with a "
-            "different shard count reproduces the same bytes; composes "
-            "multiplicatively with --jobs: each of the N cell workers "
-            "forks its own shard processes "
-            "(default: $DOUBLECHECKER_SHARDS or 1 = in-process serial)"
-        ),
-    )
-    parser.add_argument(
-        "--analysis-shards",
-        type=int,
-        default=None,
-        help=(
-            "partition workers for the analysis plane of each sharded "
-            "single-run analysis (splits the Octet+ICD shard by object "
-            "partition; requires --shards > 1 to take effect; results "
-            "are byte-identical for any count; default: "
-            "$DOUBLECHECKER_ANALYSIS_SHARDS or 1 = single analysis "
-            "shard)"
-        ),
-    )
-    parser.add_argument(
         "--retries",
         type=int,
         default=None,
@@ -375,42 +331,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             return 2
 
     experiments = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
-
-    try:
-        shards = resolve_shards(args.shards)
-        analysis_shards = resolve_analysis_shards(args.analysis_shards)
-    except ValueError as exc:
-        print(f"doublechecker-experiments: error: {exc}", file=sys.stderr)
-        return 2
-    # sharded analysis partitions the ICD pipeline's address space;
-    # the velodrome/vc backends (and crosscheck, which runs them) have
-    # no sharded arm, so an *explicit* --shards flag cannot be honored.
-    # An inherited DOUBLECHECKER_SHARDS merely degrades to the serial
-    # path these backends always take (the same silent-fallback rule
-    # unsupported configs get inside the shard pipeline), so a suite
-    # run under the env var does not spuriously fail.
-    if args.shards is not None and shards > 1 and (
-        args.experiment == "crosscheck"
-        or (args.experiment == "check" and args.backend in ("velodrome", "vc"))
-    ):
-        what = (
-            "crosscheck"
-            if args.experiment == "crosscheck"
-            else f"--backend {args.backend}"
-        )
-        print(
-            f"doublechecker-experiments: error: --shards > 1 cannot be "
-            f"honored with {what} (sharding only supports the icd "
-            f"pipeline)",
-            file=sys.stderr,
-        )
-        return 2
-    if args.shards is not None:
-        # propagate through the environment so CellPool workers (forked
-        # per --jobs) shard their runs too
-        os.environ[SHARDS_ENV] = str(shards)
-    if args.analysis_shards is not None:
-        os.environ[ANALYSIS_SHARDS_ENV] = str(analysis_shards)
 
     try:
         pool = CellPool(

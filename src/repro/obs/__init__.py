@@ -43,15 +43,7 @@ from repro.obs.registry import (
     use_registry,
 )
 from repro.obs.spans import Span, phase
-from repro.obs.wire import (
-    aligned_epoch,
-    child_registry,
-    merge_capsule,
-    sample_depth,
-    stalled_get,
-    telemetry_capsule,
-    trace_context,
-)
+from repro.obs.wire import aligned_epoch, trace_context
 
 __all__ = [
     "DEFAULT_BUCKETS",
@@ -65,18 +57,13 @@ __all__ = [
     "NoopRecorder",
     "Span",
     "aligned_epoch",
-    "child_registry",
     "chrome_trace_document",
     "configure",
-    "merge_capsule",
     "metrics_document",
     "phase",
     "publish_stats",
     "recorder",
     "render_summary",
-    "sample_depth",
-    "stalled_get",
-    "telemetry_capsule",
     "trace_context",
     "use_registry",
     "write_chrome_trace",

@@ -1,25 +1,20 @@
 """``repro obs analyze``: critical-path analysis of merged traces.
 
-Reads a merged Chrome trace (``--trace-out``) and optionally the
-matching metrics JSON (``--metrics-out``) and answers the question the
-distributed telemetry exists for: *where does the time actually go?*
+Reads a merged Chrome trace (``--trace-out``) and answers the
+question the telemetry exists for: *where does the time actually go?*
 The report contains:
 
 * per-process busy time (interval union of that process's spans);
 * per-stage **self time** — each span's duration minus the spans
-  nested inside it, so wrappers (``experiment.*``, ``executor.run``,
-  ``shard.analyzer.run``) do not double-count their children — with
-  the percentage of wall each stage accounts for;
-* the longest blocking chain across processes, reconstructed from the
-  trace's flow arrows (chunk sends, worker chunks, PCD job hand-offs);
+  nested inside it, so wrappers (``experiment.*``, ``executor.run``)
+  do not double-count their children — with the percentage of wall
+  each stage accounts for;
 * the top-k longest individual spans;
-* stall / queue-depth / per-role CPU tables when a metrics JSON is
-  supplied;
 * a one-line "suggested next bottleneck".
 
 Usage::
 
-    repro obs analyze trace.json [--metrics metrics.json] [--top 10]
+    repro obs analyze trace.json [--top 10]
     python -m repro.obs.analyze trace.json --json
 
 Exit status 2 marks a missing or schema-invalid trace.
@@ -31,9 +26,6 @@ import argparse
 import json
 import sys
 from typing import Any, Dict, List, Optional, Tuple
-
-#: flow-arrow count beyond which the O(n^2) chain search subsamples
-_MAX_ARROWS = 8000
 
 #: events per process beyond which self-time attribution subsamples is
 #: never needed in practice (quantum events are already capped at the
@@ -66,7 +58,7 @@ def validate_trace(doc: Any) -> List[str]:
             errors.append(f"{where}: not an object")
             continue
         ph = event.get("ph")
-        if ph not in ("X", "M", "s", "f"):
+        if ph not in ("X", "M"):
             errors.append(f"{where}: unknown phase {ph!r}")
             continue
         if not isinstance(event.get("name"), str) or not event["name"]:
@@ -81,13 +73,9 @@ def validate_trace(doc: Any) -> List[str]:
         ts = event.get("ts")
         if not isinstance(ts, (int, float)):
             errors.append(f"{where}: missing numeric ts")
-        if ph == "X":
-            dur = event.get("dur")
-            if not isinstance(dur, (int, float)) or dur < 0:
-                errors.append(f"{where}: complete event without dur >= 0")
-        else:  # flow
-            if not isinstance(event.get("id"), int):
-                errors.append(f"{where}: flow event without integer id")
+        dur = event.get("dur")
+        if not isinstance(dur, (int, float)) or dur < 0:
+            errors.append(f"{where}: complete event without dur >= 0")
         if len(errors) >= 20:
             errors.append("... (more errors suppressed)")
             break
@@ -141,57 +129,13 @@ def _self_times(
     return self_by_name, counts
 
 
-def _blocking_chain(
-    arrows: List[Tuple[float, float, str, int, int]],
-) -> Dict[str, Any]:
-    """Longest chain of flow arrows ``a1 .. ak`` with each arrow
-    starting after the previous one lands, scored by summed latency
-    (finish ts - start ts): the longest cross-process blocking chain
-    the trace can prove."""
-    if not arrows:
-        return {"hops": 0, "latency_seconds": 0.0, "path": []}
-    if len(arrows) > _MAX_ARROWS:
-        step = len(arrows) / float(_MAX_ARROWS)
-        arrows = [arrows[int(i * step)] for i in range(_MAX_ARROWS)]
-    arrows = sorted(arrows, key=lambda a: a[1])  # by finish ts
-    n = len(arrows)
-    best = [0.0] * n
-    prev = [-1] * n
-    for i in range(n):
-        s_ts, f_ts = arrows[i][0], arrows[i][1]
-        latency = max(0.0, f_ts - s_ts)
-        best[i] = latency
-        for j in range(i):
-            if arrows[j][1] <= s_ts and best[j] + latency > best[i]:
-                best[i] = best[j] + latency
-                prev[i] = j
-    tail = max(range(n), key=lambda i: best[i])
-    path: List[Dict[str, Any]] = []
-    i = tail
-    while i >= 0:
-        s_ts, f_ts, name, s_pid, f_pid = arrows[i]
-        path.append({
-            "name": name,
-            "from_pid": s_pid,
-            "to_pid": f_pid,
-            "latency_seconds": max(0.0, f_ts - s_ts),
-        })
-        i = prev[i]
-    path.reverse()
-    return {"hops": len(path), "latency_seconds": best[tail], "path": path}
-
-
 def critical_path_report(
-    trace_doc: Dict[str, Any],
-    metrics_doc: Optional[Dict[str, Any]] = None,
-    top: int = 10,
+    trace_doc: Dict[str, Any], top: int = 10
 ) -> Dict[str, Any]:
     """Build the critical-path report (a plain dict; see module doc)."""
     events = trace_doc.get("traceEvents", [])
     labels: Dict[int, str] = {}
     spans_by_pid: Dict[int, List[Tuple[float, float, str]]] = {}
-    arrows_open: Dict[Tuple[str, int], Tuple[float, int]] = {}
-    arrows: List[Tuple[float, float, str, int, int]] = []
     all_spans: List[Tuple[float, float, str, int]] = []
     for event in events[:_MAX_EVENTS]:
         ph = event.get("ph")
@@ -203,17 +147,6 @@ def critical_path_report(
             dur = event.get("dur", 0.0) / 1e6
             spans_by_pid.setdefault(pid, []).append((ts, dur, event["name"]))
             all_spans.append((ts, dur, event["name"], pid))
-        elif ph == "s":
-            arrows_open[(event["name"], event["id"])] = (
-                event["ts"] / 1e6, pid,
-            )
-        elif ph == "f":
-            start = arrows_open.pop((event["name"], event["id"]), None)
-            if start is not None:
-                arrows.append(
-                    (start[0], event["ts"] / 1e6, event["name"],
-                     start[1], pid)
-                )
 
     if all_spans:
         run_start = min(ts for ts, _d, _n, _p in all_spans)
@@ -279,28 +212,7 @@ def critical_path_report(
         "processes": processes,
         "stages": stages,
         "top_spans": top_spans,
-        "blocking_chain": _blocking_chain(arrows),
     }
-
-    if metrics_doc is not None:
-        histograms = metrics_doc.get("histograms", {})
-
-        def rows(prefix: str) -> List[Dict[str, Any]]:
-            return [
-                {
-                    "name": name,
-                    "count": h.get("count", 0),
-                    "total": h.get("total", 0.0),
-                    "max": h.get("max"),
-                }
-                for name, h in sorted(histograms.items())
-                if name.startswith(prefix)
-            ]
-
-        report["stalls"] = rows("shard.stall.")
-        report["queues"] = rows("shard.queue.")
-        report["cpu"] = rows("shard.cpu.")
-
     report["suggestion"] = _suggest(report)
     return report
 
@@ -311,22 +223,11 @@ def _suggest(report: Dict[str, Any]) -> str:
     if not stages:
         return "no spans recorded — run with --obs full to attribute time"
     lead = stages[0]
-    line = (
+    return (
         f"suggested next bottleneck: {lead['name']} "
         f"({lead['percent_of_wall']:.1f}% of wall self time across "
         f"{lead['count']} span(s))"
     )
-    stalls = report.get("stalls") or []
-    wall = report.get("wall_seconds") or 0.0
-    if stalls and wall > 0:
-        worst = max(stalls, key=lambda s: s["total"])
-        if worst["total"] > 0.25 * wall:
-            line += (
-                f"; note {worst['name']} blocked "
-                f"{100.0 * worst['total'] / wall:.0f}% of wall — the "
-                f"channel, not the compute, may be the constraint"
-            )
-    return line
 
 
 # ----------------------------------------------------------------------
@@ -374,19 +275,6 @@ def render_report(report: Dict[str, Any]) -> str:
             title="Per-stage attribution (self time)",
         ))
 
-    chain = report["blocking_chain"]
-    if chain["hops"]:
-        hops = " -> ".join(
-            f"{hop['name']}[{hop['from_pid']}->{hop['to_pid']}]"
-            for hop in chain["path"][:6]
-        )
-        if chain["hops"] > 6:
-            hops += f" -> ... ({chain['hops']} hops)"
-        sections.append(
-            f"Longest blocking chain: {chain['latency_seconds']:.4f}s "
-            f"over {chain['hops']} hop(s): {hops}"
-        )
-
     if report["top_spans"]:
         sections.append(render_table(
             ["span", "process", "start_s", "dur_s"],
@@ -399,25 +287,6 @@ def render_report(report: Dict[str, Any]) -> str:
             ],
             title=f"Top {len(report['top_spans'])} spans",
         ))
-
-    for key, title in (
-        ("stalls", "Blocking waits (shard.stall.*)"),
-        ("queues", "Queue depth samples (shard.queue.*)"),
-        ("cpu", "Per-role CPU (shard.cpu.*)"),
-    ):
-        rows = report.get(key)
-        if rows:
-            sections.append(render_table(
-                ["metric", "count", "total", "max"],
-                [
-                    [
-                        r["name"], r["count"], f"{r['total']:.4f}",
-                        "-" if r["max"] is None else f"{r['max']:.4f}",
-                    ]
-                    for r in rows
-                ],
-                title=title,
-            ))
 
     sections.append(report["suggestion"])
     return "\n\n".join(sections)
@@ -435,15 +304,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro obs analyze",
         description=(
-            "Critical-path report over a merged Chrome trace "
-            "(--trace-out) and optional metrics JSON (--metrics-out)."
+            "Critical-path report over a merged Chrome trace (--trace-out)."
         ),
     )
     parser.add_argument("trace", help="merged Chrome trace JSON file")
-    parser.add_argument(
-        "--metrics", default=None, metavar="FILE",
-        help="matching --metrics-out JSON (adds stall/queue/CPU tables)",
-    )
     parser.add_argument(
         "--top", type=int, default=10,
         help="longest individual spans to list (default 10)",
@@ -470,17 +334,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"  - {error}", file=sys.stderr)
         return 2
 
-    metrics_doc = None
-    if args.metrics:
-        try:
-            with open(args.metrics) as handle:
-                metrics_doc = json.load(handle)
-        except (OSError, ValueError) as exc:
-            print(f"repro obs analyze: error: cannot read metrics: {exc}",
-                  file=sys.stderr)
-            return 2
-
-    report = critical_path_report(trace_doc, metrics_doc, top=args.top)
+    report = critical_path_report(trace_doc, top=args.top)
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
     else:

@@ -5,10 +5,8 @@ events (``"ph": "X"``, timestamps and durations in microseconds), so
 the file loads directly in ``chrome://tracing`` and in Perfetto
 (https://ui.perfetto.dev → "Open trace file").  Each worker process
 appears as its own track via its ``pid`` (named from the registry's
-process labels when a distributed run recorded them); timestamps are
-relative to the run's shared epoch (see :mod:`repro.obs.wire`), and
-cross-process flow arrows (``"ph": "s"``/``"f"``) connect chunk sends
-and PCD job hand-offs between processes.
+process labels when a ``--jobs`` run recorded them); timestamps are
+relative to the run's shared epoch (see :mod:`repro.obs.wire`).
 
 Every file exporter writes **atomically** — the document is serialized
 to a temporary file in the destination directory and renamed over the
@@ -111,10 +109,8 @@ def write_jsonl(path: str, source: Any) -> None:
 def chrome_trace_document(source: Any) -> Dict[str, Any]:
     """Trace Event Format document for chrome://tracing / Perfetto.
 
-    Span events become complete (``"X"``) events; cross-process flow
-    ends recorded via :meth:`MetricsRegistry.emit_flow` become flow
-    (``"s"``/``"f"``) events binding by id, so chunk sends and PCD job
-    hand-offs draw arrows between process tracks.
+    Span events become complete (``"X"``) events on their process's
+    track.
     """
     snapshot = _as_snapshot(source)
     labels = snapshot.get("labels", {}) or {}
@@ -124,22 +120,6 @@ def chrome_trace_document(source: Any) -> Dict[str, Any]:
         pid = event.get("pid", 0)
         if pid not in seen_pids:
             seen_pids.append(pid)
-        side = event.get("ph")
-        if side in ("s", "f"):
-            entry = {
-                "name": event["name"],
-                "cat": event.get("cat", "flow"),
-                "ph": side,
-                "ts": round(event["ts"] * 1e6, 3),
-                "id": event.get("id", 0),
-                "pid": pid,
-                "tid": pid,
-            }
-            if side == "f":
-                # bind the arrow head to the enclosing slice
-                entry["bp"] = "e"
-            trace_events.append(entry)
-            continue
         entry = {
             "name": event["name"],
             "cat": event.get("cat", "phase"),

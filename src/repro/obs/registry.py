@@ -142,13 +142,6 @@ class NoopRecorder:
                    args: Optional[Dict[str, Any]] = None) -> None:
         return None
 
-    def emit_flow(self, name: str, ts: float, flow_id: int,
-                  side: str) -> None:
-        return None
-
-    def set_label(self, label: str) -> None:
-        return None
-
     def span(self, name: str, category: str = "phase",
              **fields: Any) -> NoopSpan:
         return _NOOP_SPAN
@@ -169,9 +162,9 @@ class MetricsRegistry:
     """A live metrics store for one process or experiment cell.
 
     ``epoch`` pins the perf_counter origin event timestamps are taken
-    against; child processes of a distributed run (CellPool workers,
-    shard processes) receive the run's epoch so every process's events
-    land on **one** shared timeline (see :mod:`repro.obs.wire`).
+    against; the CellPool workers of a ``--jobs`` run receive the run's
+    epoch so every process's events land on **one** shared timeline
+    (see :mod:`repro.obs.wire`).
     ``trace_id`` identifies the run the registry belongs to; children
     inherit it so a merged trace is self-describing.  ``label`` names
     this process's track in the exported trace.
@@ -242,27 +235,6 @@ class MetricsRegistry:
         if args:
             event["args"] = args
         self.events.append(event)
-
-    def emit_flow(self, name: str, ts: float, flow_id: int,
-                  side: str) -> None:
-        """Record one end of a cross-process flow arrow (``full`` mode).
-
-        ``side`` is ``"s"`` (producer) or ``"f"`` (consumer); the two
-        ends bind by ``(name, flow_id)``.  The Chrome-trace exporter
-        turns these into trace-event flow phases so e.g. a chunk's
-        send on the coordinator visually connects to its replay on the
-        analysis shard.
-        """
-        if self.mode != MODE_FULL:
-            return
-        self.events.append({
-            "name": name, "cat": "flow", "ph": side, "ts": ts,
-            "id": flow_id, "pid": self.pid,
-        })
-
-    def set_label(self, label: str) -> None:
-        """Name this process's track in the exported trace."""
-        self.labels.setdefault(self.pid, label)
 
     def span(self, name: str, category: str = "phase", **fields: Any):
         """A timed span over this registry (see :mod:`repro.obs.spans`)."""

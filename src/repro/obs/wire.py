@@ -1,16 +1,15 @@
-"""Cross-process trace propagation for distributed runs.
+"""Cross-process trace propagation for ``--jobs`` runs.
 
-The sharded pipeline (:mod:`repro.shard`) and the parallel harness
-(:mod:`repro.harness.parallel`) fork worker processes; each one
-records spans and wall-clock histograms into its own
-:class:`~repro.obs.registry.MetricsRegistry` and ships the result back
-over the channels the data already travels on (the shard result queue,
-the CellPool future).  This module holds the three pieces that make
-those per-process buffers merge into **one** timeline:
+The parallel harness (:mod:`repro.harness.parallel`) forks CellPool
+worker processes; each one records spans and wall-clock histograms
+into its own :class:`~repro.obs.registry.MetricsRegistry` and ships a
+snapshot back with the cell's result.  This module holds the two
+pieces that make those per-process buffers merge into **one**
+timeline:
 
 * **Trace context** (:func:`trace_context`) — a picklable capsule of
   the parent registry's ``(mode, epoch, trace_id, spawn_now)``.  It is
-  attached to the spawn message/config of every child process.
+  attached to the config of every child process.
 * **Clock alignment** (:func:`aligned_epoch`) — the handshake that
   maps a child's monotonic clock onto the parent's.  Under ``fork`` on
   Linux both processes read the same ``CLOCK_MONOTONIC``, so the
@@ -18,35 +17,12 @@ those per-process buffers merge into **one** timeline:
   out to be a different domain (its "now" predates the parent's
   recorded spawn instant), the child pins its startup to the spawn
   instant instead — bounding skew by process-creation latency.
-* **Telemetry capsules** (:func:`telemetry_capsule` /
-  :func:`merge_capsule`) — the picklable subset of a child registry
-  that is safe to merge upstream: span **events** and wall-clock
-  **histograms** only.  Deterministic counters are deliberately
-  excluded — the shard merge reconciles those to exact serial totals
-  through the analysis bundles, and merging them twice would break the
-  serial == ``--shards N`` counter identity the determinism tests pin.
-
-The stall/queue-depth helpers wrap the blocking queue operations of
-the shard processes: a ``get`` that would block is timed into a
-``shard.stall.<role>.*.seconds`` histogram (count = number of blocking
-waits, total = blocked seconds), and producers sample ``qsize()`` into
-``shard.queue.<channel>.depth`` histograms at chunk boundaries.  All
-of it lands in histograms, never counters, because wall-clock data is
-exempt from the determinism contract by design.
 """
 
 from __future__ import annotations
 
-import queue as queue_mod
 import time
 from typing import Any, Dict, Optional
-
-from repro.obs.registry import (
-    Histogram,
-    MetricsRegistry,
-    MODE_FULL,
-    MODE_OFF,
-)
 
 
 def trace_context(registry: Any) -> Optional[Dict[str, Any]]:
@@ -80,93 +56,7 @@ def aligned_epoch(trace_epoch: Optional[float],
     return now - (spawn_now - trace_epoch)
 
 
-def child_registry(context: Optional[Dict[str, Any]],
-                   label: str) -> Optional[MetricsRegistry]:
-    """Build a child process's registry from a :func:`trace_context`.
-
-    Returns ``None`` when the parent ran with telemetry off.
-    """
-    if context is None or context.get("mode") in (None, MODE_OFF):
-        return None
-    return MetricsRegistry(
-        context["mode"],
-        epoch=aligned_epoch(context.get("epoch"), context.get("spawn_now")),
-        trace_id=context.get("trace_id"),
-        label=label,
-    )
-
-
-def telemetry_capsule(registry: Optional[MetricsRegistry]) -> Optional[dict]:
-    """The picklable, merge-safe subset of a child registry: events,
-    histograms, and track labels — never counters or gauges."""
-    if registry is None:
-        return None
-    return {
-        "pid": registry.pid,
-        "labels": dict(registry.labels),
-        "events": list(registry.events),
-        "histograms": {
-            name: registry.histograms[name].to_dict()
-            for name in sorted(registry.histograms)
-        },
-    }
-
-
-def merge_capsule(target: Any, capsule: Optional[dict]) -> None:
-    """Fold a child's telemetry capsule into ``target`` (the parent's
-    registry): histograms add, events append (``full`` mode), labels
-    union.  A no-op against the null recorder or a ``None`` capsule."""
-    if capsule is None or not getattr(target, "enabled", False):
-        return
-    for name, data in capsule.get("histograms", {}).items():
-        histogram = target.histograms.get(name)
-        if histogram is None:
-            histogram = target.histograms[name] = Histogram(
-                tuple(data["bounds"])
-            )
-        histogram.merge_dict(data)
-    for pid, label in capsule.get("labels", {}).items():
-        target.labels.setdefault(int(pid), label)
-    if target.mode == MODE_FULL:
-        target.events.extend(capsule.get("events", []))
-
-
-# ----------------------------------------------------------------------
-# backpressure instrumentation
-# ----------------------------------------------------------------------
-def stalled_get(q: Any, obs: Optional[MetricsRegistry], name: str) -> Any:
-    """``q.get()`` that times the blocking wait, if any, into the
-    ``name`` histogram.  A message already waiting costs one
-    ``get_nowait`` probe; with ``obs=None`` this is a plain ``get``."""
-    if obs is None:
-        return q.get()
-    try:
-        return q.get_nowait()
-    except queue_mod.Empty:
-        started = time.perf_counter()
-        msg = q.get()
-        obs.observe(name, time.perf_counter() - started)
-        return msg
-
-
-def sample_depth(obs: Optional[MetricsRegistry], name: str, q: Any) -> None:
-    """Sample a queue's depth into the ``name`` histogram (producer
-    side, at chunk boundaries).  ``qsize`` is advisory and unsupported
-    on some platforms — failures are ignored."""
-    if obs is None:
-        return
-    try:
-        obs.observe(name, q.qsize())
-    except (NotImplementedError, OSError):  # pragma: no cover - platform
-        pass
-
-
 __all__ = [
     "aligned_epoch",
-    "child_registry",
-    "merge_capsule",
-    "sample_depth",
-    "stalled_get",
-    "telemetry_capsule",
     "trace_context",
 ]

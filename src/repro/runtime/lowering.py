@@ -47,10 +47,9 @@ for oid, field id, array index, lock id, site id, destination/value
 registers — plus interned side tables for field names,
 :class:`~repro.runtime.events.Site` objects (shared with the reference
 interpreter via :func:`~repro.runtime.events.intern_site`), site
-strings, and ``(oid, field)`` address tuples.  This columnar form is
-the serialization contract for the sharded-analysis roadmap items; the
-object-reference caches (``objs``) exist only because a running
-executor needs the live heap objects, not just their ids.
+strings, and ``(oid, field)`` address tuples.  The object-reference
+caches (``objs``) exist only because a running executor needs the live
+heap objects, not just their ids.
 
 ``DOUBLECHECKER_BATCH_EXECUTOR=0`` disables lowering entirely (same
 escape-hatch pattern as ``DOUBLECHECKER_BARRIER_FASTPATH``), keeping

@@ -73,31 +73,3 @@ class TestPreflights:
     def test_backend_with_crosscheck_exits_2(self, capsys):
         code = main(["crosscheck", "--backend", "vc", "--names", "hedc"])
         assert code == 2
-
-    @pytest.mark.parametrize("backend", ["velodrome", "vc"])
-    def test_unsharded_backends_reject_shards(self, backend, capsys):
-        code = main(
-            [
-                "check",
-                "--backend",
-                backend,
-                "--names",
-                "hedc",
-                "--shards",
-                "2",
-            ]
-        )
-        assert code == 2
-        assert "sharding only supports the icd" in capsys.readouterr().err
-
-    def test_crosscheck_rejects_shards(self, capsys):
-        code = main(["crosscheck", "--names", "hedc", "--shards", "2"])
-        assert code == 2
-        assert "sharding only supports the icd" in capsys.readouterr().err
-
-    def test_sharded_icd_check_still_allowed(self, capsys):
-        code = main(
-            ["check", "--backend", "icd", "--names", "hedc", "--shards", "2"]
-        )
-        assert code == 0
-        assert "hedc" in capsys.readouterr().out

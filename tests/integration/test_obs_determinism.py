@@ -1,22 +1,17 @@
-"""Telemetry determinism across the parallel and sharded harnesses.
+"""Telemetry determinism across the parallel harness.
 
 Counters are derived from the analyzed execution, never from wall-clock
 time, and :meth:`CellPool.starmap` merges per-cell snapshots in
 submission order — so a serial run and a ``--jobs N`` run of the same
-cells must produce *identical* merged counters and gauges (the PR's
-acceptance criterion).  Histograms and span events carry wall-clock
-durations and are exempt.
+cells must produce *identical* merged counters and gauges.  Histograms
+and span events carry wall-clock durations and are exempt.
 
-The sharded pipeline adds transport-layer telemetry (``shard.*``
-counters such as chunk/byte totals, plus coordinator-side
-``phase.shard.*`` span counters) that legitimately depends on the
-shard count — those namespaces are excluded, and *everything else*
-must still be byte-identical across serial, ``--shards {2,4}``, and
-``--jobs 2`` arms.  A full-mode sharded run must also merge into one
-schema-valid trace timeline: a single trace id, labeled process
-tracks for the coordinator and every shard, and paired cross-process
-flow arrows.
+A full-mode ``--jobs`` run must also merge into one schema-valid trace
+timeline: a single trace id, and a labeled ``cell-worker`` track for
+each worker process that ran a cell.
 """
+
+import os
 
 import pytest
 
@@ -31,22 +26,8 @@ from repro.obs.registry import (
     recorder,
     use_registry,
 )
-from repro.shard import SHARDS_ENV, resolve_analysis_shards
 
 WORKLOAD = "hedc"
-
-#: telemetry namespaces that describe the sharded *transport* rather
-#: than the analyzed execution; they only exist (and legitimately
-#: differ) when the pipeline is partitioned
-SHARD_ONLY_PREFIXES = ("shard.", "phase.shard.")
-
-
-def _portable(mapping):
-    return {
-        name: value
-        for name, value in mapping.items()
-        if not name.startswith(SHARD_ONLY_PREFIXES)
-    }
 
 
 @pytest.fixture(autouse=True)
@@ -125,91 +106,24 @@ def test_experiment_generation_deterministic_under_obs():
     assert serial["gauges"] == parallel["gauges"]
 
 
-def _run_cells_sharded(monkeypatch, shards, mode=MODE_COUNTERS):
-    if shards is None:
-        monkeypatch.delenv(SHARDS_ENV, raising=False)
-    else:
-        monkeypatch.setenv(SHARDS_ENV, str(shards))
-    try:
-        return _run_cells(jobs=1, mode=mode)
-    finally:
-        monkeypatch.delenv(SHARDS_ENV, raising=False)
-
-
-def test_counters_identical_serial_vs_sharded_vs_jobs(monkeypatch):
-    """The acceptance criterion: one deterministic counter set no
-    matter how the work is partitioned — serial, sharded analysis
-    (``--shards {2,4}``), or parallel cells (``--jobs 2``) — once the
-    shard-transport namespaces are excluded."""
-    _, serial = _run_cells_sharded(monkeypatch, None)
-    _, jobs2 = _run_cells(jobs=2)
-    _, shard2 = _run_cells_sharded(monkeypatch, 2)
-    _, shard4 = _run_cells_sharded(monkeypatch, 4)
-
-    base_counters = _portable(serial["counters"])
-    base_gauges = _portable(serial["gauges"])
-    assert base_counters, "expected a non-empty merged snapshot"
-    for name, arm in (("jobs2", jobs2), ("shard2", shard2),
-                      ("shard4", shard4)):
-        assert _portable(arm["counters"]) == base_counters, name
-        assert _portable(arm["gauges"]) == base_gauges, name
-
-    # the exclusion is not vacuous: sharded arms do record transport
-    # counters, the serial arm records none
-    assert any(k.startswith("shard.") for k in shard2["counters"])
-    assert not any(k.startswith("shard.") for k in serial["counters"])
-    # and the *deterministic* transport counters agree between shard
-    # counts where the merge reconciles them to serial bytes
-    for key in ("shard.stream_records", "shard.stream_defs"):
-        assert shard2["counters"][key] == shard4["counters"][key]
-
-
-def test_sharded_full_mode_merges_single_timeline(monkeypatch):
-    """``--shards N --obs full`` must produce ONE schema-valid trace:
-    a single trace id, labeled tracks for coordinator + analyzer + log
-    shards, spans from every process, and paired flow arrows."""
-    monkeypatch.setenv(SHARDS_ENV, "2")
-    registry = MetricsRegistry(MODE_FULL)
-    previous = use_registry(registry)
-    try:
-        runner.run_cell("single", WORKLOAD, spec_for_test(), 0)
-    finally:
-        use_registry(previous)
-    snapshot = registry.snapshot()
+def test_jobs_full_mode_merges_single_timeline():
+    """``--jobs 2 --obs full`` must produce ONE schema-valid trace: a
+    single trace id, and worker processes labeled ``cell-worker`` on
+    tracks of their own (the only cross-process use of
+    :func:`~repro.obs.wire.trace_context` and
+    :func:`~repro.obs.wire.aligned_epoch`)."""
+    _, snapshot = _run_cells(jobs=2, mode=MODE_FULL)
     doc = chrome_trace_document(snapshot)
     assert validate_trace(doc) == []
 
     assert doc["otherData"]["trace_id"] == snapshot["trace_id"]
-    labels = set(snapshot["labels"].values())
-    assert "coordinator" in labels
-    # under DOUBLECHECKER_ANALYSIS_SHARDS > 1 the analyzer role is the
-    # exchange owner plus per-partition worker tracks
-    partitioned = resolve_analysis_shards(None) > 1
-    if partitioned:
-        assert "shard-exchange" in labels
-        assert "shard-analysis-0" in labels
-    else:
-        assert "shard-analyzer" in labels
-    assert "shard-log-0" in labels
-
-    events = doc["traceEvents"]
-    span_pids = {e["pid"] for e in events if e["ph"] == "X"}
-    label_pids = set(snapshot["labels"])
-    # every labeled process contributed spans to the one timeline
-    assert label_pids <= span_pids
-    assert len(span_pids) >= 3
-
-    # flow arrows pair up: each (name, id) start has exactly one finish
-    starts = {(e["name"], e["id"]) for e in events if e["ph"] == "s"}
-    finishes = {(e["name"], e["id"]) for e in events if e["ph"] == "f"}
-    assert starts, "expected cross-process flow arrows"
-    assert starts == finishes
-    names = {name for name, _id in starts}
-    assert "shard.chunk" in names
-    assert "shard.job" in names
-    if partitioned:
-        # partition workers forward their residue to the exchange owner
-        assert "shard.xchunk" in names
+    worker_pids = {
+        pid for pid, label in snapshot["labels"].items()
+        if label == "cell-worker"
+    }
+    assert worker_pids - {os.getpid()}, "expected a worker-process track"
+    span_pids = {e["pid"] for e in doc["traceEvents"] if e["ph"] == "X"}
+    assert worker_pids <= span_pids
 
 
 def test_disabled_mode_parallel_path_unchanged():

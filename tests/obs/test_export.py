@@ -116,27 +116,20 @@ def test_render_summary_empty():
 
 
 # ----------------------------------------------------------------------
-# distributed-trace features: flows, labels, trace id
+# distributed-trace features: labels, trace id
 # ----------------------------------------------------------------------
-def test_chrome_trace_flow_events_pass_through():
+def test_chrome_trace_carries_trace_id():
     reg = MetricsRegistry(MODE_FULL, trace_id="feedc0ffee000002")
-    reg.emit_event("send", "shard", ts=0.0, dur=0.010)
-    reg.emit_flow("shard.chunk", 0.002, 7, "s")
-    reg.emit_flow("shard.chunk", 0.005, 7, "f")
+    reg.emit_event("send", "phase", ts=0.0, dur=0.010)
     doc = chrome_trace_document(reg)
-    flows = [e for e in doc["traceEvents"] if e["ph"] in ("s", "f")]
-    assert [(e["ph"], e["id"]) for e in flows] == [("s", 7), ("f", 7)]
-    start, finish = flows
-    assert start["ts"] == 2000.0 and finish["ts"] == 5000.0
-    # the arrow head binds to the enclosing slice, the tail does not
-    assert finish["bp"] == "e" and "bp" not in start
+    assert {e["ph"] for e in doc["traceEvents"]} == {"M", "X"}
     assert doc["otherData"]["trace_id"] == "feedc0ffee000002"
 
 
 def test_chrome_trace_process_labels():
     snapshot = {
         "trace_id": "feedc0ffee000003",
-        "labels": {1: "coordinator", 2: "shard-log-0"},
+        "labels": {1: "doublechecker", 2: "cell-worker"},
         "events": [
             {"name": "a", "cat": "c", "ts": 0.0, "dur": 0.1, "pid": 1},
             {"name": "b", "cat": "c", "ts": 0.0, "dur": 0.1, "pid": 2},
@@ -149,8 +142,8 @@ def test_chrome_trace_process_labels():
         for m in doc["traceEvents"]
         if m["ph"] == "M"
     }
-    assert names[1] == "coordinator"
-    assert names[2] == "shard-log-0"
+    assert names[1] == "doublechecker"
+    assert names[2] == "cell-worker"
     assert names[3] == "doublechecker worker 3"  # unlabeled fallback
 
 
