@@ -6,12 +6,6 @@ pipeline attached — and records steps/sec into
 ``results/BENCH_executor.json`` so future optimization work has a
 committed baseline to compare against.
 
-Each configuration is measured in two arms: the columnar batch
-interpreter (the default) and the reference per-op interpreter
-(``DOUBLECHECKER_BATCH_EXECUTOR=0``).  Both arms must execute the
-exact same schedule — the batch interpreter is a pure optimization —
-so the step counts are asserted identical.
-
 Run with::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_executor_throughput.py -q
@@ -25,27 +19,11 @@ import json
 import os
 import platform
 import sys
-from contextlib import contextmanager
 
 BENCH_NAMES = ["hsqldb6", "xalan6", "sor"]
 RESULTS_PATH = os.path.join(
     os.path.dirname(__file__), "..", "results", "BENCH_executor.json"
 )
-
-
-@contextmanager
-def _batch_env(enabled):
-    from repro.runtime.lowering import BATCH_ENV
-
-    saved = os.environ.get(BATCH_ENV)
-    os.environ[BATCH_ENV] = "1" if enabled else "0"
-    try:
-        yield
-    finally:
-        if saved is None:
-            os.environ.pop(BATCH_ENV, None)
-        else:
-            os.environ[BATCH_ENV] = saved
 
 
 def _measure():
@@ -55,26 +33,13 @@ def _measure():
     report = {}
     for name in BENCH_NAMES:
         spec = runner.final_spec(name)
-        with _batch_env(True):
-            baseline = runner.baseline_steps(name, seed=0)
-            single = runner.run_single(name, spec, seed=0)
-        with _batch_env(False):
-            baseline_nb = runner.baseline_steps(name, seed=0)
-            single_nb = runner.run_single(name, spec, seed=0)
-        # the batch interpreter must replay the identical schedule
-        assert baseline.steps == baseline_nb.steps, name
-        assert single.execution.steps == single_nb.execution.steps, name
+        baseline = runner.baseline_steps(name, seed=0)
+        single = runner.run_single(name, spec, seed=0)
         report[name] = {
             "steps": baseline.steps,
             "baseline_steps_per_second": round(baseline.steps_per_second),
-            "baseline_nobatch_steps_per_second": round(
-                baseline_nb.steps_per_second
-            ),
             "single_run_steps_per_second": round(
                 single.execution.steps_per_second
-            ),
-            "single_run_nobatch_steps_per_second": round(
-                single_nb.execution.steps_per_second
             ),
         }
     return report
@@ -106,9 +71,7 @@ def test_executor_throughput(benchmark):
     report = write_report()
     for stats in report["workloads"].values():
         assert stats["baseline_steps_per_second"] > 0
-        assert stats["baseline_nobatch_steps_per_second"] > 0
         assert stats["single_run_steps_per_second"] > 0
-        assert stats["single_run_nobatch_steps_per_second"] > 0
         # instrumentation costs something; baseline must stay faster
         assert (
             stats["baseline_steps_per_second"]

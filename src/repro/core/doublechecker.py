@@ -106,7 +106,6 @@ class DoubleChecker:
         array_granularity_object: bool = False,
         cycle_detection: bool = True,
         eager_scc: bool = False,
-        use_engine: bool = True,
     ) -> None:
         self.spec = spec
         self.pcd_memory_budget = pcd_memory_budget
@@ -116,10 +115,6 @@ class DoubleChecker:
         self.array_granularity_object = array_granularity_object
         self.cycle_detection = cycle_detection
         self.eager_scc = eager_scc
-        #: route cycle checks through the incremental graph engine;
-        #: False restores the original whole-graph DFS/Tarjan schedule
-        #: (the analysis-throughput benchmark's baseline arm)
-        self.use_engine = use_engine
 
     # ------------------------------------------------------------------
     # single-run mode
@@ -135,7 +130,7 @@ class DoubleChecker:
     ) -> SingleRunResult:
         """Run ICD+PCD on one execution (fully sound and precise)."""
         violations = ViolationSummary()
-        pcd = PCD(memory_budget=self.pcd_memory_budget, use_engine=self.use_engine)
+        pcd = PCD(memory_budget=self.pcd_memory_budget)
 
         def handle_scc(component: Sequence[Transaction]) -> None:
             violations.extend(pcd.process(component))
@@ -267,7 +262,7 @@ class DoubleChecker:
         this variant exhausts memory on the larger benchmarks.
         """
         violations = ViolationSummary()
-        pcd = PCD(memory_budget=self.pcd_memory_budget, use_engine=self.use_engine)
+        pcd = PCD(memory_budget=self.pcd_memory_budget)
         icd = self._make_icd(
             logging_enabled=True,
             on_scc=None,
@@ -314,7 +309,6 @@ class DoubleChecker:
             memory_budget=self.icd_memory_budget,
             gc_interval=self.gc_interval if gc_interval == -1 else gc_interval,
             track_unary_sites=track_unary_sites,
-            use_engine=self.use_engine,
         )
 
     @staticmethod

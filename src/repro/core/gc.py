@@ -56,14 +56,14 @@ transaction ends.  When the owning analysis reports every link it adds
 
 Roots not covered by ``S`` are traced *ephemerally* per collection,
 with the walk short-circuiting at the ``S`` boundary.  Alive =
-``S`` ∪ ephemeral cones ∪ pins — exactly the legacy mark's result,
+``S`` ∪ ephemeral cones ∪ pins — exactly the full mark's result,
 because the cached roots are a subset of the current roots and cone
 union is monotone.  Membership is recorded as generation numbers on
 the transaction (``gc_pmark``/``gc_emark``), so invalidation is O(1)
 and no per-collect set is allocated.  Exact alive counts let the sweep
 be skipped entirely when nothing died.  The mode is **opt-in**
 (:attr:`TransactionCollector.incremental`): ICD enables it and reports
-its links; Velodrome keeps the legacy full mark.
+its links; Velodrome and vc keep the full mark.
 """
 
 from __future__ import annotations
@@ -187,8 +187,8 @@ class TransactionCollector:
         return swept
 
     # ------------------------------------------------------------------
-    # incremental marking (opt-in; byte-identical results to the legacy
-    # full mark — see module docstring for the invariants)
+    # incremental marking (opt-in; byte-identical results to the full
+    # mark — see module docstring for the invariants)
     # ------------------------------------------------------------------
     def _collect_incremental(self, pinned: Iterable[Transaction]) -> int:
         manager = self._manager

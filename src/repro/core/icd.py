@@ -88,7 +88,8 @@ class ICDStats:
         """Nodes visited by the engine's reorder/contraction searches.
 
         Sourced live from the shared engine counters instead of being
-        hand-copied at execution end (0 when the engine is disabled).
+        hand-copied at execution end (0 when cycle detection is off,
+        the one configuration without an engine).
         """
         return 0 if self.engine is None else self.engine.search_visits
 
@@ -120,12 +121,9 @@ class ICD(ExecutionListener, OctetListener):
         memory_budget: optional cap on live transactions + log entries,
             reproducing the paper's 32-bit out-of-memory ceilings.
         gc_interval: run the transaction collector every N transaction
-            ends (None disables collection).
-        gc_incremental: use the collector's incremental marking (ICD
-            reports every IDG link it adds, which is what makes the
-            mode sound — see :mod:`repro.core.gc`).  Results are
-            byte-identical either way; ``False`` restores the legacy
-            full mark-sweep as a reference arm.
+            ends (None disables collection).  The collector marks
+            incrementally: ICD reports every IDG link it adds, which is
+            what makes that mode sound (see :mod:`repro.core.gc`).
     """
 
     def __init__(
@@ -147,8 +145,6 @@ class ICD(ExecutionListener, OctetListener):
         merge_unary: bool = True,
         track_unary_sites: bool = False,
         monitor_unary_site: Optional[Callable[[str], bool]] = None,
-        use_engine: bool = True,
-        gc_incremental: bool = True,
     ) -> None:
         self.spec = spec
         self.logging_enabled = logging_enabled
@@ -165,10 +161,9 @@ class ICD(ExecutionListener, OctetListener):
         self.stats = ICDStats()
         self._obs = obs_recorder()
         #: dirty-marking SCC schedule over the shared incremental graph
-        #: engine; ``use_engine=False`` restores the original
-        #: Tarjan-from-every-end schedule (the benchmark baseline)
+        #: engine; ``None`` exactly when no cycle detection runs
         self.scheduler: Optional[DirtySccScheduler] = (
-            DirtySccScheduler() if use_engine and (cycle_detection or eager_scc) else None
+            DirtySccScheduler() if cycle_detection or eager_scc else None
         )
         if self.scheduler is not None:
             self.stats.engine = self.scheduler.graph.stats
@@ -194,9 +189,9 @@ class ICD(ExecutionListener, OctetListener):
         self.collector = TransactionCollector(self.tx_manager)
         # incremental marking is sound only because ICD reports every
         # link it adds (cross edges in _add_edge, intra links in
-        # _transaction_started); Velodrome shares the collector class
-        # but not this contract, so the mode is opt-in here
-        self.collector.incremental = gc_incremental
+        # _transaction_started); Velodrome and vc share the collector
+        # class but not this contract, so the mode is opt-in here
+        self.collector.incremental = True
         self.octet = OctetRuntime(
             is_thread_blocked=self._is_thread_blocked,
             live_threads=lambda: sorted(self._started_threads),
@@ -271,20 +266,15 @@ class ICD(ExecutionListener, OctetListener):
         branch chain: no :meth:`OctetRuntime.observe` call, no
         ``Classified``/:class:`TransitionRecord` allocation, no listener
         fan-out (same-state transitions never fire Figure 4 procedures).
-        Everything else falls back to the reference :meth:`on_access`
-        slow path, so outputs are byte-identical by construction; the
-        identity tests additionally pin the fused pipeline against runs
-        with ``DOUBLECHECKER_BARRIER_FASTPATH=0``.
+        Everything else falls back to the :meth:`on_access` slow path
+        (Octet's ``observe`` plus the Figure 4 procedures), so the fast
+        path only skips work the slow path would find to be a no-op.
 
         Configurations whose per-access work the fused path does not
-        replicate (unary site tracking, object-granularity arrays, or
-        the fast path disabled) simply get ``self.on_access``.
+        replicate (unary site tracking, object-granularity arrays)
+        simply get ``self.on_access``.
         """
-        if (
-            not self.octet.fastpath
-            or self.track_unary_sites
-            or self.array_granularity_object
-        ):
+        if self.track_unary_sites or self.array_granularity_object:
             return self.on_access
 
         octet = self.octet
@@ -406,18 +396,13 @@ class ICD(ExecutionListener, OctetListener):
         compatible-state access performs no allocation at all.  Only
         when the access leaves the fast path (first access to an
         object, any Octet state transition) is an
-        :class:`AccessEvent` materialized for the reference
-        :meth:`on_access` slow path, which keeps outputs byte-identical
-        by construction.  Returns ``None`` for configurations the fused
-        path does not serve (fast path disabled, unary site tracking,
-        object-granularity arrays); the executor then routes every
-        access through the ordinary event path.
+        :class:`AccessEvent` materialized for the :meth:`on_access` slow
+        path.  Returns ``None`` for configurations the fused path does
+        not serve (unary site tracking, object-granularity arrays); the
+        executor then routes every access through the ordinary event
+        path.
         """
-        if (
-            not self.octet.fastpath
-            or self.track_unary_sites
-            or self.array_granularity_object
-        ):
+        if self.track_unary_sites or self.array_granularity_object:
             return None
 
         octet = self.octet
@@ -725,25 +710,22 @@ class ICD(ExecutionListener, OctetListener):
     def _detect_from(self, tx: Transaction) -> None:
         if not tx.finished:
             return
-        frontier = None
-        if self.scheduler is not None:
-            frontier = self.scheduler.frontier_for(tx.tx_id)
-            if frontier is None:
-                # engine-certified: either the component is acyclic (the
-                # maintained topological order is the witness) or it is
-                # unchanged since a check that resolved all of it
-                if self.scheduler.last_skip_clean:
-                    self.stats.scc_skipped_clean += 1
-                else:
-                    self.stats.scc_skipped_unchanged += 1
-                return
+        # only reached with cycle detection on, so the scheduler exists
+        scheduler = self.scheduler
+        frontier = scheduler.frontier_for(tx.tx_id)
+        if frontier is None:
+            # engine-certified: either the component is acyclic (the
+            # maintained topological order is the witness) or it is
+            # unchanged since a check that resolved all of it
+            if scheduler.last_skip_clean:
+                self.stats.scc_skipped_clean += 1
+            else:
+                self.stats.scc_skipped_unchanged += 1
+            return
         self.stats.scc_computations += 1
         component, visits = scc_containing_counted(tx, frontier)
         self.stats.scc_visits += visits
-        if self.scheduler is not None:
-            self.scheduler.note_checked(
-                tx.tx_id, {t.tx_id for t in component}
-            )
+        scheduler.note_checked(tx.tx_id, {t.tx_id for t in component})
         if not is_cyclic_component(component):
             return
         key = frozenset(t.tx_id for t in component)

@@ -64,13 +64,8 @@ class PCD:
             sunflow9 — which this cap reproduces).
     """
 
-    def __init__(
-        self, memory_budget: Optional[int] = None, use_engine: bool = True
-    ) -> None:
+    def __init__(self, memory_budget: Optional[int] = None) -> None:
         self.memory_budget = memory_budget
-        #: route each component PDG's cycle checks through the
-        #: incremental engine (False = original whole-graph DFS)
-        self.use_engine = use_engine
         self.stats = PCDStats()
         self._obs = obs_recorder()
         self._reported_cycles: Set[frozenset] = set()
@@ -245,7 +240,7 @@ class PCD:
         #: the intra-thread (program-order) edges — cycles can mix
         #: program-order and dependence edges (see repro.core.pdg)
         chain: Dict[str, Transaction] = {}
-        pdg = PDG(use_engine=self.use_engine)
+        pdg = PDG()
         violations: List[ViolationRecord] = []
         stats = self.stats
         add_edge = pdg.add_edge

@@ -22,17 +22,10 @@ shared :class:`~repro.graph.engine.IncrementalSccDigraph`, which keeps
 a topological order of the graph's condensation.  A new edge whose
 endpoints sit in different components provably closes no cycle, so the
 per-edge check is a component lookup instead of a graph traversal.
-When the endpoints do share a component, the original DFS runs —
-restricted to that component's members.  The restriction cannot change
-the path found: every node on a ``dst ⇝ src`` path lies on a cycle
-through the closing edge and hence inside the component, and a visited
-node outside the component can never discover a node inside it (an
-edge from it into the component would put it on such a path), so the
-restricted DFS pops the same nodes in the same order and reconstructs
-the identical edge list.  ``use_engine=False`` retains the original
-whole-graph DFS — the reference the property tests pin the engine to,
-and the baseline ``benchmarks/bench_analysis_throughput.py`` measures
-the engine against.
+When the endpoints do share a component, a DFS restricted to that
+component's members finds the path: every node on a ``dst ⇝ src`` path
+lies on a cycle through the closing edge and hence inside the
+component.
 """
 
 from __future__ import annotations
@@ -58,24 +51,20 @@ class PdgEdge:
 class PDG:
     """Transaction-level dependence graph with incremental cycle checks."""
 
-    def __init__(self, use_engine: bool = True) -> None:
+    def __init__(self) -> None:
         #: adjacency: src tx id -> dst tx id -> edge (first creation wins)
         self._adj: Dict[int, Dict[int, PdgEdge]] = {}
         self._order = 0
         self.edge_count = 0
         self.cycle_checks = 0
         #: total nodes visited across all cycle checks — the real cost
-        #: of per-edge detection.  With the engine this counts only the
-        #: component-restricted searches that actually run; with
-        #: ``use_engine=False`` it reproduces the whole-graph DFS cost
-        #: that made the PCD-only straw man explode
+        #: of per-edge detection; it counts only the component-restricted
+        #: searches the engine did not certify away
         self.nodes_visited = 0
         #: node set, maintained incrementally on ``add_edge`` (it used
         #: to be rebuilt from the whole adjacency map per call)
         self._nodes: Set[int] = set()
-        self.engine: Optional[IncrementalSccDigraph] = (
-            IncrementalSccDigraph() if use_engine else None
-        )
+        self.engine = IncrementalSccDigraph()
 
     def add_edge(self, src: int, dst: int) -> Optional[PdgEdge]:
         """Add an edge; returns it if new, ``None`` if it already existed."""
@@ -90,8 +79,7 @@ class PDG:
         self.edge_count += 1
         self._nodes.add(src)
         self._nodes.add(dst)
-        if self.engine is not None:
-            self.engine.add_edge(src, dst)
+        self.engine.add_edge(src, dst)
         return edge
 
     def successors(self, node: int) -> Dict[int, PdgEdge]:
@@ -109,13 +97,11 @@ class PDG:
         start = edge.dst
         if start == target:
             return None
-        membership: Optional[Set[int]] = None
-        if self.engine is not None:
-            if not self.engine.same_component(start, target):
-                # certified acyclic: the maintained topological order
-                # witnesses that no dst ⇝ src path exists
-                return None
-            membership = self.engine.component_members(start)
+        if not self.engine.same_component(start, target):
+            # certified acyclic: the maintained topological order
+            # witnesses that no dst ⇝ src path exists
+            return None
+        membership = self.engine.component_members(start)
         # iterative DFS remembering the edge that discovered each node
         discovered: Dict[int, PdgEdge] = {}
         stack = [start]
@@ -124,9 +110,7 @@ class PDG:
             while stack:
                 node = stack.pop()
                 for succ, out_edge in self.successors(node).items():
-                    if succ in seen:
-                        continue
-                    if membership is not None and succ not in membership:
+                    if succ in seen or succ not in membership:
                         continue
                     discovered[succ] = out_edge
                     if succ == target:

@@ -179,8 +179,7 @@ class CostModel:
             icd_stats.idg_edges * w.edge_add
             + icd_stats.scc_computations * w.scc_setup
             # charge the Tarjan traversal work that actually ran plus
-            # the engine's own maintenance searches — real work done,
-            # whichever schedule (legacy or dirty-marking) produced it
+            # the engine's own maintenance searches — real work done
             + icd_stats.scc_visits * w.graph_visit
             + icd_stats.engine_search_visits * w.graph_visit
             + icd_stats.cycle_detection_calls * w.graph_visit

@@ -14,7 +14,6 @@ independently published mechanism that ICD extends.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -24,28 +23,17 @@ from repro.octet.states import OctetState, StateKind, rd_ex_int, wr_ex_int
 from repro.octet.transitions import Classified, TransitionKind, classify
 from repro.runtime.events import AccessEvent, AccessKind
 
-#: escape hatch disabling the inline same-state fast path (and ICD's
-#: fused barrier): the identity tests run with it set to ``0`` to pin
-#: the optimized pipeline against the reference classify-everything one
-FASTPATH_ENV = "DOUBLECHECKER_BARRIER_FASTPATH"
-
-
-def barrier_fastpath_enabled() -> bool:
-    """Whether the barrier fast path is enabled (default: yes)."""
-    return os.environ.get(FASTPATH_ENV, "").strip().lower() not in (
-        "0", "false", "off",
-    )
-
-
 @dataclass
 class OctetStats:
     """Barrier and transition counters (feed the cost model)."""
 
     barriers: int = 0
     fast_path: int = 0
-    #: subset of ``fast_path`` resolved inline by ICD's fused barrier
-    #: (no :meth:`OctetRuntime.observe` call at all); 0 when the fast
-    #: path is disabled via ``DOUBLECHECKER_BARRIER_FASTPATH=0``
+    #: subset of ``fast_path`` resolved inline by ICD's fused barriers
+    #: (no :meth:`OctetRuntime.observe` call at all); the rest took
+    #: ``observe``'s own inline check, which only ICD configurations
+    #: without a fused barrier reach (unary site tracking,
+    #: object-granularity arrays)
     fast_path_fused: int = 0
     initial: int = 0
     upgrading_wr_ex: int = 0
@@ -125,7 +113,6 @@ class OctetRuntime:
         self,
         is_thread_blocked: Callable[[str], bool] | None = None,
         live_threads: Callable[[], List[str]] | None = None,
-        fastpath: Optional[bool] = None,
     ) -> None:
         self._states: Dict[int, OctetState] = {}
         self._thread_rdsh: Dict[str, int] = {}
@@ -133,9 +120,6 @@ class OctetRuntime:
         self.protocol = CoordinationProtocol(is_thread_blocked)
         self._live_threads = live_threads or (lambda: [])
         self.listeners: List[OctetListener] = []
-        #: take the inline same-state shortcut in :meth:`observe`
-        #: (``None`` = consult ``DOUBLECHECKER_BARRIER_FASTPATH``)
-        self.fastpath = barrier_fastpath_enabled() if fastpath is None else fastpath
         self._stats = OctetStats()
         # Hot-counter batching: the two counters every barrier bumps
         # live in plain attributes and are folded into ``_stats`` only
@@ -195,14 +179,15 @@ class OctetRuntime:
         unsynchronized fast path — is detected inline without calling
         :func:`classify` (no :class:`Classified` allocation, no
         ``_commit``/``_notify`` dispatch; listeners never consume
-        same-state records).  ``DOUBLECHECKER_BARRIER_FASTPATH=0``
-        routes every access through the reference classify path, which
-        must stay observably identical (pinned by the identity tests).
+        same-state records).  The inline check is Table 1's same-state
+        rule verbatim (``is_same_state``, pinned against ``classify``
+        by the Octet tests), so every other access is a real
+        transition.
         """
         oid = event.obj.oid
         thread = event.thread_name
         old_state = self._states.get(oid)
-        if old_state is not None and self.fastpath:
+        if old_state is not None:
             kind = old_state.kind
             if (
                 old_state.owner == thread
@@ -244,10 +229,6 @@ class OctetRuntime:
     ) -> TransitionRecord:
         kind = classified.kind
         stats = self._stats
-
-        if kind is TransitionKind.SAME_STATE:
-            stats.fast_path += 1
-            return TransitionRecord(event, kind, old_state, old_state, None, None)
 
         if kind is TransitionKind.INITIAL:
             stats.initial += 1

@@ -78,8 +78,8 @@ _SITE_INTERN: dict = {}
 def intern_site(method: str, index: int = 0) -> Site:
     """The canonical :class:`Site` for a ``(method, index)`` location.
 
-    Both executor arms use this, so the reference interpreter and the
-    lowered column tables share identical instances (not merely equal
+    The executor's generator path and the lowered column tables both
+    use this, so they share identical instances (not merely equal
     values).  Interning changes object identity only; all comparisons
     remain by value.
     """

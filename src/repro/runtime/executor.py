@@ -41,7 +41,6 @@ from repro.runtime.lowering import (
     VAL_CONST,
     VAL_INC,
     LoweredBody,
-    batch_executor_enabled,
     lower_script,
 )
 from repro.runtime.program import Program
@@ -99,16 +98,15 @@ class _LoweredFrame:
     """One activation of a lowered body on a thread's call stack.
 
     Occupies the generator slot of the ``(method, payload)`` frame
-    tuple; the batch interpreter advances ``pc`` through the body's
-    columns instead of ``gen.send``-ing into a generator."""
+    tuple; the run loop advances ``pc`` through the body's columns
+    instead of ``gen.send``-ing into a generator."""
 
     __slots__ = ("body", "pc", "regs")
 
     def __init__(self, body: LoweredBody) -> None:
         self.body = body
         self.pc = 0
-        # registers start as None, matching the reference script
-        # interpreter's regs.get() for a never-written register
+        # a never-written register reads as None
         self.regs: List[Any] = [None] * body.nregs
 
 
@@ -165,9 +163,8 @@ class Executor:
         self._per_thread_steps: Dict[str, int] = {}
         self._on_access = self.pipeline.on_access
         # Batch execution state.  ``_lowered`` caches one LoweredBody
-        # per (method, args) activation shape; None marks bodies that
-        # cannot be lowered (plain generators, unhashable args).
-        self._batch = batch_executor_enabled()
+        # per hashable (method, args) activation shape; None marks
+        # plain generator bodies.
         self._lowered: Dict[Tuple[str, Tuple[Any, ...]], Optional[LoweredBody]] = {}
         self._addr_intern: Dict[Tuple[int, str], Tuple[int, str]] = {}
         self._batch_steps = 0
@@ -214,67 +211,13 @@ class Executor:
         if calls:
             obs.inc("executor.listener_dispatch.calls", calls)
             obs.observe("executor.listener_dispatch.seconds", seconds)
-        if self._batch:
-            obs.inc("executor.batch.steps", self._batch_steps)
-            obs.inc("executor.batch.accesses", self._batch_accesses)
-            obs.inc("executor.batch.delegations", self._batch_delegations)
-            obs.inc("executor.batch.frames_lowered", self._batch_frames_lowered)
-            obs.inc("executor.batch.frames_generator", self._batch_frames_generator)
-            obs.inc("executor.batch.bodies", len(self._lowered))
+        obs.inc("executor.batch.steps", self._batch_steps)
+        obs.inc("executor.batch.accesses", self._batch_accesses)
+        obs.inc("executor.batch.delegations", self._batch_delegations)
+        obs.inc("executor.batch.frames_lowered", self._batch_frames_lowered)
+        obs.inc("executor.batch.frames_generator", self._batch_frames_generator)
+        obs.inc("executor.batch.bodies", len(self._lowered))
         return result
-
-    def _run_loop(self, tracked: bool = False) -> ExecutionResult:
-        if self._batch:
-            return self._run_loop_batch(tracked)
-        self.scheduler.reset()
-        # rebind the access fast path in case listeners were attached
-        # to the pipeline after construction; with a single listener the
-        # pipeline hands back that listener's fused access barrier
-        # (ICD + Octet as one call), so ``_emit_access`` dispatches the
-        # whole instrumentation stack through one callable
-        self._on_access = self.pipeline.on_access
-        choose = self.scheduler.choose
-        if tracked:
-            # scheduler telemetry wraps ``choose`` so the untracked
-            # loop below stays byte-identical to the pre-telemetry one
-            choose = self._tracking_choose(choose)
-            if self._obs.mode == MODE_FULL and self.pipeline.listeners:
-                self._time_listener_dispatch()
-        started = time.perf_counter()
-        for spec in self.program.threads:
-            self._spawn(spec.name, spec.method, spec.args)
-
-        runnable = self._runnable
-        threads = self.threads
-        step_limit = self.step_limit
-        while self._live_count:
-            if not runnable:
-                blocked = {
-                    t.name: t.state.value
-                    for t in threads.values()
-                    if t.is_live()
-                }
-                raise DeadlockError(blocked)
-            chosen = choose(runnable, self._steps)
-            if chosen not in self._runnable_set:
-                raise ProgramError(
-                    f"scheduler chose non-runnable thread {chosen!r}"
-                )
-            self._steps += 1
-            if self._steps > step_limit:
-                raise StepLimitExceeded(step_limit)
-            self._step(threads[chosen])
-
-        self.pipeline.on_execution_end()
-        elapsed = time.perf_counter() - started
-        return ExecutionResult(
-            steps=self._steps,
-            access_count=self._access_count,
-            sync_access_count=self._sync_access_count,
-            per_thread_ops=dict(self._per_thread_steps),
-            elapsed_seconds=elapsed,
-            thread_names=sorted(self.threads),
-        )
 
     # ------------------------------------------------------------------
     # batch execution
@@ -284,8 +227,8 @@ class Executor:
 
         Preference order: a listener-provided *batch barrier* (no
         AccessEvent allocation at all), then the ordinary event path
-        (allocating an event per access, exactly like the reference
-        arm), then a no-op when nobody is listening.  All three are
+        (allocating an event per access, exactly like the generator
+        path), then a no-op when nobody is listening.  All three are
         observationally identical because events are value types built
         from the same columns.
         """
@@ -316,34 +259,41 @@ class Executor:
         return emit
 
     def _lowered_body(self, method: str, args: Tuple[Any, ...]) -> Optional[LoweredBody]:
+        """The lowered form of one activation; None for a generator body.
+
+        Cached per ``(method, args)``; an activation whose args are
+        unhashable cannot key the cache and is lowered afresh.
+        """
         key = (method, args)
         try:
             cached = self._lowered.get(key, _UNSET)
         except TypeError:
-            # unhashable args cannot key the cache; run as a generator
-            return None
-        if cached is not _UNSET:
-            return cached
-        script_fn = getattr(self.program.lookup(method).body, "_dc_script_fn", None)
-        lowered = None
-        if script_fn is not None:
-            lowered = lower_script(
-                script_fn(self._context, *args), method, self._addr_intern
-            )
-        self._lowered[key] = lowered
-        return lowered
+            return self._lower(method, args)
+        if cached is _UNSET:
+            cached = self._lowered[key] = self._lower(method, args)
+        return cached
 
-    def _run_loop_batch(self, tracked: bool = False) -> ExecutionResult:
-        """Batch-mode run loop: tight columnar interpretation.
+    def _lower(self, method: str, args: Tuple[Any, ...]) -> Optional[LoweredBody]:
+        script_fn = getattr(self.program.lookup(method).body, "_dc_script_fn", None)
+        if script_fn is None:
+            return None
+        return lower_script(
+            script_fn(self._context, *args), method, self._addr_intern
+        )
+
+    def _run_loop(self, tracked: bool = False) -> ExecutionResult:
+        """The run loop: tight columnar interpretation.
 
         Lowered frames execute without generator sends, op-dataclass
         allocations, handler-dict dispatch, or Site construction; each
         access calls the emitter with pre-interned column values.
         Control ops, generator frames, blocked-op retries, and thread
-        starts delegate to the exact reference-arm handlers, so every
-        observable transition matches the reference loop byte for byte.
+        starts go through the op handlers.  ``tracked`` installs the
+        scheduler telemetry wrappers (see :meth:`run`).
         """
         self.scheduler.reset()
+        # rebind the access fast path in case listeners were attached
+        # to the pipeline after construction
         self._on_access = self.pipeline.on_access
         choose = self.scheduler.choose
         if tracked:
@@ -413,8 +363,8 @@ class Executor:
             body = frame.body
             pc = frame.pc
             if pc == body.length:
-                # one step past the last op, like a generator's
-                # StopIteration step in the reference arm
+                # one step past the last op, like a generator body's
+                # StopIteration step
                 self._return_from_frame(thread, None)
                 continue
             frame.pc = pc + 1
@@ -472,7 +422,7 @@ class Executor:
                     thread.compute_remaining = cost - 1
             else:
                 # control op: sync the op counter so handler-built
-                # sites carry this pc, then run the reference handler
+                # sites carry this pc, then run the op's handler
                 batch_delegations += 1
                 thread.op_counters[-1] = pc
                 op = body.control_ops[pc]
@@ -500,10 +450,8 @@ class Executor:
 
         In ``full`` mode the wrapper also emits one ``executor.quantum``
         trace event per scheduling quantum (capped at
-        :data:`QUANTUM_EVENT_LIMIT`).  All of this lives in the wrapper
-        — the batch interpreter's hot loop is untouched and stays
-        allocation-free; the untracked loop stays byte-identical to the
-        pre-telemetry one.
+        :data:`QUANTUM_EVENT_LIMIT`).  All of this lives in the wrapper,
+        so the run loop itself stays untouched and allocation-free.
         """
         obs = self._obs
         if obs.mode != MODE_FULL:
@@ -611,16 +559,15 @@ class Executor:
         return thread
 
     def _push_call(self, thread: VThread, method: str, args: Tuple[Any, ...]) -> None:
-        if self._batch:
-            lowered = self._lowered_body(method, args)
-            if lowered is not None:
-                self.pipeline.on_method_enter(
-                    thread.name, method, thread.call_depth() + 1
-                )
-                thread.push_frame(method, _LoweredFrame(lowered))
-                self._batch_frames_lowered += 1
-                return
-            self._batch_frames_generator += 1
+        lowered = self._lowered_body(method, args)
+        if lowered is not None:
+            self.pipeline.on_method_enter(
+                thread.name, method, thread.call_depth() + 1
+            )
+            thread.push_frame(method, _LoweredFrame(lowered))
+            self._batch_frames_lowered += 1
+            return
+        self._batch_frames_generator += 1
         definition = self.program.lookup(method)
         result = definition.body(self._context, *args)
         if hasattr(result, "send"):
@@ -656,26 +603,6 @@ class Executor:
     # ------------------------------------------------------------------
     # stepping
     # ------------------------------------------------------------------
-    def _step(self, thread: VThread) -> None:
-        self._per_thread_steps[thread.name] += 1
-        if not thread.started:
-            thread.started = True
-            self.pipeline.on_thread_start(thread.name)
-            # Thread.start() happens-before the first action of the
-            # thread: model the child side as an acquire-like read
-            self._emit_sync_access(
-                thread, thread.thread_obj, THREAD_FIELD, AccessKind.READ,
-                intern_site("<thread-start>"),
-            )
-            return
-        if thread.compute_remaining > 0:
-            thread.compute_remaining -= 1
-            return
-        if thread.pending_value.__class__ in (_PendingAcquire, _PendingJoin):
-            self._retry_pending(thread)
-            return
-        self._advance(thread)
-
     def _advance(self, thread: VThread) -> None:
         _method, gen = thread.frames[-1]
         value, thread.pending_value = thread.pending_value, None

@@ -1,9 +1,9 @@
 """Lowering scriptable method bodies into flat columnar op arrays.
 
-The executor's reference interpreter drives generator-function method
-bodies one ``yield`` at a time: every simulated instruction costs a
-``gen.send``, a frozen op-dataclass allocation, a handler-dict
-dispatch, a :class:`~repro.runtime.events.Site` construction, and an
+Driving a generator-function method body one ``yield`` at a time
+costs, per simulated instruction, a ``gen.send``, a frozen
+op-dataclass allocation, a handler-dict dispatch, a
+:class:`~repro.runtime.events.Site` construction, and an
 :class:`~repro.runtime.events.AccessEvent` allocation.  For bodies
 whose op stream is *statically known* — no data-dependent control flow
 — all of that can be precomputed once.
@@ -32,130 +32,57 @@ delta)`` — evaluating ``(reg_value or 0) + delta``, the idiomatic
 read-modify-write increment — or ``("reg", reg)``.  Registers are
 arbitrary strings scoped to one body activation.
 
-The same script is the **single source of truth for both executor
-arms**: :func:`script_body` wraps it into an ordinary generator body
-(interpreting the tuples op by op — what the reference arm runs) and
-tags it with the script function, which the batch executor lowers via
-:func:`lower_script` into a :class:`LoweredBody`.  Byte-identical op
-streams across arms hold by construction.  Bodies with data-dependent
-control flow (branch on a read value, value-derived field names) stay
-plain generators and run on the reference path even in batch mode.
+The executor lowers every :func:`script_body` activation via
+:func:`lower_script` into a :class:`LoweredBody` and runs it on its
+batch loop; nothing interprets the script tuples op by op.  Bodies
+with data-dependent control flow (branch on a read value,
+value-derived field names) stay plain generators, which the executor
+drives one ``yield`` at a time.
 
 **Column layout.**  A :class:`LoweredBody` stores one entry per op in
 parallel arrays — ``array('b')`` op-codes and ``array('i')`` columns
 for oid, field id, array index, lock id, site id, destination/value
 registers — plus interned side tables for field names,
-:class:`~repro.runtime.events.Site` objects (shared with the reference
-interpreter via :func:`~repro.runtime.events.intern_site`), site
+:class:`~repro.runtime.events.Site` objects (shared with the executor's
+generator path via :func:`~repro.runtime.events.intern_site`), site
 strings, and ``(oid, field)`` address tuples.  The object-reference
 caches (``objs``) exist only because a running executor needs the live
 heap objects, not just their ids.
-
-``DOUBLECHECKER_BATCH_EXECUTOR=0`` disables lowering entirely (same
-escape-hatch pattern as ``DOUBLECHECKER_BARRIER_FASTPATH``), keeping
-the reference interpreter as a permanently exercised arm.
 """
 
 from __future__ import annotations
 
-import os
 from array import array
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ProgramError
 from repro.runtime.events import Site, intern_site
-from repro.runtime.ops import (
-    Acquire,
-    ArrayRead,
-    ArrayWrite,
-    Compute,
-    Fork,
-    Invoke,
-    Join,
-    Notify,
-    Read,
-    Release,
-    Write,
-)
-
-#: escape hatch disabling the batch interpreter: the identity tests run
-#: with it set to ``0`` to pin the lowered pipeline against the
-#: reference generator-driven one
-BATCH_ENV = "DOUBLECHECKER_BATCH_EXECUTOR"
-
-
-def batch_executor_enabled() -> bool:
-    """Whether the batch executor is enabled (default: yes)."""
-    return os.environ.get(BATCH_ENV, "").strip().lower() not in (
-        "0", "false", "off",
-    )
+from repro.runtime.ops import Acquire, Fork, Invoke, Join, Notify, Release
 
 
 # ----------------------------------------------------------------------
-# the script-derived reference body
+# declaring a scripted body
 # ----------------------------------------------------------------------
 def script_body(script_fn: Callable[..., List[tuple]]) -> Callable[..., Any]:
-    """Wrap a script function into a generator method body.
+    """Wrap a script function into a method body the executor lowers.
 
-    The returned body interprets the script tuples exactly like a
-    hand-written generator would, so registering it with
-    :meth:`~repro.runtime.program.Program.method` changes nothing
-    observable.  The attached ``_dc_script_fn`` tag is what the batch
-    executor lowers.
+    The returned body only carries the ``_dc_script_fn`` tag: the
+    executor reads the script through it and never calls the body, so
+    driving the body directly is a :class:`ProgramError`.
     """
 
+    name = getattr(script_fn, "__name__", "script_body")
+
+    # closes over the name, not over ``body`` itself: a self-referencing
+    # closure would make every scripted method a reference cycle
     def body(ctx, *args):
-        return _run_script(script_fn(ctx, *args))
+        raise ProgramError(
+            f"scripted body {name!r} runs only under the executor"
+        )
 
     body._dc_script_fn = script_fn
-    body.__name__ = getattr(script_fn, "__name__", "script_body")
+    body.__name__ = name
     return body
-
-
-def _eval_value(vexpr: tuple, regs: Dict[str, Any]) -> Any:
-    kind = vexpr[0]
-    if kind == "const":
-        return vexpr[1]
-    if kind == "inc":
-        return (regs.get(vexpr[1]) or 0) + vexpr[2]
-    if kind == "reg":
-        return regs.get(vexpr[1])
-    raise ProgramError(f"unknown script value expression {vexpr!r}")
-
-
-def _run_script(script: List[tuple]):
-    """Generator interpreting script tuples (the reference arm)."""
-    regs: Dict[str, Any] = {}
-    for op in script:
-        code = op[0]
-        if code == "read":
-            value = yield Read(op[1], op[2])
-            if op[3] is not None:
-                regs[op[3]] = value
-        elif code == "write":
-            yield Write(op[1], op[2], _eval_value(op[3], regs))
-        elif code == "aread":
-            value = yield ArrayRead(op[1], op[2])
-            if op[3] is not None:
-                regs[op[3]] = value
-        elif code == "awrite":
-            yield ArrayWrite(op[1], op[2], _eval_value(op[3], regs))
-        elif code == "compute":
-            yield Compute(op[1])
-        elif code == "invoke":
-            yield Invoke(op[1], tuple(op[2]))
-        elif code == "acquire":
-            yield Acquire(op[1])
-        elif code == "release":
-            yield Release(op[1])
-        elif code == "fork":
-            yield Fork(op[1], op[2], tuple(op[3]))
-        elif code == "join":
-            yield Join(op[1])
-        elif code == "notify":
-            yield Notify(op[1], op[2])
-        else:
-            raise ProgramError(f"unknown script op {op!r}")
 
 
 # ----------------------------------------------------------------------
@@ -377,7 +304,6 @@ def lower_script(
 
 
 __all__ = [
-    "BATCH_ENV",
     "LoweredBody",
     "OP_AREAD",
     "OP_AWRITE",
@@ -388,7 +314,6 @@ __all__ = [
     "VAL_CONST",
     "VAL_INC",
     "VAL_REG",
-    "batch_executor_enabled",
     "lower_script",
     "script_body",
 ]

@@ -51,7 +51,6 @@ from repro.core.transactions import (
 )
 from repro.errors import OutOfMemoryBudget
 from repro.obs.registry import publish_stats, recorder as obs_recorder
-from repro.octet.runtime import barrier_fastpath_enabled
 from repro.runtime.events import AccessEvent, AccessKind, Site
 from repro.runtime.executor import ExecutionResult, Executor
 from repro.runtime.listeners import ExecutionListener
@@ -142,16 +141,9 @@ class VcChecker(ExecutionListener):
         array_granularity_object: bool = False,
         memory_budget: Optional[int] = None,
         gc_interval: Optional[int] = 64,
-        fastpath: Optional[bool] = None,
     ) -> None:
         self.spec = spec
         self.sync_edges = sync_edges
-        #: take the fused no-op shortcut in the barriers (``None`` =
-        #: consult ``DOUBLECHECKER_BARRIER_FASTPATH``, the same escape
-        #: hatch the Octet/ICD fast path honours)
-        self.fastpath = (
-            barrier_fastpath_enabled() if fastpath is None else fastpath
-        )
         self.instrument_arrays = instrument_arrays
         self.array_granularity_object = array_granularity_object
         self.memory_budget = memory_budget
@@ -233,7 +225,7 @@ class VcChecker(ExecutionListener):
     # shared _analyze, so outputs are identical by construction)
     # ------------------------------------------------------------------
     def access_barrier(self) -> Callable[[AccessEvent], None]:
-        if not self.fastpath or self.array_granularity_object:
+        if self.array_granularity_object:
             return self.on_access
 
         tx_manager = self.tx_manager
@@ -289,7 +281,7 @@ class VcChecker(ExecutionListener):
         loop's pre-interned column values directly (the batch executor
         routes synchronization through the event path, so ``is_sync``
         is always false here)."""
-        if not self.fastpath or self.array_granularity_object:
+        if self.array_granularity_object:
             return None
 
         tx_manager = self.tx_manager

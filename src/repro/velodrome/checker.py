@@ -59,14 +59,14 @@ class VelodromeStats:
     cycles_found: int = 0
     array_accesses_skipped: int = 0
     lost_metadata_updates: int = 0
-    #: the engine's live counters (linked when the engine is active);
+    #: the engine's live counters (linked when cycle detection runs);
     #: ``engine_search_visits`` reads through, so it cannot drift
     engine: Optional[GraphEngineStats] = None
 
     @property
     def engine_search_visits(self) -> int:
         """Nodes visited by the engine's reorder/contraction searches
-        (0 when the engine is disabled)."""
+        (0 when cycle detection is off)."""
         return 0 if self.engine is None else self.engine.search_visits
 
 
@@ -114,7 +114,6 @@ class VelodromeChecker(ExecutionListener):
         cycle_detection: bool = True,
         memory_budget: Optional[int] = None,
         gc_interval: Optional[int] = 64,
-        use_engine: bool = True,
     ) -> None:
         self.spec = spec
         self.instrument_arrays = instrument_arrays
@@ -141,11 +140,10 @@ class VelodromeChecker(ExecutionListener):
         self._intra_order: Dict[int, int] = {}
         self._reported_cycles: Set[frozenset] = set()
         self._tx_ends_since_gc = 0
-        #: incremental certificate for the per-edge cycle checks;
-        #: ``use_engine=False`` restores the original whole-graph DFS
-        #: (the analysis-throughput benchmark's baseline arm)
+        #: incremental certificate for the per-edge cycle checks
+        #: (``None`` exactly when cycle detection is off)
         self.engine: Optional[ChainCollapsedGraph] = (
-            ChainCollapsedGraph() if use_engine and cycle_detection else None
+            ChainCollapsedGraph() if cycle_detection else None
         )
         if self.engine is not None:
             self.stats.engine = self.engine.graph.stats
@@ -289,22 +287,19 @@ class VelodromeChecker(ExecutionListener):
         self.stats.cycle_checks += 1
         target = closing.src
         start = closing.dst
-        membership: Optional[ChainFrontier] = None
-        if self.engine is not None:
-            if not self.engine.same_component(start.tx_id, target.tx_id):
-                # certified acyclic: the engine already has the closing
-                # edge, so a dst ⇝ src path would have merged the two
-                # components — different components means no cycle
-                self.stats.cycle_checks_certified += 1
-                return
-            # restricting the DFS to the component's frontier cannot
-            # change the outcome: every node on a dst ⇝ src path lies
-            # on a cycle through the closing edge (hence in the
-            # component, or an admitted chain interior of it), and a
-            # visited node outside the frontier can never reach back
-            # into it, so discovery order — and the reported cycle —
-            # are identical to the whole-graph search
-            membership = self.engine.frontier(start.tx_id)
+        # only reached with cycle detection on, so the engine exists
+        engine = self.engine
+        if not engine.same_component(start.tx_id, target.tx_id):
+            # certified acyclic: the engine already has the closing
+            # edge, so a dst ⇝ src path would have merged the two
+            # components — different components means no cycle
+            self.stats.cycle_checks_certified += 1
+            return
+        # restricting the DFS to the component's frontier cannot change
+        # the outcome: every node on a dst ⇝ src path lies on a cycle
+        # through the closing edge (hence in the component, or an
+        # admitted chain interior of it)
+        membership: ChainFrontier = engine.frontier(start.tx_id)
         discovered: Dict[Transaction, Tuple[Transaction, Optional[IdgEdge]]] = {}
         stack = [start]
         seen = {start}
@@ -317,9 +312,7 @@ class VelodromeChecker(ExecutionListener):
             if node.intra_next is not None:
                 steps.append((node.intra_next, None))
             for succ, via in steps:
-                if succ in seen:
-                    continue
-                if membership is not None and not membership.admits(
+                if succ in seen or not membership.admits(
                     succ.thread_name, succ.tx_id
                 ):
                     continue
@@ -395,17 +388,17 @@ class VelodromeChecker(ExecutionListener):
         ):
             self._tx_ends_since_gc = 0
             self.collector.note_peak()
-            population = self.tx_manager.all_transactions
             self.collector.collect()
+            # the collector reports exactly what it swept, in
+            # population order, so neither the engine nor the intra
+            # orders need a pass over the live transactions
+            swept = self.collector.last_swept_ids
             if self.engine is not None:
-                self.engine.forget(
-                    t.tx_id for t in population if t.collected
-                )
+                self.engine.forget(swept)
+            intra_order = self._intra_order
+            for tx_id in swept:
+                intra_order.pop(tx_id, None)
             self.metadata.purge_collected()
-            live = {t.tx_id for t in self.tx_manager.all_transactions}
-            self._intra_order = {
-                k: v for k, v in self._intra_order.items() if k in live
-            }
         if self.memory_budget is not None:
             used = len(self.tx_manager.all_transactions)
             if used > self.memory_budget:

@@ -43,11 +43,10 @@ from repro.runtime.ops import Compute, Read, Write
 Body = Callable[..., Any]
 
 # Patterns whose op stream is statically known are declared as *script
-# functions* (see repro.runtime.lowering): the same tuple list drives
-# the reference generator arm and lowers to the batch executor's
-# columnar form.  Patterns with data-dependent control flow (toctou,
-# read_pair, the probing hub_scan, seeder) remain plain generators and
-# always run on the reference path.
+# functions* (see repro.runtime.lowering), which the executor lowers to
+# its columnar form.  Patterns with data-dependent control flow (toctou,
+# read_pair, the probing hub_scan, seeder) remain plain generators,
+# driven one ``yield`` at a time.
 
 
 def split_rmw(target: SharedObject, fieldname: str = "value", gap: int = 2) -> Body:

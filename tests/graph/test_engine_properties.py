@@ -7,7 +7,7 @@ pin it to brute-force references on random edge streams:
 * component membership after every edge equals the SCCs a from-scratch
   Tarjan computes on the same edge multiset;
 * ``same_component`` answers exactly the "is there a cycle through
-  this edge" question the old DFS answered;
+  this edge" question a per-edge DFS answers;
 * the maintained topological order stays valid over the condensation
   (``check_invariants``), which is the engine's acyclicity proof;
 * work counters are monotone, so stats syncing can never regress.
@@ -190,33 +190,36 @@ def test_forget_only_drops_acyclic_singletons(edges, to_forget):
 
 @settings(max_examples=100, deadline=None)
 @given(edges_strategy)
-def test_pdg_engine_and_legacy_find_identical_cycles(edges):
-    """The engine-gated PDG reports the exact cycles the old DFS did.
+def test_pdg_cycles_match_reference_sccs(edges):
+    """The engine-gated PDG finds a cycle exactly when one exists.
 
-    Not just the same cyclic/acyclic verdicts: the discovered edge
-    lists must be identical (blame assignment and dedup keys hang off
-    them), while the engine never visits more nodes than the
-    whole-graph search it replaces.
+    After each new edge, ``find_cycle_through`` must return a cycle iff
+    the edge's endpoints share a from-scratch Tarjan SCC, and a
+    returned cycle must be a closed path of added edges that ends in
+    the new edge (blame assignment and dedup keys hang off it).
     """
     from repro.core.pdg import PDG
 
-    fast, slow = PDG(use_engine=True), PDG(use_engine=False)
+    pdg = PDG()
+    added = {}
     for src, dst in edges:
-        engine_edge = fast.add_edge(src, dst)
-        legacy_edge = slow.add_edge(src, dst)
-        assert (engine_edge is None) == (legacy_edge is None)
-        if engine_edge is None:
+        edge = pdg.add_edge(src, dst)
+        if src == dst or (src, dst) in added:
+            assert edge is None
             continue
-        engine_cycle = fast.find_cycle_through(engine_edge)
-        legacy_cycle = slow.find_cycle_through(legacy_edge)
-        if legacy_cycle is None:
-            assert engine_cycle is None
-        else:
-            assert [(e.src, e.dst, e.order) for e in engine_cycle] == [
-                (e.src, e.dst, e.order) for e in legacy_cycle
-            ]
-    assert fast.nodes() == slow.nodes()
-    assert fast.nodes_visited <= slow.nodes_visited
+        assert edge is not None
+        added[(src, dst)] = edge
+        cycle = pdg.find_cycle_through(edge)
+        reference = tarjan_sccs(list(added))
+        assert (cycle is not None) == (dst in reference[src])
+        if cycle is None:
+            continue
+        assert cycle[-1] is edge
+        for step in cycle:
+            assert added[(step.src, step.dst)] is step
+        for prev, nxt in zip(cycle, cycle[1:] + cycle[:1]):
+            assert prev.dst == nxt.src
+    assert pdg.nodes() == {node for pair in added for node in pair}
 
 
 cross_ops_strategy = st.lists(

@@ -116,8 +116,9 @@ def test_icd_engine_search_visits_reads_through():
 
 
 def test_icd_engine_search_visits_zero_without_engine():
+    # cycle detection off is the one configuration without an engine
     spec = runner.initial_spec(WORKLOAD)
-    checker = DoubleChecker(spec, use_engine=False)
+    checker = DoubleChecker(spec, cycle_detection=False)
     result = checker.run_single(build(WORKLOAD), runner.make_scheduler(0))
     assert result.icd_stats.engine is None
     assert result.icd_stats.engine_search_visits == 0

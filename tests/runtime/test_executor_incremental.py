@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import DeadlockError
-from repro.runtime.executor import Executor
+from repro.runtime.events import THREAD_FIELD, AccessKind, intern_site
+from repro.runtime.executor import Executor, _PendingAcquire, _PendingJoin
 from repro.runtime.listeners import ExecutionListener
 from repro.runtime.ops import (
     Acquire,
@@ -30,9 +31,11 @@ from repro.runtime.scheduler import RandomScheduler
 class ReferenceExecutor(Executor):
     """The pre-optimization run loop: rebuild live/runnable every step.
 
-    Uses the same stepping, lock, and listener machinery as the real
-    executor — only the scheduling loop differs — so any divergence is
-    attributable to the incremental runnable-set bookkeeping.
+    Uses the same op handlers, lock, and listener machinery as the real
+    executor, and its own copy of the per-step logic for generator
+    bodies (the programs here have no scripted bodies) — so any
+    divergence is attributable to the incremental runnable-set
+    bookkeeping.
     """
 
     def run(self):
@@ -59,10 +62,28 @@ class ReferenceExecutor(Executor):
             self._steps += 1
             if self._steps > self.step_limit:
                 raise StepLimitExceeded(self.step_limit)
-            self._step(self.threads[chosen])
+            self._reference_step(self.threads[chosen])
 
         self.pipeline.on_execution_end()
         return None
+
+    def _reference_step(self, thread):
+        self._per_thread_steps[thread.name] += 1
+        if not thread.started:
+            thread.started = True
+            self.pipeline.on_thread_start(thread.name)
+            self._emit_sync_access(
+                thread, thread.thread_obj, THREAD_FIELD, AccessKind.READ,
+                intern_site("<thread-start>"),
+            )
+            return
+        if thread.compute_remaining > 0:
+            thread.compute_remaining -= 1
+            return
+        if thread.pending_value.__class__ in (_PendingAcquire, _PendingJoin):
+            self._retry_pending(thread)
+            return
+        self._advance(thread)
 
 
 class _Tracer(ExecutionListener):

@@ -1,18 +1,19 @@
 """Unit tests for the script-lowering pass (repro.runtime.lowering).
 
 ``lower_script`` compiles a script op list into the columnar
-:class:`LoweredBody`; ``script_body`` wraps the same script into the
-reference generator arm.  These tests pin the column layout, the
-interning contracts (sites via ``intern_site``, addresses via the
-executor-wide intern table), and the reference arm's op stream.
+:class:`LoweredBody`; ``script_body`` tags a script function as a
+method body for the executor to lower.  These tests pin the column
+layout, the interning contracts (sites via ``intern_site``, addresses
+via the executor-wide intern table), and that a scripted body runs
+only lowered.
 """
 
 import pytest
 
 from repro.errors import ProgramError
 from repro.runtime.events import intern_site
+from repro.runtime.executor import Executor
 from repro.runtime.lowering import (
-    BATCH_ENV,
     OP_AREAD,
     OP_AWRITE,
     OP_COMPUTE,
@@ -21,18 +22,10 @@ from repro.runtime.lowering import (
     OP_WRITE,
     VAL_CONST,
     VAL_INC,
-    batch_executor_enabled,
     lower_script,
     script_body,
 )
-from repro.runtime.ops import (
-    Acquire,
-    ArrayWrite,
-    Invoke,
-    Read,
-    Release,
-    Write,
-)
+from repro.runtime.ops import Acquire, Invoke, Release
 from repro.runtime.program import Program
 
 
@@ -129,37 +122,44 @@ def test_lower_script_rejects_unknown_ops(heap):
         )
 
 
-def test_script_body_reference_arm_matches_script(heap):
-    objects, arr = heap
-    o0, _ = objects
+def test_script_body_runs_only_lowered(heap):
+    objects, _ = heap
 
     def script(ctx):
-        return [
-            ("read", o0, "f0", "v"),
-            ("write", o0, "f0", ("inc", "v", 2)),
-            ("awrite", arr, 1, ("reg", "v")),
-        ]
+        return [("read", objects[0], "f0", None)]
 
     body = script_body(script)
     assert body._dc_script_fn is script
-
-    gen = body(None)
-    op = next(gen)
-    assert op == Read(o0, "f0")
-    op = gen.send(5)  # the read's value lands in register "v"
-    assert op == Write(o0, "f0", 7)
-    op = gen.send(None)
-    assert op == ArrayWrite(arr, 1, 5)
-    with pytest.raises(StopIteration):
-        gen.send(None)
+    with pytest.raises(ProgramError, match="only under the executor"):
+        body(None)
 
 
-def test_batch_executor_enabled_env_parsing(monkeypatch):
-    monkeypatch.delenv(BATCH_ENV, raising=False)
-    assert batch_executor_enabled()
-    for value in ("0", "false", "off", " OFF "):
-        monkeypatch.setenv(BATCH_ENV, value)
-        assert not batch_executor_enabled()
-    for value in ("1", "true", "on", ""):
-        monkeypatch.setenv(BATCH_ENV, value)
-        assert batch_executor_enabled()
+def test_unhashable_args_are_lowered_without_caching():
+    """An activation whose args cannot key the lowering cache still
+    runs lowered; it is compiled afresh on every call."""
+    program = Program("unhashable")
+    obj = program.add_global_object("o")
+
+    def bump(ctx, fields):
+        return [
+            op
+            for name in fields
+            for op in (("read", obj, name, "v"),
+                       ("write", obj, name, ("inc", "v", 1)))
+        ]
+
+    def worker(ctx):
+        return [("invoke", "bump", (["a", "b"],))] * 2
+
+    program.method(script_body(bump), name="bump")
+    program.method(script_body(worker), name="worker")
+    program.add_thread("T0", "worker")
+    executor = Executor(program)
+    result = executor.run()
+
+    assert obj.fields == {"a": 2, "b": 2}
+    assert result.program_access_count == 8
+    assert executor._batch_frames_lowered == 3
+    assert executor._batch_frames_generator == 0
+    # only the worker's (hashable) activation is cached
+    assert list(executor._lowered) == [("worker", ())]

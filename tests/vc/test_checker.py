@@ -188,29 +188,31 @@ def _rereading_program():
     return program
 
 
+#: per seed: (blamed, edges, cycles_found, cycle_checks, clock_joins,
+#: instrumented_accesses) of the classify-every-access barrier this
+#: checker had before its fused no-op path became the only barrier
+_UNFUSED_REFERENCE = {
+    3: ({"churn"}, 64, 40, 64, 32, 180),
+    11: ({"churn"}, 68, 41, 68, 34, 180),
+    29: ({"churn"}, 79, 52, 79, 34, 180),
+}
+
+
 class TestFusedBarrier:
     @pytest.mark.parametrize("seed", [3, 11, 29])
     def test_fused_matches_reference(self, seed):
         """The fused closure's no-op fast path must not change any
-        analysis-visible output."""
-        program_f = _rereading_program()
-        fused = VcChecker(spec_for(program_f), fastpath=True)
-        fused_result = fused.run(program_f, scheduler(seed=seed))
-        program_r = _rereading_program()
-        reference = VcChecker(spec_for(program_r), fastpath=False)
-        reference_result = reference.run(program_r, scheduler(seed=seed))
-        assert fused_result.blamed_methods == reference_result.blamed_methods
-        for name in ("edges", "cycles_found", "cycle_checks", "clock_joins"):
-            assert getattr(fused_result.stats, name) == getattr(
-                reference_result.stats, name
-            ), name
-        assert fused_result.stats.fastpath_hits > 0
-        assert reference_result.stats.fastpath_hits == 0
-        # fast-path hits are exactly the no-metadata-change accesses
+        analysis-visible output: every counter equals the recorded
+        unfused barrier's."""
+        program = _rereading_program()
+        result = VcChecker(spec_for(program)).run(program, scheduler(seed=seed))
+        stats = result.stats
         assert (
-            fused_result.stats.instrumented_accesses
-            == reference_result.stats.instrumented_accesses
-        )
+            result.blamed_methods, stats.edges, stats.cycles_found,
+            stats.cycle_checks, stats.clock_joins,
+            stats.instrumented_accesses,
+        ) == _UNFUSED_REFERENCE[seed]
+        assert stats.fastpath_hits > 0
 
 
 class TestAgreementWithDoubleChecker:
