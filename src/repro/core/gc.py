@@ -30,12 +30,13 @@ Everything else is swept, together with its read/write log.  The rule
 is exercised in ``tests/core/test_gc.py`` and by end-to-end tests that
 compare violation detection with and without collection.
 
-**Incremental marking.**  Re-tracing every root's full forward cone on
-every collection is the dominant cost on workloads where one very long
-transaction anchors a huge, still-growing history (the hubstress
-warden): the same tens of thousands of nodes are re-marked every 64
-transaction ends.  When the owning analysis reports every link it adds
-(:meth:`TransactionCollector.note_link`), the collector instead keeps a
+**One mark for every analysis.**  ICD, Velodrome, vc and the offline
+checker all collect through :meth:`TransactionCollector.collect`, which
+marks incrementally.  Re-tracing every root's full forward cone on
+every collection would be the dominant cost on workloads where one
+very long transaction anchors a huge, still-growing history (the
+hubstress warden): the same tens of thousands of nodes would be
+re-marked every 64 transaction ends.  Instead the collector keeps a
 *persistent* alive set ``S``:
 
 * ``S`` is the exact forward closure of a set of *cached roots*, all of
@@ -45,31 +46,35 @@ transaction ends.  When the owning analysis reports every link it adds
   pay for a persistent trace.
 * The graph only ever *grows* between collections (links are added;
   nodes are unlinked only when swept, and then only dead↔alive links
-  are touched), so ``S`` stays closed by replaying the reported links:
-  a link from inside ``S`` to a node outside it extends ``S`` by that
-  node's current forward cone.  Links from outside ``S`` are discarded
-  — if their source is promoted later, the promotion walks the current
-  graph and picks the target up then.
+  are touched), so ``S`` stays closed by replaying the links added
+  since the last collection: a link from inside ``S`` to a node outside
+  it extends ``S`` by that node's current forward cone.  Links from
+  outside ``S`` are discarded — if their source is promoted later, the
+  promotion walks the current graph and picks the target up then.  The
+  analyses report each cross edge as they append it
+  (:meth:`TransactionCollector.note_link`); the intra-thread links are
+  replayed by the collector itself, from the transactions started since
+  its last collection (the tail of ``manager.all_transactions``), so no
+  analysis has an intra-link rule it could forget.
 * The moment any cached root finishes, ``S`` is invalidated wholesale
   (a generation-number bump; nodes are lazily unmarked), because a
   finished root no longer keeps its cone alive.
 
 Roots not covered by ``S`` are traced *ephemerally* per collection,
 with the walk short-circuiting at the ``S`` boundary.  Alive =
-``S`` ∪ ephemeral cones ∪ pins — exactly the full mark's result,
-because the cached roots are a subset of the current roots and cone
-union is monotone.  Membership is recorded as generation numbers on
-the transaction (``gc_pmark``/``gc_emark``), so invalidation is O(1)
-and no per-collect set is allocated.  Exact alive counts let the sweep
-be skipped entirely when nothing died.  The mode is **opt-in**
-(:attr:`TransactionCollector.incremental`): ICD enables it and reports
-its links; Velodrome and vc keep the full mark.
+``S`` ∪ ephemeral cones ∪ pins — exactly the alive set of a
+from-scratch mark, because the cached roots are a subset of the current
+roots and cone union is monotone (``tests/core/test_gc_properties.py``
+checks every collection against such a mark).  Membership is recorded
+as generation numbers on the transaction (``gc_pmark``/``gc_emark``),
+so invalidation is O(1) and no per-collect set is allocated.  Exact
+alive counts let the sweep be skipped entirely when nothing died.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Set
+from typing import Iterable, List, Set
 
 from repro.core.transactions import Transaction, TransactionManager
 
@@ -100,11 +105,11 @@ class TransactionCollector:
         #: nodes (e.g. from the incremental engine) without re-scanning
         #: the whole pre-collect population for ``collected`` flags
         self.last_swept_ids: List[int] = []
-        #: incremental marking (see module docstring): only safe when
-        #: the owning analysis reports **every** link it adds via
-        #: :meth:`note_link`; ICD opts in, Velodrome does not
-        self.incremental = False
         self._pending_links: List[tuple] = []
+        #: length of ``manager.all_transactions`` after the last
+        #: collection: the transactions past it started since, and
+        #: their intra-thread links are still to replay
+        self._replayed = 0
         self._cached_roots: List[Transaction] = []
         self._prev_root_ids: Set[int] = set()
         # generations start at 1: a fresh transaction's mark words are
@@ -114,15 +119,14 @@ class TransactionCollector:
         self._persistent_count = 0
 
     # ------------------------------------------------------------------
-    def note_link(self, src: Optional[Transaction], dst: Transaction) -> None:
-        """Record a graph link (cross edge or intra successor).
+    def note_link(self, src: Transaction, dst: Transaction) -> None:
+        """Record a cross edge ``src -> dst`` the analysis just added.
 
-        Cheap no-op unless :attr:`incremental` is set.  The pending
-        links are replayed at the next collection to keep the
-        persistent alive set forward-closed.
+        Every analysis must report every cross edge: the pending links
+        are replayed at the next collection to keep the persistent
+        alive set forward-closed.
         """
-        if self.incremental and src is not None:
-            self._pending_links.append((src, dst))
+        self._pending_links.append((src, dst))
 
     # ------------------------------------------------------------------
     def collect(self, pinned: Iterable[Transaction] = ()) -> int:
@@ -138,62 +142,15 @@ class TransactionCollector:
         Args:
             pinned: transactions kept alive as bare nodes without cone
                 traversal (ICD passes ``lastRdEx`` values and
-                ``gLastRdSh`` — still potential edge sources; Velodrome's
+                ``gLastRdSh`` — still potential edge sources; the
+                offline checker its metadata references; Velodrome's
                 field metadata is *weak* and deliberately not pinned,
                 per the paper).
         """
-        if self.incremental:
-            return self._collect_incremental(pinned)
-        roots: List[Transaction] = list(self._manager.live_transactions())
-        extra_pins: List[Transaction] = list(self._manager.latest_transactions())
-
-        alive: Set[Transaction] = set()
-        frontier = [r for r in roots if not r.collected]
-        while frontier:
-            tx = frontier.pop()
-            if tx in alive:
-                continue
-            alive.add(tx)
-            for edge in tx.out_edges:
-                if edge.dst not in alive:
-                    frontier.append(edge.dst)
-            if tx.intra_next is not None and tx.intra_next not in alive:
-                frontier.append(tx.intra_next)
-        alive.update(t for t in extra_pins if not t.collected)
-        alive.update(t for t in pinned if t is not None and not t.collected)
-
-        survivors: List[Transaction] = []
-        swept = 0
-        log_entries = 0
-        swept_ids: List[int] = []
-        for tx in self._manager.all_transactions:
-            if tx in alive:
-                survivors.append(tx)
-                continue
-            swept += 1
-            swept_ids.append(tx.tx_id)
-            tx.collected = True
-            if tx.log is not None:
-                log_entries += len(tx.log)
-                tx.log = None
-            self._unlink(tx, alive)
-        self._manager.all_transactions = survivors
-
-        self.stats.collections += 1
-        self.stats.transactions_collected += swept
-        self.stats.log_entries_collected += log_entries
-        self.last_swept_log_entries = log_entries
-        self.last_swept_ids = swept_ids
-        return swept
-
-    # ------------------------------------------------------------------
-    # incremental marking (opt-in; byte-identical results to the full
-    # mark — see module docstring for the invariants)
-    # ------------------------------------------------------------------
-    def _collect_incremental(self, pinned: Iterable[Transaction]) -> int:
         manager = self._manager
         roots = manager.live_transactions()
         extra_pins = manager.latest_transactions()
+        population = manager.all_transactions
         self._egen += 1
         egen = self._egen
 
@@ -207,13 +164,19 @@ class TransactionCollector:
             self._pending_links.clear()
         pgen = self._pgen
 
-        # 2. replay links added since the last collect to keep S closed
+        # 2. replay the links added since the last collect to keep S
+        #    closed: the reported cross edges, then the intra link into
+        #    every transaction started since
         pending = self._pending_links
         if pending:
             for src, dst in pending:
                 if src.gc_pmark == pgen and dst.gc_pmark != pgen:
                     self._mark_persistent(dst, pgen)
             pending.clear()
+        for tx in population[self._replayed:]:
+            prev = tx.intra_prev
+            if prev is not None and prev.gc_pmark == pgen and tx.gc_pmark != pgen:
+                self._mark_persistent(tx, pgen)
 
         # 3. roots already inside S are covered (S is forward-closed);
         #    roots that were also roots last collect are promoted into
@@ -252,7 +215,6 @@ class TransactionCollector:
 
         # 5. sweep — skipped entirely when the exact alive count says
         #    nothing died (the common case between violation bursts)
-        population = manager.all_transactions
         swept = len(population) - self._persistent_count - ephemeral
         log_entries = 0
         swept_ids: List[int] = []
@@ -269,6 +231,7 @@ class TransactionCollector:
                     tx.log = None
                 self._unlink_marked(tx, pgen, egen)
             manager.all_transactions = survivors
+        self._replayed = len(manager.all_transactions)
 
         self.stats.collections += 1
         self.stats.transactions_collected += swept
@@ -317,7 +280,8 @@ class TransactionCollector:
 
     @staticmethod
     def _unlink_marked(tx: Transaction, pgen: int, egen: int) -> None:
-        """:meth:`_unlink` with mark-word liveness tests."""
+        """Remove references between the dead ``tx`` and survivors
+        (the nodes carrying this collection's marks)."""
         for edge in tx.out_edges:
             dst = edge.dst
             if dst.gc_pmark == pgen or dst.gc_emark == egen:
@@ -337,48 +301,21 @@ class TransactionCollector:
         tx.intra_next = None
         tx.intra_prev = None
 
-    @staticmethod
-    def _unlink(tx: Transaction, alive: Set[Transaction]) -> None:
-        """Remove references between the dead transaction and survivors."""
-        for edge in tx.out_edges:
-            if edge.dst in alive:
-                edge.dst.in_edges = [e for e in edge.dst.in_edges if e is not edge]
-        for edge in tx.in_edges:
-            if edge.src in alive:
-                edge.src.out_edges = [e for e in edge.src.out_edges if e is not edge]
-        if tx.intra_next is not None and tx.intra_next in alive:
-            tx.intra_next.intra_prev = None
-        if tx.intra_prev is not None and tx.intra_prev in alive:
-            tx.intra_prev.intra_next = None
-        tx.out_edges = []
-        tx.in_edges = []
-        tx.intra_next = None
-        tx.intra_prev = None
-
     # ------------------------------------------------------------------
     def live_transaction_count(self) -> int:
         return len(self._manager.all_transactions)
 
-    def live_log_entries(self) -> int:
-        return sum(
-            len(tx.log) for tx in self._manager.all_transactions if tx.log is not None
-        )
+    def note_peak(self, live_log_entries: int = 0) -> None:
+        """Record peak footprint (the analyses call this per collection).
 
-    def note_peak(self, live_log_entries: int | None = None) -> None:
-        """Record peak footprint (harness calls this periodically).
-
-        ``live_log_entries`` lets a caller that already tracks the live
-        entry count incrementally (ICD bumps a counter per append and
-        subtracts :attr:`last_swept_log_entries` per collection) skip
-        the O(live transactions) :meth:`live_log_entries` re-scan.
+        ``live_log_entries`` is the caller's live log-entry count: ICD
+        maintains it incrementally (bumped per append, reduced by
+        :attr:`last_swept_log_entries` per collection); the analyses
+        whose transactions carry no logs leave it at 0.
         """
-        txs = self.live_transaction_count()
-        logs = (
-            self.live_log_entries() if live_log_entries is None else live_log_entries
-        )
         self.stats.peak_live_transactions = max(
-            self.stats.peak_live_transactions, txs
+            self.stats.peak_live_transactions, self.live_transaction_count()
         )
         self.stats.peak_live_log_entries = max(
-            self.stats.peak_live_log_entries, logs
+            self.stats.peak_live_log_entries, live_log_entries
         )

@@ -40,7 +40,7 @@ from repro.errors import OutOfMemoryBudget
 from repro.octet.runtime import OctetListener, OctetRuntime, TransitionRecord
 from repro.octet.states import StateKind
 from repro.runtime.events import AccessEvent, AccessKind, Site
-from repro.runtime.listeners import ExecutionListener
+from repro.runtime.listeners import AccessBarrier, ExecutionListener
 from repro.runtime.view import NullView, RuntimeView
 from repro.spec.specification import AtomicitySpecification
 
@@ -121,9 +121,8 @@ class ICD(ExecutionListener, OctetListener):
         memory_budget: optional cap on live transactions + log entries,
             reproducing the paper's 32-bit out-of-memory ceilings.
         gc_interval: run the transaction collector every N transaction
-            ends (None disables collection).  The collector marks
-            incrementally: ICD reports every IDG link it adds, which is
-            what makes that mode sound (see :mod:`repro.core.gc`).
+            ends (None disables collection).  ICD reports every IDG
+            edge it adds to the collector (see :mod:`repro.core.gc`).
     """
 
     def __init__(
@@ -187,11 +186,6 @@ class ICD(ExecutionListener, OctetListener):
         #: extension: unary tx id -> enclosing methods of its accesses
         self.unary_sites: Dict[int, Set[str]] = {}
         self.collector = TransactionCollector(self.tx_manager)
-        # incremental marking is sound only because ICD reports every
-        # link it adds (cross edges in _add_edge, intra links in
-        # _transaction_started); Velodrome and vc share the collector
-        # class but not this contract, so the mode is opt-in here
-        self.collector.incremental = True
         self.octet = OctetRuntime(
             is_thread_blocked=self._is_thread_blocked,
             live_threads=lambda: sorted(self._started_threads),
@@ -255,155 +249,30 @@ class ICD(ExecutionListener, OctetListener):
             self._req_tx = None
             self._req_event = None
 
-    def access_barrier(self) -> Callable[[AccessEvent], None]:
+    def access_barrier(self) -> AccessBarrier:
         """Build the fused per-access barrier (ICD + Octet in one call).
 
-        The returned closure is what the executor's monomorphic
-        single-listener dispatch invokes per access.  Its fast path —
-        the access hits an object whose Octet state is already
-        compatible (WrEx/RdEx owned by the accessing thread, or RdSh
-        read with a current ``rdShCnt``) — costs one dict probe and one
-        branch chain: no :meth:`OctetRuntime.observe` call, no
-        ``Classified``/:class:`TransitionRecord` allocation, no listener
-        fan-out (same-state transitions never fire Figure 4 procedures).
-        Everything else falls back to the :meth:`on_access` slow path
+        The closure consumes the executor's pre-interned access fields
+        directly.  Its fast path — the access hits an object whose
+        Octet state is already compatible (WrEx/RdEx owned by the
+        accessing thread, or RdSh read with a current ``rdShCnt``) —
+        costs one dict probe and one branch chain and allocates nothing
+        but the log entry: no :meth:`OctetRuntime.observe` call, no
+        ``Classified``/:class:`TransitionRecord`/:class:`AccessEvent`,
+        no listener fan-out (same-state transitions never fire Figure 4
+        procedures).  Every other access (first access to an object,
+        any Octet state transition) builds its :class:`AccessEvent`,
+        ``is_sync`` included, for the :meth:`on_access` slow path
         (Octet's ``observe`` plus the Figure 4 procedures), so the fast
         path only skips work the slow path would find to be a no-op.
 
         Configurations whose per-access work the fused path does not
-        replicate (unary site tracking, object-granularity arrays)
-        simply get ``self.on_access``.
+        replicate (unary site tracking, object-granularity arrays) get
+        the default barrier, which sends every access to
+        :meth:`on_access`.
         """
         if self.track_unary_sites or self.array_granularity_object:
-            return self.on_access
-
-        octet = self.octet
-        states = octet._states
-        thread_rdsh = octet._thread_rdsh
-        tx_manager = self.tx_manager
-        tx_for_fields = tx_manager.transaction_for_fields
-        # regular-transaction demarcation and the elision window probe
-        # are inlined, mirroring the columnar barrier (the bound dicts
-        # are created once in their owners' __init__ and only mutated
-        # in place); the slow calls remain for unary / first-access
-        tx_current = tx_manager._current
-        tx_stats = tx_manager.stats
-        stats = self.stats
-        elision = self._elision
-        el_last = elision._last_by_thread
-        el_ts = elision._thread_ts
-        el_stats = elision.stats
-        addr_intern = self._addr_intern
-        site_intern = self._site_intern
-        instrument_arrays = self.instrument_arrays
-        logging_enabled = self.logging_enabled
-        elide_duplicates = self.elide_duplicates
-        slow_path = self.on_access
-        check_budget = self.memory_budget is not None
-
-        def fused_access(
-            event: AccessEvent,
-            *,
-            _READ: AccessKind = AccessKind.READ,
-            _WRITE: AccessKind = AccessKind.WRITE,
-            _WR_EX: StateKind = StateKind.WR_EX,
-            _RD_EX: StateKind = StateKind.RD_EX,
-            _RD_SH: StateKind = StateKind.RD_SH,
-        ) -> None:
-            if event.is_array and not instrument_arrays:
-                stats.array_accesses_skipped += 1
-                return
-            oid = event.obj.oid
-            thread = event.thread_name
-            state = states.get(oid)
-            if state is not None:
-                kind = state.kind
-                if (
-                    state.owner == thread
-                    and (
-                        kind is _WR_EX
-                        or (kind is _RD_EX and event.kind is _READ)
-                    )
-                ) or (
-                    kind is _RD_SH
-                    and event.kind is _READ
-                    and thread_rdsh.get(thread, 0) >= state.counter
-                ):
-                    tx = tx_current.get(thread)
-                    if tx is not None and not tx.is_unary:
-                        if not tx.monitored:
-                            tx_stats.skipped_accesses += 1
-                            return
-                        tx_stats.regular_accesses += 1
-                    else:
-                        tx = tx_for_fields(thread, event.site)
-                        if tx is None:
-                            return  # not instrumented in this configuration
-                    stats.instrumented_accesses += 1
-                    octet._barriers_pending += 1
-                    octet._fastpath_pending += 1
-                    octet._fused_pending += 1
-                    if logging_enabled:
-                        log = tx.log
-                        if log is None:
-                            log = tx.log = ReadWriteLog()
-                        address = (oid, event.fieldname)
-                        address = addr_intern.setdefault(address, address)
-                        if elide_duplicates:
-                            per_thread = el_last.get(thread)
-                            if per_thread is None:
-                                per_thread = el_last[thread] = {}
-                            last = per_thread.get(address)
-                            ts = el_ts.get(thread, 0)
-                            if (
-                                last is not None
-                                and last[0] == ts
-                                and (
-                                    last[1] is event.kind
-                                    or last[1] is _WRITE
-                                )
-                            ):
-                                el_stats.elided += 1
-                                return
-                            per_thread[address] = (ts, event.kind)
-                            el_stats.logged += 1
-                        site = event.site
-                        site_str = site_intern.get(site)
-                        if site_str is None:
-                            site_str = site_intern[site] = str(site)
-                        log.entries.append(
-                            AccessEntry(
-                                event.kind, oid, event.fieldname,
-                                event.seq, site_str, address,
-                            )
-                        )
-                        stats.log_entries += 1
-                        self._live_log_entries += 1
-                        if check_budget:
-                            self._check_budget()
-                    return
-            slow_path(event)
-
-        return fused_access
-
-    def access_barrier_batch(self) -> Optional[Callable[..., None]]:
-        """Build the columnar barrier for the batch executor.
-
-        Same fast-path predicate and bookkeeping as the closure from
-        :meth:`access_barrier`, but consuming the batch loop's
-        pre-interned column values — object, field name, ``(oid,
-        field)`` address, canonical site, site string — directly, so a
-        compatible-state access performs no allocation at all.  Only
-        when the access leaves the fast path (first access to an
-        object, any Octet state transition) is an
-        :class:`AccessEvent` materialized for the :meth:`on_access` slow
-        path.  Returns ``None`` for configurations the fused path does
-        not serve (unary site tracking, object-granularity arrays); the
-        executor then routes every access through the ordinary event
-        path.
-        """
-        if self.track_unary_sites or self.array_granularity_object:
-            return None
+            return super().access_barrier()
 
         octet = self.octet
         states = octet._states
@@ -428,7 +297,7 @@ class ICD(ExecutionListener, OctetListener):
         slow_path = self.on_access
         check_budget = self.memory_budget is not None
 
-        def fused_batch(
+        def fused_access(
             seq: int,
             thread: str,
             obj: Any,
@@ -438,6 +307,7 @@ class ICD(ExecutionListener, OctetListener):
             address: Tuple[int, str],
             site_str: str,
             is_array: bool,
+            is_sync: bool,
             *,
             _READ: AccessKind = AccessKind.READ,
             _WRITE: AccessKind = AccessKind.WRITE,
@@ -482,9 +352,9 @@ class ICD(ExecutionListener, OctetListener):
                         if log is None:
                             log = tx.log = ReadWriteLog()
                         # address and site_str are already canonical in
-                        # the executor's column tables; ICD's own intern
-                        # tables (fed by the slow path) only yield
-                        # value-equal duplicates, so no folding needed
+                        # the executor's intern tables; ICD's own tables
+                        # (fed by the slow path) only yield value-equal
+                        # duplicates, so no folding needed
                         if elide_duplicates:
                             per_thread = el_last.get(thread)
                             if per_thread is None:
@@ -512,11 +382,11 @@ class ICD(ExecutionListener, OctetListener):
                     return
             slow_path(
                 AccessEvent(
-                    seq, thread, obj, fieldname, kind, False, is_array, site
+                    seq, thread, obj, fieldname, kind, is_sync, is_array, site
                 )
             )
 
-        return fused_batch
+        return fused_access
 
     def on_execution_end(self) -> None:
         self.tx_manager.finish_all()
@@ -686,7 +556,6 @@ class ICD(ExecutionListener, OctetListener):
     # transaction lifecycle
     # ------------------------------------------------------------------
     def _transaction_started(self, tx: Transaction) -> None:
-        self.collector.note_link(tx.intra_prev, tx)
         if self.logging_enabled and tx.monitored:
             tx.log = ReadWriteLog()
         self._elision.bump(tx.thread_name)
@@ -757,17 +626,22 @@ class ICD(ExecutionListener, OctetListener):
         if self._g_last_rdsh is not None:
             roots.append(self._g_last_rdsh)
         self.collector.collect(roots)
+        swept = self.collector.last_swept_ids
         if self.scheduler is not None:
             # the engine keeps merged components (its acyclicity
             # certificate) but can drop collected singletons; the
             # collector reports exactly what this collection swept, so
             # no re-scan of the pre-collect population is needed
-            self.scheduler.forget(self.collector.last_swept_ids)
+            self.scheduler.forget(swept)
         self._live_log_entries -= self.collector.last_swept_log_entries
-        if not self.logging_enabled:
-            live_ids = {t.tx_id for t in self.tx_manager.all_transactions}
+        if swept and not self.logging_enabled:
+            # every recorded pair joins two transactions that were live
+            # at this collection, so dropping the pairs that touch a
+            # swept id leaves exactly the pairs between survivors
+            dead = set(swept)
             self._seen_edges = {
-                (s, d) for (s, d) in self._seen_edges if s in live_ids and d in live_ids
+                (s, d) for (s, d) in self._seen_edges
+                if s not in dead and d not in dead
             }
         self._check_budget()
 

@@ -166,6 +166,7 @@ class OfflineChecker(ExecutionListener):
         dst.in_edges.append(edge)
         src.edge_touched = True
         dst.edge_touched = True
+        self.collector.note_link(src, dst)
         self.stats.edges += 1
         self.tx_manager.end_if_interrupted_unary(src)
 

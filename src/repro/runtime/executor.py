@@ -2,7 +2,8 @@
 
 Each scheduler step advances one thread by one operation.  Before every
 shared-memory access (and every synchronization pseudo-access) the
-executor invokes the attached listeners' :meth:`on_access` barrier, the
+executor invokes the attached listeners' access barrier (see
+:meth:`~repro.runtime.listeners.ExecutionListener.access_barrier`), the
 analogue of the compiler-inserted barriers in the paper's Jikes RVM
 implementation.
 
@@ -25,7 +26,6 @@ from repro.runtime import ops
 from repro.runtime.events import (
     LOCK_FIELD,
     THREAD_FIELD,
-    AccessEvent,
     AccessKind,
     Site,
     intern_site,
@@ -117,6 +117,11 @@ _UNSET = object()
 class Executor:
     """Interprets a :class:`~repro.runtime.program.Program`.
 
+    Every access goes through one barrier, ``pipeline.access_barrier()``,
+    bound once per run: the lowered fast path calls it with its
+    pre-interned column values, and :meth:`_emit_access` (synchronization
+    pseudo-accesses, generator bodies) interns the same values first.
+
     Args:
         program: the program to run.
         scheduler: interleaving policy; defaults to round-robin.
@@ -161,12 +166,17 @@ class Executor:
         self._runnable_set: set = set()
         self._live_count = 0
         self._per_thread_steps: Dict[str, int] = {}
-        self._on_access = self.pipeline.on_access
+        #: the access barrier (rebound at the start of every run)
+        self._emit = self.pipeline.access_barrier()
         # Batch execution state.  ``_lowered`` caches one LoweredBody
         # per hashable (method, args) activation shape; None marks
         # plain generator bodies.
         self._lowered: Dict[Tuple[str, Tuple[Any, ...]], Optional[LoweredBody]] = {}
+        # executor-wide intern tables: one ``(oid, field)`` tuple per
+        # field (shared by every lowered body) and one string per site
+        # of the accesses :meth:`_emit_access` builds
         self._addr_intern: Dict[Tuple[int, str], Tuple[int, str]] = {}
+        self._site_strs: Dict[Site, str] = {}
         self._batch_steps = 0
         self._batch_accesses = 0
         self._batch_delegations = 0
@@ -222,42 +232,6 @@ class Executor:
     # ------------------------------------------------------------------
     # batch execution
     # ------------------------------------------------------------------
-    def _batch_emitter(self):
-        """The per-access sink for the batch loop.
-
-        Preference order: a listener-provided *batch barrier* (no
-        AccessEvent allocation at all), then the ordinary event path
-        (allocating an event per access, exactly like the generator
-        path), then a no-op when nobody is listening.  All three are
-        observationally identical because events are value types built
-        from the same columns.
-        """
-        plain_dispatch = self._on_access is self.pipeline.on_access
-        listeners = self.pipeline.listeners
-        if plain_dispatch and not listeners:
-
-            def discard(seq, thread_name, obj, fieldname, kind, site,
-                        address, site_str, is_array):
-                return None
-
-            return discard
-        if plain_dispatch and len(listeners) == 1:
-            factory = getattr(listeners[0], "access_barrier_batch", None)
-            if factory is not None:
-                barrier = factory()
-                if barrier is not None:
-                    return barrier
-        on_access = self._on_access
-
-        def emit(seq, thread_name, obj, fieldname, kind, site,
-                 address, site_str, is_array, _event=AccessEvent):
-            on_access(
-                _event(seq, thread_name, obj, fieldname, kind, False,
-                       is_array, site)
-            )
-
-        return emit
-
     def _lowered_body(self, method: str, args: Tuple[Any, ...]) -> Optional[LoweredBody]:
         """The lowered form of one activation; None for a generator body.
 
@@ -286,21 +260,21 @@ class Executor:
 
         Lowered frames execute without generator sends, op-dataclass
         allocations, handler-dict dispatch, or Site construction; each
-        access calls the emitter with pre-interned column values.
+        access calls the barrier with pre-interned column values.
         Control ops, generator frames, blocked-op retries, and thread
         starts go through the op handlers.  ``tracked`` installs the
         scheduler telemetry wrappers (see :meth:`run`).
         """
         self.scheduler.reset()
-        # rebind the access fast path in case listeners were attached
-        # to the pipeline after construction
-        self._on_access = self.pipeline.on_access
+        # rebind the barrier in case listeners were attached to the
+        # pipeline after construction
+        self._emit = self.pipeline.access_barrier()
         choose = self.scheduler.choose
         if tracked:
             choose = self._tracking_choose(choose)
             if self._obs.mode == MODE_FULL and self.pipeline.listeners:
                 self._time_listener_dispatch()
-        emit = self._batch_emitter()
+        emit = self._emit
         started = time.perf_counter()
         for spec in self.program.threads:
             self._spawn(spec.name, spec.method, spec.args)
@@ -379,14 +353,14 @@ class Executor:
                 if code == OP_READ:
                     emit(seq, chosen, obj, fieldname, kind_read,
                          body.sites[pc], body.addresses[pc],
-                         body.site_strs[pc], False)
+                         body.site_strs[pc], False, False)
                     dst = body.dst_regs[pc]
                     if dst >= 0:
                         frame.regs[dst] = obj.fields.get(fieldname, 0)
                 elif code == OP_WRITE:
                     emit(seq, chosen, obj, fieldname, kind_write,
                          body.sites[pc], body.addresses[pc],
-                         body.site_strs[pc], False)
+                         body.site_strs[pc], False, False)
                     mode = body.val_modes[pc]
                     if mode == VAL_INC:
                         value = (frame.regs[body.val_regs[pc]] or 0) \
@@ -399,14 +373,14 @@ class Executor:
                 elif code == OP_AREAD:
                     emit(seq, chosen, obj, fieldname, kind_read,
                          body.sites[pc], body.addresses[pc],
-                         body.site_strs[pc], True)
+                         body.site_strs[pc], True, False)
                     dst = body.dst_regs[pc]
                     if dst >= 0:
                         frame.regs[dst] = obj.elements[body.array_indices[pc]]
                 else:  # OP_AWRITE
                     emit(seq, chosen, obj, fieldname, kind_write,
                          body.sites[pc], body.addresses[pc],
-                         body.site_strs[pc], True)
+                         body.site_strs[pc], True, False)
                     mode = body.val_modes[pc]
                     if mode == VAL_INC:
                         value = (frame.regs[body.val_regs[pc]] or 0) \
@@ -511,17 +485,17 @@ class Executor:
 
     def _time_listener_dispatch(self) -> None:
         """Measure time spent inside the listener barrier (full mode)."""
-        inner = self._on_access
+        inner = self._emit
         accumulator = self._dispatch_time
         perf = time.perf_counter
 
-        def timed(event: AccessEvent) -> None:
+        def timed(*access) -> None:
             start = perf()
-            inner(event)
+            inner(*access)
             accumulator[0] += perf() - start
             accumulator[1] += 1
 
-        self._on_access = timed
+        self._emit = timed
 
     # ------------------------------------------------------------------
     # runnable-set bookkeeping
@@ -650,10 +624,14 @@ class Executor:
         self._access_count += 1
         if is_sync:
             self._sync_access_count += 1
-        self._on_access(
-            AccessEvent(
-                seq, thread.name, obj, fieldname, kind, is_sync, is_array, site
-            )
+        address = (obj.oid, fieldname)
+        address = self._addr_intern.setdefault(address, address)
+        site_str = self._site_strs.get(site)
+        if site_str is None:
+            site_str = self._site_strs[site] = str(site)
+        self._emit(
+            seq, thread.name, obj, fieldname, kind, site, address, site_str,
+            is_array, is_sync,
         )
 
     def _emit_sync_access(

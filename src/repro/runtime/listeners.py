@@ -1,17 +1,20 @@
 """Listener interface connecting analyses to the executor.
 
 Listeners play the role the paper's compiler-inserted instrumentation
-plays in Jikes RVM: :meth:`ExecutionListener.on_access` is the barrier
-invoked before each program access (and each synchronization
-pseudo-access), and the method/thread lifecycle hooks drive transaction
-demarcation.
+plays in Jikes RVM: the callable :meth:`ExecutionListener.access_barrier`
+returns is the barrier invoked before each program access (and each
+synchronization pseudo-access), and the method/thread lifecycle hooks
+drive transaction demarcation.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Optional
+from typing import Callable, Iterable, List
 
 from repro.runtime.events import AccessEvent
+
+#: what :meth:`ExecutionListener.access_barrier` returns
+AccessBarrier = Callable[..., None]
 
 
 class ExecutionListener:
@@ -30,34 +33,33 @@ class ExecutionListener:
         """A method returned on ``thread_name``."""
 
     def on_access(self, event: AccessEvent) -> None:
-        """Barrier: invoked immediately before the access takes effect."""
+        """An access, as one event: what the default barrier calls."""
 
-    def access_barrier(self) -> Callable[[AccessEvent], None]:
+    def access_barrier(self) -> AccessBarrier:
         """The callable the executor dispatches per access.
 
-        Defaults to the listener's bound :meth:`on_access`.  A listener
-        that fuses several per-access steps into one specialized
-        closure (ICD fuses the Octet state check with its logging)
-        overrides this to return that closure; the pipeline calls it
-        whenever it rebinds its dispatch.
+        Its arguments are the access's fields as the executor already
+        holds them: ``(seq, thread_name, obj, fieldname, kind, site,
+        address, site_str, is_array, is_sync)``, where ``address`` is
+        the interned ``(oid, fieldname)`` tuple and ``site_str`` the
+        interned ``str(site)``.  The default builds the
+        :class:`AccessEvent` those fields describe and passes it to
+        :meth:`on_access`, bound when the barrier is built.  A listener
+        that fuses its per-access steps into one closure (ICD fuses the
+        Octet state check with its logging; vc its metadata no-op
+        check) overrides this and consumes the fields directly, so an
+        access on its fast path allocates nothing.
         """
-        return self.on_access
+        on_access = self.on_access
 
-    def access_barrier_batch(self) -> Optional[Callable[..., None]]:
-        """A columnar barrier for the batch executor, or ``None``.
+        def barrier(seq, thread_name, obj, fieldname, kind, site, address,
+                    site_str, is_array, is_sync, _event=AccessEvent):
+            on_access(
+                _event(seq, thread_name, obj, fieldname, kind, is_sync,
+                       is_array, site)
+            )
 
-        When the batch executor runs a lowered frame it already holds
-        every piece of an access as pre-interned column values — so a
-        listener may return a callable of signature ``(seq,
-        thread_name, obj, fieldname, kind, site, address, site_str,
-        is_array)`` that consumes those directly, skipping the
-        per-access :class:`AccessEvent` allocation entirely.  Returning
-        ``None`` (the default) makes the executor wrap the columns into
-        events and dispatch :meth:`access_barrier` as usual, so the
-        batch barrier is purely an optimization seam: outputs must be
-        byte-identical either way.
-        """
-        return None
+        return barrier
 
     def on_thread_blocked(self, thread_name: str) -> None:
         """``thread_name`` left the runnable set (lock/wait/join).
@@ -73,8 +75,9 @@ class ExecutionListener:
         """The whole program finished; flush any pending analysis work."""
 
 
-def _discard_access(event: AccessEvent) -> None:
-    """No-listener fast path: the access barrier is a no-op."""
+def _discard_access(seq, thread_name, obj, fieldname, kind, site, address,
+                    site_str, is_array, is_sync) -> None:
+    """No-listener barrier: a no-op."""
 
 
 class ListenerPipeline(ExecutionListener):
@@ -84,35 +87,31 @@ class ListenerPipeline(ExecutionListener):
     logging instrumentation runs *after* Octet's barrier, which the
     pipeline realizes by registering Octet before ICD's logger.
 
-    ``on_access`` is the hot path — it fires once per dynamic access —
-    so the pipeline pre-binds it per instance: with zero listeners it
-    is a no-op, with exactly one listener it is that listener's *fused*
-    access barrier (:meth:`ExecutionListener.access_barrier` — no loop,
-    no indirection, and for ICD no two-stage Octet+logging dispatch),
-    and only with two or more does it fan out over each listener's
-    barrier.  :meth:`add` rebinds, so the fast path stays correct if
-    listeners are attached after construction.
+    The per-access hot path is :meth:`access_barrier`, built once per
+    run: with zero listeners it is a no-op, with exactly one it is that
+    listener's own barrier (no loop, no indirection — for ICD, its
+    fused Octet+logging closure), and with two or more it calls each
+    listener's barrier in registration order.
     """
 
     def __init__(self, listeners: Iterable[ExecutionListener] = ()) -> None:
         self.listeners: List[ExecutionListener] = list(listeners)
-        self._rebind_access()
 
     def add(self, listener: ExecutionListener) -> None:
         self.listeners.append(listener)
-        self._rebind_access()
 
-    def _rebind_access(self) -> None:
-        # shadow the class-level method with the cheapest correct callable
-        if not self.listeners:
-            self.on_access = _discard_access  # type: ignore[method-assign]
-        elif len(self.listeners) == 1:
-            self.on_access = self.listeners[0].access_barrier()  # type: ignore[method-assign]
-        else:
-            self._access_barriers = [
-                listener.access_barrier() for listener in self.listeners
-            ]
-            self.on_access = self._fan_out_access  # type: ignore[method-assign]
+    def access_barrier(self) -> AccessBarrier:
+        barriers = [listener.access_barrier() for listener in self.listeners]
+        if not barriers:
+            return _discard_access
+        if len(barriers) == 1:
+            return barriers[0]
+
+        def fan_out(*access) -> None:
+            for barrier in barriers:
+                barrier(*access)
+
+        return fan_out
 
     def on_thread_start(self, thread_name: str) -> None:
         for listener in self.listeners:
@@ -130,15 +129,9 @@ class ListenerPipeline(ExecutionListener):
         for listener in self.listeners:
             listener.on_method_exit(thread_name, method, depth)
 
-    def on_access(self, event: AccessEvent) -> None:  # pragma: no cover
-        # overridden per instance by _rebind_access; kept for the
-        # ExecutionListener interface contract
+    def on_access(self, event: AccessEvent) -> None:
         for listener in self.listeners:
             listener.on_access(event)
-
-    def _fan_out_access(self, event: AccessEvent) -> None:
-        for barrier in self._access_barriers:
-            barrier(event)
 
     def on_thread_blocked(self, thread_name: str) -> None:
         for listener in self.listeners:
@@ -153,4 +146,4 @@ class ListenerPipeline(ExecutionListener):
             listener.on_execution_end()
 
 
-__all__ = ["ExecutionListener", "ListenerPipeline"]
+__all__ = ["AccessBarrier", "ExecutionListener", "ListenerPipeline"]

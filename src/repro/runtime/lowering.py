@@ -40,14 +40,14 @@ value-derived field names) stay plain generators, which the executor
 drives one ``yield`` at a time.
 
 **Column layout.**  A :class:`LoweredBody` stores one entry per op in
-parallel arrays — ``array('b')`` op-codes and ``array('i')`` columns
-for oid, field id, array index, lock id, site id, destination/value
-registers — plus interned side tables for field names,
-:class:`~repro.runtime.events.Site` objects (shared with the executor's
-generator path via :func:`~repro.runtime.events.intern_site`), site
-strings, and ``(oid, field)`` address tuples.  The object-reference
-caches (``objs``) exist only because a running executor needs the live
-heap objects, not just their ids.
+parallel columns, each holding exactly what the executor's run loop
+reads at that pc: ``array('b')`` op-codes and value modes,
+``array('i')`` array indices and destination/value registers, and
+per-pc lists of the live heap object, the field name, the canonical
+:class:`~repro.runtime.events.Site` (shared with the executor's
+generator path via :func:`~repro.runtime.events.intern_site`), its
+string, the interned ``(oid, field)`` address, the value constant, and
+the prebuilt control op.
 """
 
 from __future__ import annotations
@@ -108,34 +108,17 @@ _ACCESS_CODES = {
 
 
 class LoweredBody:
-    """One scriptable body activation, compiled to parallel columns.
-
-    The canonical columnar form (``codes`` .. ``site_ids`` plus the
-    side tables) is self-contained given a heap; the remaining
-    attributes are per-pc caches derived from it so the batch
-    interpreter runs on direct references without per-step table
-    indirection.
-    """
+    """One scriptable body activation, compiled to parallel columns
+    (one entry per op) the batch interpreter reads by pc."""
 
     __slots__ = (
         "method",
         "length",
-        # canonical int columns (one entry per op; -1 where n/a)
         "codes",          # array('b'): OP_* op-codes
-        "oids",           # array('i'): accessed/locked object id
-        "field_ids",      # array('i'): index into field_table
-        "array_indices",  # array('i'): array element index
-        "lock_ids",       # array('i'): monitor object id
-        "site_ids",       # array('i'): index into site_table
+        "array_indices",  # array('i'): array element index (-1 n/a)
         "dst_regs",       # array('i'): destination register (-1 discards)
         "val_modes",      # array('b'): VAL_* for write/awrite values
         "val_regs",       # array('i'): source register for INC/REG
-        # interned side tables
-        "field_table",    # list[str]
-        "site_table",     # list[Site] (canonical intern_site instances)
-        "site_str_table", # list[str] (str(site), pre-interned for logs)
-        "address_table",  # list[(oid, field)] (one tuple per field)
-        # derived per-pc execution caches
         "objs",           # heap object (or None for compute/control)
         "fields",         # fieldname str (array ops: "[i]")
         "sites",          # Site per pc
@@ -150,18 +133,10 @@ class LoweredBody:
         self.method = method
         self.length = length
         self.codes = array("b", bytes(length))
-        self.oids = array("i", [-1] * length)
-        self.field_ids = array("i", [-1] * length)
         self.array_indices = array("i", [-1] * length)
-        self.lock_ids = array("i", [-1] * length)
-        self.site_ids = array("i", [0] * length)
         self.dst_regs = array("i", [-1] * length)
         self.val_modes = array("b", bytes(length))
         self.val_regs = array("i", [-1] * length)
-        self.field_table: List[str] = []
-        self.site_table: List[Site] = []
-        self.site_str_table: List[str] = []
-        self.address_table: List[Tuple[int, str]] = []
         self.objs: List[Any] = [None] * length
         self.fields: List[Optional[str]] = [None] * length
         self.sites: List[Site] = [None] * length  # type: ignore[list-item]
@@ -180,14 +155,12 @@ def lower_script(
     """Compile one script activation into a :class:`LoweredBody`.
 
     ``addr_intern`` is the executor-wide ``(oid, field)`` intern table:
-    every lowered body of one executor shares address tuples, exactly
-    like ICD's logging path interns the addresses it builds (identity
-    differs across the two tables, but all comparisons are by value).
+    every lowered body of one executor, and every access the executor
+    emits from a generator body or a synchronization operation, shares
+    one address tuple per field.
     """
     body = LoweredBody(method, len(script))
     regs: Dict[str, int] = {}
-    field_ids: Dict[str, int] = {}
-    table_addresses: set = set()
 
     def reg_id(name: str) -> int:
         rid = regs.get(name)
@@ -215,59 +188,34 @@ def lower_script(
     # hot compile loop: worker bodies run to tens of thousands of ops,
     # so the per-op column stores all go through locals
     b_codes = body.codes
-    b_oids = body.oids
     b_objs = body.objs
-    b_field_ids = body.field_ids
     b_fields = body.fields
     b_array_indices = body.array_indices
     b_addresses = body.addresses
     b_dst_regs = body.dst_regs
-    b_site_ids = body.site_ids
     b_sites = body.sites
     b_site_strs = body.site_strs
-    site_table_append = body.site_table.append
-    site_str_table_append = body.site_str_table.append
-    field_table = body.field_table
-    address_table_append = body.address_table.append
     intern_addr = addr_intern.setdefault
     access_codes = _ACCESS_CODES
     for pc, op in enumerate(script):
         code = op[0]
-        # sites are (method, pc): unique per op, so the site table is
-        # indexed by pc directly (no dedupe pass needed)
-        site = intern_site(method, pc)
-        site_str = f"{method}@{pc}"
-        b_site_ids[pc] = pc
-        site_table_append(site)
-        site_str_table_append(site_str)
-        b_sites[pc] = site
-        b_site_strs[pc] = site_str
+        b_sites[pc] = intern_site(method, pc)
+        b_site_strs[pc] = f"{method}@{pc}"
 
         opcode = access_codes.get(code)
         if opcode is not None:
             b_codes[pc] = opcode
             obj = op[1]
             b_objs[pc] = obj
-            oid = obj.oid
-            b_oids[pc] = oid
             if opcode <= OP_WRITE:
                 fieldname = op[2]
             else:
                 index = op[2]
                 b_array_indices[pc] = index
                 fieldname = f"[{index}]"
-            fid = field_ids.get(fieldname)
-            if fid is None:
-                fid = field_ids[fieldname] = len(field_table)
-                field_table.append(fieldname)
-            b_field_ids[pc] = fid
             b_fields[pc] = fieldname
-            address = (oid, fieldname)
-            address = intern_addr(address, address)
-            b_addresses[pc] = address
-            if address not in table_addresses:
-                table_addresses.add(address)
-                address_table_append(address)
+            address = (obj.oid, fieldname)
+            b_addresses[pc] = intern_addr(address, address)
             if opcode == OP_READ or opcode == OP_AREAD:
                 b_dst_regs[pc] = -1 if op[3] is None else reg_id(op[3])
             else:
@@ -277,15 +225,12 @@ def lower_script(
             body.val_consts[pc] = op[1]
         elif code == "acquire":
             body.codes[pc] = OP_CONTROL
-            body.oids[pc] = body.lock_ids[pc] = op[1].oid
             body.control_ops[pc] = Acquire(op[1])
         elif code == "release":
             body.codes[pc] = OP_CONTROL
-            body.oids[pc] = body.lock_ids[pc] = op[1].oid
             body.control_ops[pc] = Release(op[1])
         elif code == "notify":
             body.codes[pc] = OP_CONTROL
-            body.oids[pc] = body.lock_ids[pc] = op[1].oid
             body.control_ops[pc] = Notify(op[1], op[2])
         elif code == "invoke":
             body.codes[pc] = OP_CONTROL

@@ -3,16 +3,17 @@
 Checkers never dereference program values — they consume object
 identities, field names, access kinds and method boundaries — so a
 replay can reconstruct lightweight object shims and drive the same
-listener interface the live executor drives.  An online checker run
-over a replayed trace produces exactly the result it produced online
-(``tests/trace/test_replay.py`` pins this).
+listener interface the live executor drives — accesses included,
+through the same :meth:`ListenerPipeline.access_barrier` — so an online
+checker run over a replayed trace produces exactly the result it
+produced online (``tests/trace/test_replay.py`` pins this).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable
+from typing import Dict, Iterable, Tuple
 
-from repro.runtime.events import AccessEvent, AccessKind, Site
+from repro.runtime.events import AccessKind, Site, intern_site
 from repro.runtime.listeners import ExecutionListener, ListenerPipeline
 from repro.trace.recorder import ACCESS, END, ENTER, EXIT, START, Trace
 
@@ -41,7 +42,11 @@ def replay_trace(
 ) -> None:
     """Dispatch every recorded event to ``listeners`` in order."""
     pipeline = ListenerPipeline(list(listeners))
+    emit = pipeline.access_barrier()
     shims: Dict[int, _ObjectShim] = {}
+    # the barrier's interned fields, as the executor's tables hold them
+    addresses: Dict[Tuple[int, str], Tuple[int, str]] = {}
+    site_strs: Dict[Site, str] = {}
 
     for record in trace.records:
         kind = record[0]
@@ -63,17 +68,15 @@ def replay_trace(
             if shim is None:
                 shim = _ObjectShim(oid, label)
                 shims[oid] = shim
-            pipeline.on_access(
-                AccessEvent(
-                    seq=seq,
-                    thread_name=thread,
-                    obj=shim,
-                    fieldname=fieldname,
-                    kind=AccessKind(access_kind),
-                    is_sync=bool(is_sync),
-                    is_array=bool(is_array),
-                    site=Site(site_method, site_index),
-                )
+            address = (oid, fieldname)
+            address = addresses.setdefault(address, address)
+            site = intern_site(site_method, site_index)
+            site_str = site_strs.get(site)
+            if site_str is None:
+                site_str = site_strs[site] = str(site)
+            emit(
+                seq, thread, shim, fieldname, AccessKind(access_kind), site,
+                address, site_str, bool(is_array), bool(is_sync),
             )
         elif kind == ENTER:
             pipeline.on_method_enter(record[1], record[2], record[3])

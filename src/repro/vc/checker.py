@@ -53,7 +53,7 @@ from repro.errors import OutOfMemoryBudget
 from repro.obs.registry import publish_stats, recorder as obs_recorder
 from repro.runtime.events import AccessEvent, AccessKind, Site
 from repro.runtime.executor import ExecutionResult, Executor
-from repro.runtime.listeners import ExecutionListener
+from repro.runtime.listeners import AccessBarrier, ExecutionListener
 from repro.runtime.program import Program
 from repro.runtime.scheduler import Scheduler
 from repro.spec.specification import AtomicitySpecification
@@ -217,16 +217,19 @@ class VcChecker(ExecutionListener):
         self._analyze(tx, address, event.is_read())
 
     # ------------------------------------------------------------------
-    # fused barriers (same pattern as ICD: the executor's monomorphic
-    # single-listener dispatch gets a closure whose fast path — the
-    # field's metadata already names the accessing transaction, so the
-    # access can neither add an edge nor change metadata — costs one
-    # dict probe and a branch chain; everything else falls into the
+    # the fused barrier (same pattern as ICD: the closure's fast path —
+    # the field's metadata already names the accessing transaction, so
+    # the access can neither add an edge nor change metadata — costs
+    # one dict probe and a branch chain; everything else falls into the
     # shared _analyze, so outputs are identical by construction)
     # ------------------------------------------------------------------
-    def access_barrier(self) -> Callable[[AccessEvent], None]:
+    def access_barrier(self) -> AccessBarrier:
+        """Build the fused barrier over the executor's pre-interned
+        access fields; a synchronization access is skipped unless
+        ``sync_edges`` is set.  Object-granularity arrays get the
+        default barrier (every access through :meth:`on_access`)."""
         if self.array_granularity_object:
-            return self.on_access
+            return super().access_barrier()
 
         tx_manager = self.tx_manager
         tx_for_fields = tx_manager.transaction_for_fields
@@ -239,61 +242,6 @@ class VcChecker(ExecutionListener):
         analyze = self._analyze
 
         def fused_access(
-            event: AccessEvent,
-            *,
-            _READ: AccessKind = AccessKind.READ,
-        ) -> None:
-            if event.is_array and not instrument_arrays:
-                stats.array_accesses_skipped += 1
-                return
-            if event.is_sync and not sync_edges:
-                stats.sync_accesses_skipped += 1
-                return
-            thread = event.thread_name
-            tx = tx_current.get(thread)
-            if tx is not None and not tx.is_unary:
-                if not tx.monitored:
-                    tx_stats.skipped_accesses += 1
-                    return
-                tx_stats.regular_accesses += 1
-            else:
-                tx = tx_for_fields(thread, event.site)
-                if tx is None:
-                    return  # not instrumented in this configuration
-            stats.instrumented_accesses += 1
-            is_read = event.kind is _READ
-            address = (event.obj.oid, event.fieldname)
-            meta = fields_get(address)
-            if meta is not None:
-                if is_read:
-                    if meta.last_readers.get(thread) is tx:
-                        stats.fastpath_hits += 1
-                        return
-                elif meta.last_writer is tx and not meta.last_readers:
-                    stats.fastpath_hits += 1
-                    return
-            analyze(tx, address, is_read)
-
-        return fused_access
-
-    def access_barrier_batch(self) -> Optional[Callable[..., None]]:
-        """Columnar barrier: same no-op predicate, consuming the batch
-        loop's pre-interned column values directly (the batch executor
-        routes synchronization through the event path, so ``is_sync``
-        is always false here)."""
-        if self.array_granularity_object:
-            return None
-
-        tx_manager = self.tx_manager
-        tx_for_fields = tx_manager.transaction_for_fields
-        tx_current = tx_manager._current
-        tx_stats = tx_manager.stats
-        stats = self.stats
-        fields_get = self.metadata._fields.get
-        instrument_arrays = self.instrument_arrays
-        analyze = self._analyze
-
-        def fused_batch(
             seq: int,
             thread: str,
             obj: Any,
@@ -303,11 +251,15 @@ class VcChecker(ExecutionListener):
             address: Tuple[int, str],
             site_str: str,
             is_array: bool,
+            is_sync: bool,
             *,
             _READ: AccessKind = AccessKind.READ,
         ) -> None:
             if is_array and not instrument_arrays:
                 stats.array_accesses_skipped += 1
+                return
+            if is_sync and not sync_edges:
+                stats.sync_accesses_skipped += 1
                 return
             tx = tx_current.get(thread)
             if tx is not None and not tx.is_unary:
@@ -318,7 +270,7 @@ class VcChecker(ExecutionListener):
             else:
                 tx = tx_for_fields(thread, site)
                 if tx is None:
-                    return
+                    return  # not instrumented in this configuration
             stats.instrumented_accesses += 1
             is_read = kind is _READ
             meta = fields_get(address)
@@ -332,7 +284,7 @@ class VcChecker(ExecutionListener):
                     return
             analyze(tx, address, is_read)
 
-        return fused_batch
+        return fused_access
 
     # ------------------------------------------------------------------
     # the per-access analysis (Velodrome's Figure 5 conflict rules; the
@@ -373,6 +325,7 @@ class VcChecker(ExecutionListener):
         dst.in_edges.append(edge)
         src.edge_touched = True
         dst.edge_touched = True
+        self.collector.note_link(src, dst)
         self.stats.edges += 1
 
         src_state = self._states[src.tx_id]
@@ -481,10 +434,14 @@ class VcChecker(ExecutionListener):
             self._tx_ends_since_gc = 0
             self.collector.note_peak()
             self.collector.collect()
-            states = self._states
-            for tx_id in self.collector.last_swept_ids:
-                states.pop(tx_id, None)
-            self.metadata.purge_collected()
+            # a collection that swept nothing leaves nothing to retire
+            # (the last purge already dropped every collected reference)
+            swept = self.collector.last_swept_ids
+            if swept:
+                states = self._states
+                for tx_id in swept:
+                    states.pop(tx_id, None)
+                self.metadata.purge_collected()
         if self.memory_budget is not None:
             used = len(self.tx_manager.all_transactions)
             if used > self.memory_budget:

@@ -267,6 +267,7 @@ class VelodromeChecker(ExecutionListener):
         dst.in_edges.append(edge)
         src.edge_touched = True
         dst.edge_touched = True
+        self.collector.note_link(src, dst)
         self.stats.edges += 1
         if self.engine is not None:
             self.engine.note_cross_edge(
@@ -391,14 +392,17 @@ class VelodromeChecker(ExecutionListener):
             self.collector.collect()
             # the collector reports exactly what it swept, in
             # population order, so neither the engine nor the intra
-            # orders need a pass over the live transactions
+            # orders need a pass over the live transactions — and a
+            # collection that swept nothing leaves nothing to retire
+            # (the last purge already dropped every collected reference)
             swept = self.collector.last_swept_ids
-            if self.engine is not None:
-                self.engine.forget(swept)
-            intra_order = self._intra_order
-            for tx_id in swept:
-                intra_order.pop(tx_id, None)
-            self.metadata.purge_collected()
+            if swept:
+                if self.engine is not None:
+                    self.engine.forget(swept)
+                intra_order = self._intra_order
+                for tx_id in swept:
+                    intra_order.pop(tx_id, None)
+                self.metadata.purge_collected()
         if self.memory_budget is not None:
             used = len(self.tx_manager.all_transactions)
             if used > self.memory_budget:

@@ -78,6 +78,29 @@ class TestEdgeCreation:
         assert icd.stats.log_entries == 0
 
 
+class TestBarrier:
+    def test_slow_path_events_carry_is_sync(self):
+        """The fused barrier hands its slow path the event the executor
+        described, is_sync included: the lock and thread pseudo-fields
+        arrive as sync accesses, the counter field as a program one."""
+        program = counter_program(threads=2, iterations=3, locked=True)
+        icd = ICD(spec_for(program))
+        seen = []
+        slow_path = icd.on_access
+
+        def recording(event):
+            seen.append((event.fieldname, event.is_sync))
+            slow_path(event)
+
+        # the barrier binds on_access when the executor builds it
+        icd.on_access = recording
+        Executor(program, RandomScheduler(seed=1, switch_prob=0.7), [icd]).run()
+        assert {field for field, is_sync in seen if is_sync} == {
+            "<monitor>", "<thread>",
+        }
+        assert {field for field, is_sync in seen if not is_sync} == {"value"}
+
+
 class TestSccDetection:
     def test_violating_program_produces_scc(self):
         program = counter_program(threads=2, iterations=10)

@@ -16,7 +16,7 @@ SCC computation (networkx) over cross-thread plus program-order edges.
 
 Two program generators feed it: generator-bodied programs (driven one
 ``yield`` at a time) and scripted programs, whose bodies the executor
-lowers into columns and runs through ICD's columnar barrier — array
+lowers into columns and runs through ICD's fused barrier — array
 reads and writes included.
 """
 
@@ -152,11 +152,18 @@ def oracle_cyclic_sccs(trace, sync_edges=True):
     return [set(scc) for scc in nx.strongly_connected_components(graph) if len(scc) > 1]
 
 
-def run_all(method_specs, thread_scripts, seed, sync_edges=True):
+#: the oracle properties run each case with collection off and at its
+#: most aggressive cadence (a collection at every transaction end), so
+#: a verdict is checked while the collector runs too
+GC_INTERVALS = (None, 1)
+
+
+def run_all(method_specs, thread_scripts, seed, sync_edges=True,
+            gc_interval=None):
     """Run DC single-run + oracle on one schedule; Velodrome on the same.
 
     ``sync_edges`` is passed to the oracle only (see
-    :func:`oracle_cyclic_sccs`)."""
+    :func:`oracle_cyclic_sccs`); ``gc_interval`` to ICD and Velodrome."""
     program = materialize(method_specs, thread_scripts)
     spec = AtomicitySpecification.initial(program)
 
@@ -168,7 +175,7 @@ def run_all(method_specs, thread_scripts, seed, sync_edges=True):
         components.append({tx.tx_id for tx in component})
         violations.extend(pcd.process(component))
 
-    icd = ICD(spec, on_scc=on_scc, gc_interval=None)
+    icd = ICD(spec, on_scc=on_scc, gc_interval=gc_interval)
     recorder = TraceRecorder(icd)
     Executor(
         program, RandomScheduler(seed=seed, switch_prob=0.7), [icd, recorder]
@@ -177,7 +184,7 @@ def run_all(method_specs, thread_scripts, seed, sync_edges=True):
 
     program_v = materialize(method_specs, thread_scripts)
     velodrome = VelodromeChecker(
-        AtomicitySpecification.initial(program_v), gc_interval=None
+        AtomicitySpecification.initial(program_v), gc_interval=gc_interval
     ).run(program_v, RandomScheduler(seed=seed, switch_prob=0.7))
 
     return violations, components, oracle, velodrome, pcd
@@ -186,12 +193,13 @@ def run_all(method_specs, thread_scripts, seed, sync_edges=True):
 @given(program_strategy)
 @settings(max_examples=60, deadline=None)
 def test_icd_sccs_are_supersets_of_precise_cycles(case):
-    method_specs, thread_scripts, seed = case
-    _, components, oracle, _, _ = run_all(method_specs, thread_scripts, seed)
-    for cycle in oracle:
-        assert any(
-            cycle <= component for component in components
-        ), f"precise cycle {cycle} not covered by any ICD SCC {components}"
+    for gc_interval in GC_INTERVALS:
+        _, components, oracle, _, _ = run_all(*case, gc_interval=gc_interval)
+        for cycle in oracle:
+            assert any(cycle <= component for component in components), (
+                f"precise cycle {cycle} not covered by any ICD SCC "
+                f"{components} (gc_interval={gc_interval})"
+            )
 
 
 #: regression examples for the PCD log-merge ordering bug: edge marks
@@ -217,9 +225,9 @@ _MERGE_REGRESSION_2 = (
 @example(_MERGE_REGRESSION_2)
 @settings(max_examples=60, deadline=None)
 def test_single_run_sound_and_precise_vs_oracle(case):
-    method_specs, thread_scripts, seed = case
-    violations, _, oracle, _, _ = run_all(method_specs, thread_scripts, seed)
-    assert bool(violations) == bool(oracle)
+    for gc_interval in GC_INTERVALS:
+        violations, _, oracle, _, _ = run_all(*case, gc_interval=gc_interval)
+        assert bool(violations) == bool(oracle), gc_interval
 
 
 @given(program_strategy)
@@ -239,24 +247,25 @@ def test_single_run_agrees_with_velodrome(case):
     precise cycles lie inside the oracle's SCCs transaction-for-
     transaction (same transaction numbering).
     """
-    method_specs, thread_scripts, seed = case
-    violations, _, oracle, velodrome, _ = run_all(
-        method_specs, thread_scripts, seed
-    )
-    assert bool(violations) == bool(oracle)
-    assert bool(velodrome.violations) == bool(oracle)
+    for gc_interval in GC_INTERVALS:
+        violations, _, oracle, velodrome, _ = run_all(
+            *case, gc_interval=gc_interval
+        )
+        assert bool(violations) == bool(oracle), gc_interval
+        assert bool(velodrome.violations) == bool(oracle), gc_interval
 
-    for record in violations.records:
-        # each precise cycle sits inside one oracle SCC (same tx ids)
-        assert any(
-            set(record.cycle_tx_ids) <= scc for scc in oracle
-        ), (record.cycle_tx_ids, oracle)
+        for record in violations.records:
+            # each precise cycle sits inside one oracle SCC (same tx ids)
+            assert any(
+                set(record.cycle_tx_ids) <= scc for scc in oracle
+            ), (record.cycle_tx_ids, oracle, gc_interval)
 
-    # every oracle SCC is witnessed by at least one DC cycle
-    for scc in oracle:
-        assert any(
-            set(record.cycle_tx_ids) <= scc for record in violations.records
-        ), (scc, [r.cycle_tx_ids for r in violations.records])
+        # every oracle SCC is witnessed by at least one DC cycle
+        for scc in oracle:
+            assert any(
+                set(record.cycle_tx_ids) <= scc
+                for record in violations.records
+            ), (scc, [r.cycle_tx_ids for r in violations.records], gc_interval)
 
 
 #: a cycle closed only by a lock release -> acquire edge: the
@@ -276,26 +285,29 @@ def test_vector_clock_agrees_with_oracle_and_velodrome(case):
     reproduce its referee's boolean verdict, and the sync arm must
     perform exactly Velodrome's per-edge cycle checks."""
     method_specs, thread_scripts, seed = case
-    _, _, oracle, velodrome, _ = run_all(
-        method_specs, thread_scripts, seed, sync_edges=False
-    )
 
-    def run_vc(sync_edges):
+    def run_vc(sync_edges, gc_interval):
         program = materialize(method_specs, thread_scripts)
         checker = VcChecker(
             AtomicitySpecification.initial(program),
             sync_edges=sync_edges,
-            gc_interval=None,
+            gc_interval=gc_interval,
         )
         return checker.run(
             program, RandomScheduler(seed=seed, switch_prob=0.7)
         )
 
-    vc = run_vc(False)
-    vc_sync = run_vc(True)
-    assert bool(vc.violations) == bool(oracle)
-    assert bool(vc_sync.violations) == bool(velodrome.violations)
-    assert vc_sync.stats.cycle_checks == velodrome.stats.cycle_checks
+    for gc_interval in GC_INTERVALS:
+        _, _, oracle, velodrome, _ = run_all(
+            *case, sync_edges=False, gc_interval=gc_interval
+        )
+        vc = run_vc(False, gc_interval)
+        vc_sync = run_vc(True, gc_interval)
+        assert bool(vc.violations) == bool(oracle), gc_interval
+        assert bool(vc_sync.violations) == bool(velodrome.violations), \
+            gc_interval
+        assert vc_sync.stats.cycle_checks == velodrome.stats.cycle_checks, \
+            gc_interval
 
 
 @given(program_strategy)
@@ -303,9 +315,9 @@ def test_vector_clock_agrees_with_oracle_and_velodrome(case):
 def test_replay_never_falls_back(case):
     """PCD's topological merge must always be consistent (the edge
     anchors are sufficient; the seq tie-break never contradicts them)."""
-    method_specs, thread_scripts, seed = case
-    _, _, _, _, pcd = run_all(method_specs, thread_scripts, seed)
-    assert pcd.stats.order_fallbacks == 0
+    for gc_interval in GC_INTERVALS:
+        _, _, _, _, pcd = run_all(*case, gc_interval=gc_interval)
+        assert pcd.stats.order_fallbacks == 0, gc_interval
 
 
 # ----------------------------------------------------------------------
@@ -388,7 +400,7 @@ def run_scripted(method_specs, thread_scripts, seed):
     """Single-run ICD+PCD on a scripted program, plus its referees.
 
     ICD (arrays instrumented) is the executor's only listener, so its
-    columnar barrier handles every lowered access.  The oracle trace
+    fused barrier handles every lowered access.  The oracle trace
     comes from a second run of the same program and seed with
     :class:`TraceRecorder` attached (its ICD has the same
     configuration, so it assigns the same transactions); Velodrome
@@ -431,7 +443,7 @@ def run_scripted(method_specs, thread_scripts, seed):
 
 
 #: two threads writing then re-reading a field and an array element
-#: they own: the columnar barrier's fused fast path must run
+#: they own: the fused barrier's fast path must run
 _FUSED_EXAMPLE = (
     [[(1, 0, 0), (0, 0, 0), (4, 0, 1), (3, 0, 1)]],
     [[0, 0], [0]],

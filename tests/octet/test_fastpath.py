@@ -90,7 +90,14 @@ class TestInlineFastPath:
             icd = ICD(AtomicitySpecification(frozenset(), frozenset()))
             for thread in ("T1", "T2"):
                 icd.on_thread_start(thread)
-            runtime, barrier = icd.octet, icd.access_barrier()
+            runtime, fused_barrier = icd.octet, icd.access_barrier()
+
+            def barrier(event):
+                fused_barrier(
+                    event.seq, event.thread_name, event.obj,
+                    event.fieldname, event.kind, event.site, event.address,
+                    str(event.site), event.is_array, event.is_sync,
+                )
         else:
             runtime = OctetRuntime(live_threads=lambda: ["T1", "T2"])
             barrier = runtime.observe

@@ -42,7 +42,7 @@ class ReferenceExecutor(Executor):
         from repro.errors import ProgramError, StepLimitExceeded
 
         self.scheduler.reset()
-        self._on_access = self.pipeline.on_access
+        self._emit = self.pipeline.access_barrier()
         for spec in self.program.threads:
             self._spawn(spec.name, spec.method, spec.args)
 

@@ -72,62 +72,101 @@ def test_base_listener_is_a_no_op():
     listener.on_execution_end()  # nothing raised
 
 
-def test_on_access_fast_path_rebinds_as_listeners_are_added():
-    """The pre-bound barrier: no-op with zero listeners, the listener's
-    own bound method with one, fan-out with two or more — and add()
-    must upgrade the binding each time."""
-    log = []
-    pipeline = ListenerPipeline()
-    pipeline.on_access(make_event())  # no listeners: dropped, no error
-    assert log == []
-
-    first = Probe("a", log)
-    pipeline.add(first)
-    assert pipeline.on_access == first.on_access  # direct binding
-    pipeline.on_access(make_event())
-    assert [entry[0] for entry in log] == ["a"]
-
-    log.clear()
-    pipeline.add(Probe("b", log))
-    pipeline.on_access(make_event())
-    assert [entry[0] for entry in log] == ["a", "b"]
+def barrier_args(event):
+    """The barrier arguments the executor passes for ``event``."""
+    return (
+        event.seq, event.thread_name, event.obj, event.fieldname, event.kind,
+        event.site, event.address, str(event.site), event.is_array,
+        event.is_sync,
+    )
 
 
 class Fused(ExecutionListener):
-    """A listener supplying a custom fused access barrier."""
+    """A listener supplying its own access barrier."""
 
-    def __init__(self, log):
+    def __init__(self, log, name="fused"):
         self.log = log
+
+        def fused(seq, thread_name, obj, fieldname, kind, site, address,
+                  site_str, is_array, is_sync):
+            self.log.append((name, fieldname))
+
+        self.barrier = fused
 
     def on_access(self, event):
         self.log.append(("unfused", event.fieldname))
 
     def access_barrier(self):
-        def fused(event):
-            self.log.append(("fused", event.fieldname))
+        return self.barrier
 
-        return fused
+
+def test_access_barrier_follows_the_listeners_added():
+    """No listeners: a no-op barrier.  One: that listener's own
+    barrier.  Two or more: each listener's barrier in registration
+    order.  The pipeline builds the barrier from its listeners at the
+    time of the call, so add() is picked up by the next build."""
+    log = []
+    pipeline = ListenerPipeline()
+    pipeline.access_barrier()(*barrier_args(make_event()))  # dropped
+    assert log == []
+
+    first = Fused(log, "a")
+    pipeline.add(first)
+    assert pipeline.access_barrier() is first.barrier
+
+    pipeline.add(Fused(log, "b"))
+    pipeline.add(Probe("c", log))
+    pipeline.access_barrier()(*barrier_args(make_event()))
+    assert log == [("a", "f"), ("b", "f"), ("c", "access", "f")]
 
 
 def test_single_listener_binds_the_fused_barrier():
-    """With one listener the pipeline dispatches its access_barrier()
-    closure — ICD's fused ICD+Octet call — not plain on_access."""
+    """With one listener the pipeline's barrier is the listener's
+    access_barrier() closure — ICD's fused ICD+Octet call — not a
+    wrapper around on_access."""
     log = []
-    pipeline = ListenerPipeline([Fused(log)])
-    pipeline.on_access(make_event())
+    listener = Fused(log)
+    barrier = ListenerPipeline([listener]).access_barrier()
+    assert barrier is listener.barrier
+    barrier(*barrier_args(make_event()))
     assert log == [("fused", "f")]
 
 
 def test_fan_out_uses_each_listeners_barrier():
     log = []
     pipeline = ListenerPipeline([Fused(log), Probe("p", log)])
-    pipeline.on_access(make_event())
+    pipeline.access_barrier()(*barrier_args(make_event()))
     assert log == [("fused", "f"), ("p", "access", "f")]
 
 
-def test_default_access_barrier_is_on_access():
-    listener = ExecutionListener()
-    assert listener.access_barrier() == listener.on_access
+def test_default_access_barrier_builds_the_event_for_on_access():
+    """The default barrier hands on_access the AccessEvent its
+    arguments describe, is_sync and is_array included."""
+    seen = []
+
+    class Events(ExecutionListener):
+        def on_access(self, event):
+            seen.append(event)
+
+    barrier = Events().access_barrier()
+    heap = Heap()
+    events = [
+        make_event(),
+        AccessEvent(
+            seq=2, thread_name="T", obj=heap.alloc("lock"),
+            fieldname="<monitor>", kind=AccessKind.WRITE, is_sync=True,
+            is_array=False, site=Site("m", 3),
+        ),
+        AccessEvent(
+            seq=3, thread_name="U", obj=heap.alloc_array("a", 2),
+            fieldname="[1]", kind=AccessKind.READ, is_sync=False,
+            is_array=True, site=Site("n", 4),
+        ),
+    ]
+    for event in events:
+        barrier(*barrier_args(event))
+    # AccessEvent equality covers every field, is_sync included
+    assert seen == events
 
 
 def test_single_listener_fast_path_preserves_event_identity():

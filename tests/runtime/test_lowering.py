@@ -62,8 +62,7 @@ def test_lower_script_columns(heap):
         OP_READ, OP_WRITE, OP_AREAD, OP_AWRITE,
         OP_COMPUTE, OP_CONTROL, OP_CONTROL, OP_CONTROL,
     ]
-    assert list(body.oids[:4]) == [o0.oid, o0.oid, arr.oid, arr.oid]
-    assert body.objs[:4] == [o0, o0, arr, arr]
+    assert body.objs == [o0, o0, arr, arr, None, None, None, None]
     # array accesses synthesize "[i]" field names, like ArrayRead does
     assert body.fields[:4] == ["f0", "f0", "[1]", "[2]"]
     assert list(body.array_indices[:4]) == [-1, -1, 1, 2]
@@ -82,11 +81,11 @@ def test_lower_script_columns(heap):
     assert body.nregs == 1
     # compute cost rides in val_consts
     assert body.val_consts[4] == 3
-    # control ops are prebuilt frozen instances
+    # control ops are prebuilt frozen instances carrying their monitor
+    assert body.control_ops[:5] == [None] * 5
     assert body.control_ops[5] == Acquire(o1)
     assert body.control_ops[6] == Release(o1)
     assert body.control_ops[7] == Invoke("m0", ())
-    assert list(body.lock_ids[5:7]) == [o1.oid, o1.oid]
 
 
 def test_lower_script_interns_sites_and_addresses(heap):
@@ -105,11 +104,16 @@ def test_lower_script_interns_sites_and_addresses(heap):
     # addresses are interned executor-wide: both bodies share tuples
     for pc in range(4):
         assert one.addresses[pc] is two.addresses[pc]
-    # the per-body side table dedupes (two f0 accesses, one entry)
-    assert one.address_table == [
-        (objects[0].oid, "f0"), (arr.oid, "[1]"), (arr.oid, "[2]"),
-    ]
-    assert one.field_table == ["f0", "[1]", "[2]"]
+    # one tuple per field: the two f0 accesses share theirs, and the
+    # intern table holds exactly the three fields accessed
+    assert one.addresses[0] is one.addresses[1]
+    assert one.fields[:4] == ["f0", "f0", "[1]", "[2]"]
+    fields = [(objects[0].oid, "f0"), (arr.oid, "[1]"), (arr.oid, "[2]")]
+    assert list(addr_intern) == fields
+    assert all(addr_intern[a] is one.addresses[pc]
+               for a, pc in zip(fields, (0, 2, 3)))
+    # compute and control ops access nothing
+    assert one.fields[4:] == one.addresses[4:] == [None] * 4
 
 
 def test_lower_script_rejects_unknown_ops(heap):

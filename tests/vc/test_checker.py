@@ -78,10 +78,15 @@ class TestDetection:
 
 class TestSyncEdges:
     def test_sync_accesses_skipped_by_default(self):
+        """The barrier's is_sync argument decides: every
+        synchronization pseudo-access the executor emits is skipped."""
         program = counter_program(threads=2, iterations=8, locked=True)
-        checker = VcChecker(spec_for(program))
-        checker.run(program, scheduler())
-        assert checker.stats.sync_accesses_skipped > 0
+        result = VcChecker(spec_for(program)).run(program, scheduler())
+        assert result.execution.sync_access_count > 0
+        assert (
+            result.stats.sync_accesses_skipped
+            == result.execution.sync_access_count
+        )
 
     def test_sync_edges_mode_counts_them(self):
         program = counter_program(threads=2, iterations=8, locked=True)
