@@ -476,8 +476,10 @@ class ICD(ExecutionListener, OctetListener):
         self._edge_order += 1
         edge = IdgEdge(src, dst, kind, self._edge_order)
         if self.logging_enabled:
-            event = self._req_event
-            seq = event.seq if event is not None else 0
+            # edges arise only inside on_access, so both marks carry the
+            # requesting access's seq: PCD's resumption cut relies on
+            # every log being nondecreasing in seq (see repro.core.rwlog)
+            seq = self._req_event.seq  # type: ignore[union-attr]
             # edges interrupt the elision windows of both threads
             self._elision.bump(src.thread_name)
             self._elision.bump(dst.thread_name)

@@ -19,12 +19,51 @@ linearization of that partial order agree on the relative order of
 conflicting accesses; our merge breaks ties with the executor's global
 sequence number, which is one such linearization (and lets a property
 test verify the agreement claim against the true execution order).
+
+**Resumption.**  ICD hands PCD every cyclic SCC whose member set is
+new, and SCCs grow by absorbing members, so consecutive components
+mostly share their members.  PCD therefore keeps the replay state of
+the last component it processed — the Figure 5 tables, the per-thread
+chain, the transactions seen, the PDG, and an undo trail with one
+record per replayed access — and picks it up for the next component
+at a *cut* sequence number: the smallest of
+
+* the first logged access of every member the kept component lacks,
+* the first logged access of every kept member the new one lacks, and
+* the kept replay's last access plus one (logs grow only at the end,
+  and every entry appended after that replay has a higher seq).
+
+Records at or past the cut are undone newest-first and the PDG is
+truncated to its size at the cut; then only the log entries from the
+cut on are merged and replayed.
+
+The resumed replay is exact — it reports what a from-scratch replay
+reports, call by call.  Without a fallback, accesses leave the merge
+in true seq order (see :meth:`PCD._merge_logs`).  Below the cut both
+components hold the same accesses (those of shared members), so both
+replays make the same table updates and add the same PDG edges in the
+same order.  The newest-edge truncation then restores exactly that
+prefix, and re-added edges get the ``order`` they would get from
+scratch, so blame does not change.  Every cycle the prefix closes was
+already reported and is suppressed as a duplicate either way.  A
+source mark and its sink carry the same seq (the edge's creation
+time), so a cut never separates them; each log is nondecreasing in seq
+(see :mod:`repro.core.rwlog`), so the entries from the cut on are a
+suffix found by bisection.  A component whose merge needed the order
+fallback does not replay in seq order, so its state is not kept.
+
+Only one state is kept: almost every grown component extends the one
+processed just before it, and one state per lineage would hold every
+lineage's trail in memory.
 """
 
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import repeat
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.blame import blamed_nodes
@@ -36,22 +75,114 @@ from repro.errors import OutOfMemoryBudget
 from repro.obs.registry import publish_stats, recorder as obs_recorder
 from repro.runtime.events import AccessKind
 
+_entry_seq = attrgetter("seq")
+
+#: first-access seq of a member whose log holds no access: it bounds
+#: no cut
+_NO_ACCESS = float("inf")
+
+#: undo-record chain slot of an access whose transaction had already
+#: appeared in the replay (otherwise the slot holds the chain entry
+#: that the appearance replaced, ``None`` included)
+_SEEN = object()
+
+#: slots per undo record in :attr:`_ReplayState.trail`
+_RECORD = 6
+
 
 @dataclass
 class PCDStats:
-    """Work counters for the precise analysis."""
+    """Work counters for the precise analysis.
+
+    ``entries_replayed``, ``accesses_replayed``, ``pdg_edges``,
+    ``cycle_checks`` and ``cycle_check_visits`` count the work actually
+    done: a resumed replay counts only what it replays past its cut.
+    """
 
     components_processed: int = 0
     transactions_processed: int = 0
+    #: log entries (accesses and marks) fed to the merge
     entries_replayed: int = 0
+    #: log entries before a resumed replay's cut, which the kept state
+    #: already covered; with ``entries_replayed`` they add up to the
+    #: processed components' log entries
+    entries_resumed: int = 0
     accesses_replayed: int = 0
     pdg_edges: int = 0
     cycle_checks: int = 0
     cycle_check_visits: int = 0
-    #: nodes visited by the PDG engines' reorder/contraction searches
-    engine_search_visits: int = 0
     cycles_found: int = 0
     order_fallbacks: int = 0
+
+
+class _ReplayState:
+    """One component's replay: Figure 5's tables, the per-thread chain,
+    the transactions seen, the PDG and the undo trail."""
+
+    __slots__ = (
+        "first_seq", "last_write", "last_reads", "chain", "seen", "pdg",
+        "trail",
+    )
+
+    def __init__(self) -> None:
+        #: member tx id -> seq of its first logged access
+        self.first_seq: Dict[int, float] = {}
+        self.last_write: Dict[Tuple[int, str], Transaction] = {}
+        self.last_reads: Dict[Tuple[int, str], Dict[str, Transaction]] = {}
+        #: per-thread most recent transaction seen during replay, for
+        #: the intra-thread (program-order) edges — cycles can mix
+        #: program-order and dependence edges (see repro.core.pdg)
+        self.chain: Dict[str, Transaction] = {}
+        self.seen: Dict[int, Transaction] = {}
+        self.pdg = PDG()
+        #: one record of ``_RECORD`` slots per replayed access, in seq
+        #: order: the entry, the PDG edge count before it, its
+        #: transaction, the chain slot, the thread's previous reader
+        #: (reads) or the previous writer (writes), and the readers a
+        #: write cleared.  A flat list: a tuple per access would be
+        #: one more long-lived object for the cyclic GC to traverse.
+        self.trail: list = []
+
+    def rollback(self, cut: int) -> None:
+        """Undo every replayed access with seq >= ``cut``, newest first."""
+        trail = self.trail
+        last_write = self.last_write
+        last_reads = self.last_reads
+        chain = self.chain
+        seen = self.seen
+        _READ = AccessKind.READ
+        edge_count = self.pdg.edge_count
+        while trail and trail[-_RECORD].seq >= cut:
+            entry, edge_count, tx, chained, prev, readers = trail[-_RECORD:]
+            del trail[-_RECORD:]
+            address = entry.address
+            thread = tx.thread_name
+            if entry.kind is _READ:
+                if prev is None:
+                    del last_reads[address][thread]
+                else:
+                    last_reads[address][thread] = prev
+            else:
+                if prev is None:
+                    del last_write[address]
+                else:
+                    last_write[address] = prev
+                if readers is not None:
+                    last_reads[address] = readers
+            if chained is not _SEEN:
+                del seen[tx.tx_id]
+                if chained is None:
+                    del chain[thread]
+                else:
+                    chain[thread] = chained
+        self.pdg.truncate(edge_count)
+
+
+def _first_access_seq(tx: Transaction) -> float:
+    for entry in tx.log.entries:
+        if entry.__class__ is AccessEntry:
+            return entry.seq
+    return _NO_ACCESS
 
 
 class PCD:
@@ -69,6 +200,8 @@ class PCD:
         self.stats = PCDStats()
         self._obs = obs_recorder()
         self._reported_cycles: Set[frozenset] = set()
+        #: the last processed component's replay, to resume from
+        self._kept: Optional[_ReplayState] = None
 
     # ------------------------------------------------------------------
     def process(self, component: Sequence[Transaction]) -> List[ViolationRecord]:
@@ -87,9 +220,10 @@ class PCD:
         publish_stats(self._obs, "pcd", self.stats)
 
     def _process(self, component: Sequence[Transaction]) -> List[ViolationRecord]:
-        self.stats.components_processed += 1
+        stats = self.stats
+        stats.components_processed += 1
         members = [tx for tx in component if tx.log is not None]
-        self.stats.transactions_processed += len(members)
+        stats.transactions_processed += len(members)
         if len(members) < 2:
             return []
 
@@ -97,45 +231,100 @@ class PCD:
         if self.memory_budget is not None and total_entries > self.memory_budget:
             raise OutOfMemoryBudget("PCD", total_entries, self.memory_budget)
 
-        merged = self._merge_logs(members)
-        return self._replay(merged)
+        first_seq = {tx.tx_id: _first_access_seq(tx) for tx in members}
+        state, cut = self._resume(first_seq)
+        merged_txs, merged, replayed, fallbacks = self._merge_logs(members, cut)
+        stats.entries_replayed += replayed
+        stats.entries_resumed += total_entries - replayed
+        violations = self._replay(state, merged_txs, merged)
+        if fallbacks:
+            stats.order_fallbacks += fallbacks
+            self._kept = None
+        else:
+            state.first_seq = first_seq
+            self._kept = state
+        return violations
+
+    # ------------------------------------------------------------------
+    # resumption
+    # ------------------------------------------------------------------
+    def _resume(self, first_seq: Dict[int, float]) -> Tuple[_ReplayState, int]:
+        """The state to replay into and the seq to replay from: the kept
+        state rolled back to the cut, or a fresh state and 0 when the
+        cut would undo all of it (a disjoint component, for one)."""
+        kept = self._kept
+        if kept is None or not kept.trail:
+            return _ReplayState(), 0
+        trail = kept.trail
+        cut = trail[-_RECORD].seq + 1
+        old = kept.first_seq
+        for tx_id, seq in first_seq.items():
+            if seq < cut and tx_id not in old:
+                cut = seq
+        for tx_id, seq in old.items():
+            if seq < cut and tx_id not in first_seq:
+                cut = seq
+        if cut <= trail[0].seq:
+            return _ReplayState(), 0
+        kept.rollback(cut)
+        return kept, cut
 
     # ------------------------------------------------------------------
     # topological merge
     # ------------------------------------------------------------------
     def _merge_logs(
-        self, members: Sequence[Transaction]
-    ) -> List[Tuple[Transaction, AccessEntry]]:
+        self, members: Sequence[Transaction], cut: int
+    ) -> Tuple[List[Transaction], List[AccessEntry], int, int]:
+        """Merge the members' log entries with seq >= ``cut``.
+
+        Returns the replay order as parallel lists of transactions and
+        their accesses, the number of entries merged, and the number of
+        order fallbacks taken.
+        """
         member_ids = {tx.tx_id for tx in members}
-        # edge orders whose both endpoints are in the component: these
-        # marks constrain the merge; marks of other edges are inert
-        constrained: Set[int] = set()
-        for tx in members:
-            for edge in tx.out_edges:
-                if edge.dst.tx_id in member_ids:
-                    constrained.add(edge.order)
-
-        # per-thread streams: a thread's transactions replay in creation
-        # order, and each log is already ordered
-        by_thread: Dict[str, List[Transaction]] = {}
-        for tx in sorted(members, key=lambda t: t.tx_id):
-            by_thread.setdefault(tx.thread_name, []).append(tx)
-        streams: List[List[Tuple[Transaction, object]]] = []
-        for txs in by_thread.values():
-            stream: List[Tuple[Transaction, object]] = []
-            for tx in txs:
-                stream.extend((tx, entry) for entry in tx.log.entries)
-            streams.append(stream)
-
-        emitted_sources: Set[int] = set()
-        positions = [0] * len(streams)
-        merged: List[Tuple[Transaction, AccessEntry]] = []
-        total_accesses = sum(
-            1
-            for s in streams
-            for item in s
-            if not isinstance(item[1], EdgeMark)
+        # the members with log entries from the cut on, in creation
+        # order: a thread's transactions replay in that order
+        active = sorted(
+            (tx for tx in members
+             if tx.log.entries and tx.log.entries[-1].seq >= cut),
+            key=lambda t: t.tx_id,
         )
+        # the marks of edges whose both endpoints are in the component
+        # constrain the merge (marks of other edges are inert): an edge
+        # waits here until its source mark is merged.  Both marks of an
+        # edge carry its creation seq, so an out-edge created before the
+        # cut has no mark in the merge, and neither has any older one
+        # (out-edges are kept in creation order).
+        waiting: Set[int] = set()
+        for tx in active:
+            entries = tx.log.entries
+            for edge in reversed(tx.out_edges):
+                index = edge.src_log_index
+                if index is not None and entries[index].seq < cut:
+                    break
+                if edge.dst.tx_id in member_ids:
+                    waiting.add(edge.order)
+
+        # per-thread streams; each log is ordered (and nondecreasing in
+        # seq, so the entries from the cut on are a suffix).  A stream
+        # is its entries plus a parallel list of their transactions.
+        by_thread: Dict[str, List[Transaction]] = {}
+        for tx in active:
+            by_thread.setdefault(tx.thread_name, []).append(tx)
+        streams: List[list] = []
+        owners: List[List[Transaction]] = []
+        for txs in by_thread.values():
+            stream: list = []
+            owner: List[Transaction] = []
+            for tx in txs:
+                entries = tx.log.entries
+                if cut:
+                    entries = entries[bisect_left(entries, cut, key=_entry_seq):]
+                stream += entries
+                owner += repeat(tx, len(entries))
+            streams.append(stream)
+            owners.append(owner)
+        lengths = [len(stream) for stream in streams]
 
         # K-way merge on a heap of (seq, stream index): every stream is
         # in exactly one place — the heap when its head entry is an
@@ -157,141 +346,185 @@ class PCD:
         # order.
         heap: List[Tuple[int, int]] = []
         parked: Dict[int, List[int]] = {}
+        positions = [0] * len(streams)
+        merged_txs: List[Transaction] = []
+        merged: List[AccessEntry] = []
         heappush = heapq.heappush
         heappop = heapq.heappop
-        append_merged = merged.append
+        heapreplace = heapq.heapreplace
+        emit_tx = merged_txs.append
+        emit = merged.append
 
-        def settle(index: int) -> None:
+        def settle(i: int) -> None:
             # consume marks at the stream head — emit source marks
-            # immediately (recursively settling any streams they
-            # release), skip satisfied sinks, park on a blocked sink —
-            # then enter the heap at the first access entry's seq
-            stack = [index]
-            while stack:
-                i = stack.pop()
-                stream = streams[i]
-                pos = positions[i]
-                length = len(stream)
-                while pos < length:
-                    entry = stream[pos][1]
-                    if not isinstance(entry, EdgeMark):
-                        heappush(heap, (entry.seq, i))  # type: ignore[attr-defined]
-                        break
-                    if entry.is_source:
-                        pos += 1
-                        order = entry.edge_order
-                        emitted_sources.add(order)
-                        released = parked.pop(order, None)
-                        if released:
-                            positions[i] = pos
-                            stack.extend(released)
-                    elif (
-                        entry.edge_order in constrained
-                        and entry.edge_order not in emitted_sources
-                    ):
-                        parked.setdefault(entry.edge_order, []).append(i)
-                        break
-                    else:
-                        pos += 1
-                positions[i] = pos
+            # (settling the streams they release), skip satisfied
+            # sinks, park on a blocked sink — then enter the heap at
+            # the first access entry's seq
+            stream = streams[i]
+            pos = positions[i]
+            length = lengths[i]
+            while pos < length:
+                entry = stream[pos]
+                if entry.__class__ is not EdgeMark:
+                    heappush(heap, (entry.seq, i))
+                    break
+                order = entry.edge_order
+                if entry.is_source:
+                    pos += 1
+                    waiting.discard(order)
+                    released = parked.pop(order, None)
+                    if released:
+                        positions[i] = pos
+                        for j in released:
+                            settle(j)
+                elif order in waiting:
+                    parked.setdefault(order, []).append(i)
+                    break
+                else:
+                    pos += 1
+            positions[i] = pos
 
         for i in range(len(streams)):
             settle(i)
 
-        self.stats.entries_replayed += sum(len(s) for s in streams)
-        while len(merged) < total_accesses:
-            if heap:
-                _, index = heappop(heap)
+        fallbacks = 0
+        while True:
+            while heap:
+                index = heap[0][1]
+                stream = streams[index]
                 pos = positions[index]
-                append_merged(streams[index][pos])  # type: ignore[arg-type]
-                positions[index] = pos + 1
-            else:
-                # every remaining stream is parked on a sink whose
-                # source mark is unreachable; inconsistent anchors
-                # should be impossible — fall back to raw sequence
-                # order rather than failing the analysis
-                self.stats.order_fallbacks += 1
-                index = min(
-                    (
-                        i
-                        for i in range(len(streams))
-                        if positions[i] < len(streams[i])
-                    ),
-                    key=lambda i: streams[i][positions[i]][1].seq,  # type: ignore[attr-defined]
-                )
-                for waiting in parked.values():
-                    if index in waiting:
-                        waiting.remove(index)
+                emit(stream[pos])
+                emit_tx(owners[index][pos])
+                pos += 1
+                length = lengths[index]
+                # pass the marks that neither release nor block a
+                # stream here; settle() handles the others
+                while pos < length:
+                    entry = stream[pos]
+                    if entry.__class__ is not EdgeMark:
                         break
-                positions[index] += 1  # skip the blocked sink mark
+                    order = entry.edge_order
+                    if entry.is_source:
+                        waiting.discard(order)
+                        if order in parked:
+                            break
+                    elif order in waiting:
+                        break
+                    pos += 1
+                positions[index] = pos
+                if pos < length and entry.__class__ is not EdgeMark:
+                    # the next access: one sift instead of two
+                    heapreplace(heap, (entry.seq, index))
+                else:
+                    heappop(heap)
+                    settle(index)
+            # every remaining stream is parked on a sink whose source
+            # mark is unreachable; inconsistent anchors should be
+            # impossible — fall back to raw sequence order rather than
+            # failing the analysis, if an access is still to come
+            if not any(
+                entry.__class__ is not EdgeMark
+                for blocked in parked.values()
+                for i in blocked
+                for entry in streams[i][positions[i]:]
+            ):
+                break
+            fallbacks += 1
+            index = min(
+                (i for blocked in parked.values() for i in blocked),
+                key=lambda i: (streams[i][positions[i]].seq, i),
+            )
+            for order, blocked in parked.items():
+                if index in blocked:
+                    blocked.remove(index)
+                    if not blocked:
+                        del parked[order]
+                    break
+            positions[index] += 1  # skip the blocked sink mark
             settle(index)
-        return merged
+        return merged_txs, merged, sum(lengths), fallbacks
 
     # ------------------------------------------------------------------
     # Figure 5 replay
     # ------------------------------------------------------------------
     def _replay(
-        self, merged: List[Tuple[Transaction, AccessEntry]]
+        self,
+        state: _ReplayState,
+        merged_txs: List[Transaction],
+        merged: List[AccessEntry],
     ) -> List[ViolationRecord]:
-        last_write: Dict[Tuple[int, str], Transaction] = {}
-        last_reads: Dict[Tuple[int, str], Dict[str, Transaction]] = {}
-        tx_by_id: Dict[int, Transaction] = {}
-        #: per-thread most recent transaction seen during replay, for
-        #: the intra-thread (program-order) edges — cycles can mix
-        #: program-order and dependence edges (see repro.core.pdg)
-        chain: Dict[str, Transaction] = {}
-        pdg = PDG()
+        last_write = state.last_write
+        last_reads = state.last_reads
+        chain = state.chain
+        seen = state.seen
+        pdg = state.pdg
+        pdg_edges = pdg.edges
+        add_edge = pdg.add_edge
+        trail = state.trail
         violations: List[ViolationRecord] = []
         stats = self.stats
-        add_edge = pdg.add_edge
+        visits_before = pdg.nodes_visited
         _READ = AccessKind.READ
 
         stats.accesses_replayed += len(merged)
-        for tx, entry in merged:
-            if tx.tx_id not in tx_by_id:
-                previous = chain.get(tx.thread_name)
-                if previous is not None and previous is not tx:
+        for tx, entry in zip(merged_txs, merged):
+            thread = tx.thread_name
+            tx_id = tx.tx_id
+            edge_count = len(pdg_edges)
+            if tx_id in seen:
+                chained = _SEEN
+            else:
+                seen[tx_id] = tx
+                chained = chain.get(thread)
+                if chained is not None:
                     # created at tx start; can never close a cycle
-                    add_edge(previous.tx_id, tx.tx_id)
-                chain[tx.thread_name] = tx
-            tx_by_id[tx.tx_id] = tx
+                    add_edge(chained.tx_id, tx_id)
+                chain[thread] = tx
             address = entry.address
-            new_edges: List[PdgEdge] = []
+            new_edges: Optional[List[PdgEdge]] = None
 
             writer = last_write.get(address)
-            if writer is not None and writer.thread_name != tx.thread_name:
-                edge = add_edge(writer.tx_id, tx.tx_id)
+            if writer is not None and writer.thread_name != thread:
+                edge = add_edge(writer.tx_id, tx_id)
                 if edge is not None:
-                    new_edges.append(edge)
+                    new_edges = [edge]
 
+            readers = last_reads.get(address)
             if entry.kind is _READ:
-                readers = last_reads.get(address)
                 if readers is None:
                     readers = last_reads[address] = {}
-                readers[tx.thread_name] = tx
+                trail += (entry, edge_count, tx, chained, readers.get(thread), None)
+                readers[thread] = tx
             else:
-                readers = last_reads.get(address)
                 if readers:
-                    for thread_name, reader in readers.items():
-                        if thread_name != tx.thread_name:
-                            edge = add_edge(reader.tx_id, tx.tx_id)
+                    # the write clears the readers: hand the table to
+                    # the undo record instead of emptying it
+                    del last_reads[address]
+                    for reader_thread, reader in readers.items():
+                        if reader_thread != thread:
+                            edge = add_edge(reader.tx_id, tx_id)
                             if edge is not None:
-                                new_edges.append(edge)
-                    readers.clear()
+                                if new_edges is None:
+                                    new_edges = [edge]
+                                else:
+                                    new_edges.append(edge)
+                else:
+                    readers = None
                 last_write[address] = tx
+                trail += (entry, edge_count, tx, chained, writer, readers)
 
+            if new_edges is None:
+                continue
             for edge in new_edges:
                 stats.pdg_edges += 1
                 cycle = pdg.find_cycle_through(edge)
                 stats.cycle_checks += 1
                 if cycle is None:
                     continue
-                record = self._report(cycle, tx_by_id)
-                if record is not None:
-                    violations.append(record)
-        self.stats.cycle_check_visits += pdg.nodes_visited
-        if pdg.engine is not None:
-            self.stats.engine_search_visits += pdg.engine.stats.search_visits
+                report = self._report(cycle, seen)
+                if report is not None:
+                    violations.append(report)
+        stats.cycle_check_visits += pdg.nodes_visited - visits_before
         return violations
 
     # ------------------------------------------------------------------

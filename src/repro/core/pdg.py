@@ -17,23 +17,23 @@ around a whole critical section.)  Intra-thread edges can never
 no outgoing dependence edges yet and no path back to ``A1`` can exist.
 Hence only cross-thread edges need the per-edge cycle check.
 
-**Cycle checks are engine-certified.**  Every edge is mirrored into a
-shared :class:`~repro.graph.engine.IncrementalSccDigraph`, which keeps
-a topological order of the graph's condensation.  A new edge whose
-endpoints sit in different components provably closes no cycle, so the
-per-edge check is a component lookup instead of a graph traversal.
-When the endpoints do share a component, a DFS restricted to that
-component's members finds the path: every node on a ``dst ⇝ src`` path
-lies on a cycle through the closing edge and hence inside the
-component.
+**A plain adjacency map, searched by DFS.**  A PDG spans one ICD
+component (on pcdheavy a median of 14 transactions, at most 128), so
+each cycle check is a DFS from the new edge's sink over the whole
+graph.  The graph keeps no incremental SCC engine, unlike Velodrome's
+whole-execution graph: an engine's membership filter would never
+change the path the DFS finds (a node outside ``dst``'s component
+cannot reach ``src``), and its union-find contraction cannot be
+undone.  Without it, :meth:`PDG.truncate` undoes the newest edges by
+deleting them, which is what lets PCD roll a kept replay back (see
+:mod:`repro.core.pcd`); an edge re-added after a rollback gets the
+creation order it would get in a from-scratch replay.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
-
-from repro.graph.engine import IncrementalSccDigraph
+from typing import Dict, List, Optional, Set
 
 
 @dataclass(frozen=True)
@@ -49,38 +49,43 @@ class PdgEdge:
 
 
 class PDG:
-    """Transaction-level dependence graph with incremental cycle checks."""
+    """Transaction-level dependence graph with per-edge cycle checks."""
 
     def __init__(self) -> None:
         #: adjacency: src tx id -> dst tx id -> edge (first creation wins)
         self._adj: Dict[int, Dict[int, PdgEdge]] = {}
-        self._order = 0
-        self.edge_count = 0
+        #: every edge in creation order; ``edges[i].order == i + 1``
+        self.edges: List[PdgEdge] = []
         self.cycle_checks = 0
         #: total nodes visited across all cycle checks — the real cost
-        #: of per-edge detection; it counts only the component-restricted
-        #: searches the engine did not certify away
+        #: of per-edge detection
         self.nodes_visited = 0
-        #: node set, maintained incrementally on ``add_edge`` (it used
-        #: to be rebuilt from the whole adjacency map per call)
-        self._nodes: Set[int] = set()
-        self.engine = IncrementalSccDigraph()
+
+    @property
+    def edge_count(self) -> int:
+        return len(self.edges)
 
     def add_edge(self, src: int, dst: int) -> Optional[PdgEdge]:
         """Add an edge; returns it if new, ``None`` if it already existed."""
         if src == dst:
             return None
-        out = self._adj.setdefault(src, {})
-        if dst in out:
+        out = self._adj.get(src)
+        if out is None:
+            out = self._adj[src] = {}
+        elif dst in out:
             return None
-        self._order += 1
-        edge = PdgEdge(src, dst, self._order)
+        edge = PdgEdge(src, dst, len(self.edges) + 1)
         out[dst] = edge
-        self.edge_count += 1
-        self._nodes.add(src)
-        self._nodes.add(dst)
-        self.engine.add_edge(src, dst)
+        self.edges.append(edge)
         return edge
+
+    def truncate(self, edge_count: int) -> None:
+        """Delete the newest edges until ``edge_count`` remain."""
+        edges = self.edges
+        adj = self._adj
+        while len(edges) > edge_count:
+            edge = edges.pop()
+            del adj[edge.src][edge.dst]
 
     def successors(self, node: int) -> Dict[int, PdgEdge]:
         return self._adj.get(node, {})
@@ -97,20 +102,18 @@ class PDG:
         start = edge.dst
         if start == target:
             return None
-        if not self.engine.same_component(start, target):
-            # certified acyclic: the maintained topological order
-            # witnesses that no dst ⇝ src path exists
-            return None
-        membership = self.engine.component_members(start)
+        adj = self._adj
         # iterative DFS remembering the edge that discovered each node
         discovered: Dict[int, PdgEdge] = {}
         stack = [start]
         seen: Set[int] = {start}
         try:
             while stack:
-                node = stack.pop()
-                for succ, out_edge in self.successors(node).items():
-                    if succ in seen or succ not in membership:
+                out = adj.get(stack.pop())
+                if not out:
+                    continue
+                for succ, out_edge in out.items():
+                    if succ in seen:
                         continue
                     discovered[succ] = out_edge
                     if succ == target:
@@ -137,4 +140,8 @@ class PDG:
 
     # ------------------------------------------------------------------
     def nodes(self) -> Set[int]:
-        return set(self._nodes)
+        nodes: Set[int] = set()
+        for edge in self.edges:
+            nodes.add(edge.src)
+            nodes.add(edge.dst)
+        return nodes

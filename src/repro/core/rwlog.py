@@ -35,8 +35,9 @@ class AccessEntry:
     information kept here.
 
     ``seq`` carries the executor's global sequence number.  PCD uses it
-    only as a tie-break that is consistent with the edge-anchor partial
-    order (see :mod:`repro.core.pcd` for the discussion).
+    as a tie-break that is consistent with the edge-anchor partial
+    order, and to find where a resumed replay picks up (see
+    :mod:`repro.core.pcd` for the discussion).
     """
 
     __slots__ = ("kind", "oid", "fieldname", "seq", "site", "address")
@@ -82,7 +83,15 @@ class EdgeMark:
 
 
 class ReadWriteLog:
-    """The ordered access log of one transaction."""
+    """The ordered access log of one transaction.
+
+    Every log is nondecreasing in ``seq``.  Entries are only appended,
+    and each carries the seq of the access executing when it is
+    appended: an access entry its own, an edge mark that of the access
+    whose barrier created the edge (so a sink mark shares its seq with
+    the access entry that follows it).  PCD bisects logs on ``seq`` to
+    resume a replay.
+    """
 
     __slots__ = ("entries",)
 

@@ -89,7 +89,7 @@ class CostWeights:
     # --- PCD --------------------------------------------------------------
     #: replaying one log entry (Figure 5 rules + merge step)
     pcd_replay_entry: float = 6.0
-    #: one PDG edge + its incremental cycle check
+    #: one PDG edge + its cycle check
     pcd_edge: float = 14.0
 
 
@@ -202,7 +202,6 @@ class CostModel:
                 result.pcd_stats.entries_replayed * w.pcd_replay_entry
                 + result.pcd_stats.pdg_edges * w.pcd_edge
                 + result.pcd_stats.cycle_check_visits * w.graph_visit
-                + result.pcd_stats.engine_search_visits * w.graph_visit
             )
         breakdown.components["gc"] = (
             logged * w.gc_per_log_entry

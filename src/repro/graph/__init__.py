@@ -1,7 +1,7 @@
 """Shared incremental cycle-detection engine.
 
-``repro.graph`` hosts the graph maintenance machinery shared by the
-three online analyses:
+``repro.graph`` hosts the graph maintenance machinery shared by ICD
+and Velodrome:
 
 * :class:`~repro.graph.engine.IncrementalSccDigraph` — Pearce–Kelly
   incremental topological ordering with union-find SCC contraction;

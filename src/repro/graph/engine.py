@@ -19,11 +19,11 @@ need:
 
 Clients use the component structure as a *certificate*: two nodes in
 different components provably have no cycle through them, so the
-per-edge cycle checks of the PDG and the Velodrome checker — and the
-transaction-end Tarjan pass of ICD — can skip or restrict their
-traversals without changing any report (see ``repro.core.pdg``,
-``repro.core.scc`` and ``repro.graph.dirty`` for the equivalence
-arguments).
+Velodrome checker's per-edge cycle checks and ICD's transaction-end
+Tarjan pass can skip or restrict their traversals without changing
+any report (see ``repro.velodrome.checker``, ``repro.core.scc`` and
+``repro.graph.dirty`` for the equivalence arguments).  PCD's PDG is
+not a client (see ``repro.core.pdg``).
 
 The reordering step follows Pearce & Kelly ("A Dynamic Topological
 Sort Algorithm for Directed Acyclic Graphs", JEA 2006): the visited

@@ -211,3 +211,120 @@ class TestInputHandling:
         assert pcd.stats.transactions_processed == 2
         assert pcd.stats.accesses_replayed == 2
         assert pcd.stats.pdg_edges == 1
+
+
+def process_like_fresh(pcd, reference, component):
+    """Process ``component`` on ``pcd`` and on ``reference`` with its
+    kept state cleared; both must report the same records."""
+    reference._kept = None
+    records = pcd.process(component)
+    assert records == reference.process(component)
+    return records
+
+
+class TestResumption:
+    """Each way PCD picks up the kept replay of the previous component
+    (see repro.core.pcd), checked against a from-scratch replay."""
+
+    def test_new_member_before_last_access_rolls_back(self):
+        a, b, c = make_tx(1, "T1"), make_tx(2, "T2"), make_tx(3, "T3")
+        log(a, W, 1, "x", 1)
+        log(b, R, 1, "x", 2)    # a -> b
+        log(c, W, 1, "y", 3)
+        log(b, W, 1, "z", 4)
+        log(a, R, 1, "y", 6)
+        log(c, R, 1, "z", 7)
+        pcd, reference = PCD(), PCD()
+        assert process_like_fresh(pcd, reference, [a, b]) == []
+        # c's first access (3) precedes a's read of y (6): the replay
+        # rolls back to 3, so c -> a and b -> c close a -> b -> c -> a;
+        # appending c after the kept replay would have derived a -> c
+        violations = process_like_fresh(pcd, reference, [a, b, c])
+        assert len(violations) == 1
+        assert set(violations[0].cycle_tx_ids) == {1, 2, 3}
+        assert pcd.stats.entries_resumed == 2   # x's write and read
+        assert pcd.stats.accesses_replayed == 4 + 4
+
+    def test_grown_log_resumes_at_the_kept_end(self):
+        a, b = make_tx(1, "T1"), make_tx(2, "T2")
+        log(a, W, 1, "x", 1)
+        log(b, R, 1, "x", 2)    # a -> b
+        pcd, reference = PCD(), PCD()
+        assert process_like_fresh(pcd, reference, [a, b]) == []
+        log(b, W, 1, "y", 3)
+        log(a, R, 1, "y", 4)    # b -> a closes the cycle
+        violations = process_like_fresh(pcd, reference, [a, b])
+        assert len(violations) == 1
+        assert pcd.stats.entries_resumed == 2
+        assert pcd.stats.accesses_replayed == 2 + 2
+
+    def test_kept_member_missing_from_next_component_rolls_back(self):
+        a, b, c = make_tx(1, "T1"), make_tx(2, "T2"), make_tx(3, "T3")
+        log(a, W, 1, "x", 1)
+        log(b, R, 1, "x", 2)    # a -> b
+        log(b, W, 1, "y", 3)
+        log(c, W, 1, "y", 4)    # b -> c
+        log(a, R, 1, "y", 5)    # c -> a: a -> b -> c -> a
+        pcd, reference = PCD(), PCD()
+        assert len(process_like_fresh(pcd, reference, [a, b, c])) == 1
+        # without c, a reads b's write: the replay rolls back to c's
+        # first access (4) and finds b -> a
+        violations = process_like_fresh(pcd, reference, [a, b])
+        assert [set(v.cycle_tx_ids) for v in violations] == [{1, 2}]
+        assert pcd.stats.entries_resumed == 3
+        assert set(pcd._kept.seen) == {1, 2}
+
+    def test_disjoint_component_starts_fresh(self):
+        a, b = make_tx(1, "T1"), make_tx(2, "T2")
+        c, d = make_tx(3, "T1"), make_tx(4, "T2")
+        log(a, W, 1, "x", 1)
+        log(b, R, 1, "x", 2)
+        log(c, W, 1, "x", 3)
+        log(d, R, 1, "x", 4)
+        pcd, reference = PCD(), PCD()
+        process_like_fresh(pcd, reference, [a, b])
+        process_like_fresh(pcd, reference, [c, d])
+        assert pcd.stats.entries_resumed == 0
+        assert pcd.stats.accesses_replayed == 4
+        # nothing of the first component's replay carries over
+        assert pcd._kept.pdg.nodes() == {3, 4}
+        assert set(pcd._kept.seen) == {3, 4}
+
+    def test_identical_set_replays_nothing(self):
+        a, b = make_tx(1, "T1"), make_tx(2, "T2")
+        log(a, W, 1, "f", 1)
+        log(b, R, 1, "f", 2)
+        log(b, W, 1, "f", 3)
+        log(a, R, 1, "f", 4)
+        pcd, reference = PCD(), PCD()
+        assert len(process_like_fresh(pcd, reference, [a, b])) == 1
+        assert process_like_fresh(pcd, reference, [a, b]) == []
+        assert pcd.stats.entries_replayed == 4
+        assert pcd.stats.entries_resumed == 4
+        assert pcd.stats.accesses_replayed == 4
+        assert reference.stats.accesses_replayed == 8
+
+    def test_state_after_order_fallback_is_not_kept(self):
+        a, b = make_tx(1, "T1"), make_tx(2, "T2")
+        # contradictory anchors (see test_pcd_fallback): each stream's
+        # head waits on a source mark behind the other's
+        e1 = IdgEdge(a, b, "x", 1)
+        e2 = IdgEdge(b, a, "x", 2)
+        a.log.append_mark(2, False, 1)
+        a.log.append_mark(1, True, 2)
+        b.log.append_mark(1, False, 3)
+        b.log.append_mark(2, True, 4)
+        a.out_edges.append(e1)
+        b.in_edges.append(e1)
+        b.out_edges.append(e2)
+        a.in_edges.append(e2)
+        log(a, W, 1, "f", 5)
+        log(b, R, 1, "f", 6)
+        pcd, reference = PCD(), PCD()
+        process_like_fresh(pcd, reference, [a, b])
+        assert pcd.stats.order_fallbacks > 0
+        assert pcd._kept is None
+        c = make_tx(3, "T3")
+        log(c, W, 1, "f", 7)
+        process_like_fresh(pcd, reference, [a, b, c])
+        assert pcd.stats.entries_resumed == 0

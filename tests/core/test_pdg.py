@@ -74,3 +74,23 @@ def test_cycle_check_counter():
     pdg.find_cycle_through(e)
     pdg.find_cycle_through(e)
     assert pdg.cycle_checks == 2
+
+
+def test_truncate_deletes_newest_edges_and_reuses_their_orders():
+    pdg = PDG()
+    pdg.add_edge(1, 2)
+    pdg.add_edge(2, 3)
+    pdg.add_edge(3, 1)
+    pdg.add_edge(1, 4)
+    pdg.truncate(2)
+    assert [(e.src, e.dst, e.order) for e in pdg.edges] == [(1, 2, 1), (2, 3, 2)]
+    assert pdg.successors(3) == {} and 4 not in pdg.successors(1)
+    # re-added edges get the orders a graph built from the prefix gives
+    assert pdg.add_edge(1, 4).order == 3
+    closing = pdg.add_edge(3, 1)
+    assert closing.order == 4
+    assert [(e.src, e.dst) for e in pdg.find_cycle_through(closing)] == [
+        (1, 2),
+        (2, 3),
+        (3, 1),
+    ]

@@ -1,8 +1,8 @@
 """Equivalence of the incremental engine with the reference algorithms.
 
-The engine replaces the per-edge whole-graph DFS (PDG / Velodrome) and
-the full Tarjan pass (ICD) with maintained certificates.  These tests
-pin it to brute-force references on random edge streams:
+The engine replaces Velodrome's per-edge whole-graph DFS and ICD's
+full Tarjan pass with maintained certificates.  These tests pin it to
+brute-force references on random edge streams:
 
 * component membership after every edge equals the SCCs a from-scratch
   Tarjan computes on the same edge multiset;
@@ -191,7 +191,7 @@ def test_forget_only_drops_acyclic_singletons(edges, to_forget):
 @settings(max_examples=100, deadline=None)
 @given(edges_strategy)
 def test_pdg_cycles_match_reference_sccs(edges):
-    """The engine-gated PDG finds a cycle exactly when one exists.
+    """The PDG's plain DFS finds a cycle exactly when one exists.
 
     After each new edge, ``find_cycle_through`` must return a cycle iff
     the edge's endpoints share a from-scratch Tarjan SCC, and a

@@ -24,6 +24,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 import networkx as nx
 
+from repro.core.doublechecker import DoubleChecker
 from repro.core.icd import ICD
 from repro.core.pcd import PCD
 from repro.core.reports import ViolationSummary
@@ -474,3 +475,108 @@ def test_lowered_single_run_sound_and_precise_vs_oracle(case):
     assert octet_stats.fast_path_fused == octet_stats.fast_path
     if case == _FUSED_EXAMPLE:
         assert octet_stats.fast_path_fused > 0
+
+
+# ----------------------------------------------------------------------
+# resumable PCD: every resumed replay against a from-scratch replay
+# ----------------------------------------------------------------------
+def _schedule(seed):
+    return RandomScheduler(seed=seed, switch_prob=0.7)
+
+
+def test_resumed_replay_equals_from_scratch_replay(monkeypatch):
+    """PCD resumes each component from the kept replay of the one
+    before (:mod:`repro.core.pcd`).  Inside single-run mode, every call
+    must return exactly the records that a reference PCD returns on the
+    same component after its kept state is cleared, and must count
+    each of the component's log entries as replayed or resumed.  Some
+    call across the examples must resume, or the property checked
+    nothing."""
+    process = PCD.process
+    references = {}
+    resumed_calls = []
+
+    def checked_process(pcd, component):
+        reference = references.get(pcd)
+        if reference is None:
+            reference = references[pcd] = PCD(pcd.memory_budget)
+        reference._kept = None
+        stats = pcd.stats
+        replayed, resumed = stats.entries_replayed, stats.entries_resumed
+        records = process(pcd, component)
+        assert records == process(reference, component)
+        members = [tx for tx in component if tx.log is not None]
+        total = sum(len(tx.log) for tx in members) if len(members) > 1 else 0
+        resumed = stats.entries_resumed - resumed
+        assert stats.entries_replayed - replayed + resumed == total
+        if resumed:
+            resumed_calls.append(len(members))
+        return records
+
+    monkeypatch.setattr(PCD, "process", checked_process)
+
+    @given(program_strategy)
+    @settings(max_examples=60, deadline=None)
+    def generated(case):
+        method_specs, thread_scripts, seed = case
+        for gc_interval in GC_INTERVALS:
+            references.clear()
+            program = materialize(method_specs, thread_scripts)
+            DoubleChecker(
+                AtomicitySpecification.initial(program),
+                gc_interval=gc_interval,
+            ).run_single(program, _schedule(seed))
+
+    @given(scripted_program_strategy)
+    @settings(max_examples=60, deadline=None)
+    def scripted(case):
+        method_specs, thread_scripts, seed = case
+        for gc_interval in GC_INTERVALS:
+            references.clear()
+            program = materialize_scripted(method_specs, thread_scripts)
+            DoubleChecker(
+                AtomicitySpecification.initial(program),
+                gc_interval=gc_interval,
+                instrument_arrays=True,
+            ).run_single(program, _schedule(seed))
+
+    generated()
+    scripted()
+    assert resumed_calls
+
+
+def _assert_logs_nondecreasing(icd):
+    for tx in icd.tx_manager.all_transactions:
+        if tx.log is not None:
+            seqs = [entry.seq for entry in tx.log.entries]
+            assert seqs == sorted(seqs), (tx, tx.log.entries)
+            assert not seqs or seqs[0] > 0, (tx, tx.log.entries)
+
+
+@given(program_strategy)
+@settings(max_examples=40, deadline=None)
+def test_every_log_is_nondecreasing_in_seq(case):
+    """PCD finds a resumed replay's entries by bisecting each log on
+    seq (:mod:`repro.core.rwlog`); edge marks included, no entry may
+    step back, and none may carry seq 0."""
+    method_specs, thread_scripts, seed = case
+    program = materialize(method_specs, thread_scripts)
+    icd = ICD(AtomicitySpecification.initial(program), gc_interval=None)
+    Executor(program, _schedule(seed), [icd]).run()
+    _assert_logs_nondecreasing(icd)
+
+
+@given(scripted_program_strategy)
+@settings(max_examples=40, deadline=None)
+def test_every_lowered_log_is_nondecreasing_in_seq(case):
+    """The same for scripted programs, whose accesses are logged by
+    ICD's fused barrier."""
+    method_specs, thread_scripts, seed = case
+    program = materialize_scripted(method_specs, thread_scripts)
+    icd = ICD(
+        AtomicitySpecification.initial(program),
+        gc_interval=None,
+        instrument_arrays=True,
+    )
+    Executor(program, _schedule(seed), [icd]).run()
+    _assert_logs_nondecreasing(icd)
