@@ -4,9 +4,6 @@ Not paper artefacts, but each corresponds to a design decision the
 paper motivates; the ablation quantifies the decision on our
 workloads:
 
-* **delayed vs eager cycle detection** — ICD defers SCC detection to
-  transaction end (Section 3.2.3); the eager variant also checks at
-  every cross-thread edge (Velodrome's schedule).
 * **unary-transaction merging** — consecutive unary transactions not
   interrupted by an edge are merged (Section 4); off = one transaction
   per non-transactional access.
@@ -45,46 +42,6 @@ def run_icd_variant(name, spec, seed, **icd_kwargs):
     icd.bind_view(ExecutorView(executor))
     execution = executor.run()
     return icd, pcd, violations, execution
-
-
-class TestDelayedVsEagerDetection:
-    @pytest.fixture(scope="class")
-    def rows(self, write_result):
-        out = []
-        for name in NAMES:
-            spec = runner.final_spec(name)
-            lazy_icd, *_ = run_icd_variant(name, spec, 7, eager_scc=False)
-            eager_icd, *_ = run_icd_variant(name, spec, 7, eager_scc=True)
-            out.append(
-                [
-                    name,
-                    lazy_icd.stats.scc_computations,
-                    eager_icd.stats.scc_computations,
-                    lazy_icd.stats.sccs,
-                    eager_icd.stats.sccs,
-                ]
-            )
-        write_result(
-            "ablation_eager_scc",
-            render_table(
-                ["benchmark", "lazy comps", "eager comps", "lazy SCCs", "eager SCCs"],
-                out,
-                title="Ablation: delayed vs eager cycle detection",
-            ),
-        )
-        return out
-
-    def test_bench(self, benchmark, rows):
-        spec = runner.final_spec("hsqldb6")
-        benchmark.pedantic(
-            lambda: run_icd_variant("hsqldb6", spec, 7, eager_scc=True),
-            rounds=1,
-            iterations=1,
-        )
-
-    def test_delayed_detection_does_much_less_work(self, rows):
-        for name, lazy_comps, eager_comps, _l, _e in rows:
-            assert lazy_comps <= eager_comps, name
 
 
 class TestUnaryMerging:

@@ -1,16 +1,17 @@
-"""Analysis-phase throughput benchmark: the incremental engine.
+"""Analysis-phase throughput benchmark: the cycle-detection clients.
 
-Times the two cycle-detection clients — the Velodrome per-edge checker
-and ICD's transaction-end SCC pass — which run on the incremental
-strongly-connected-component engine (``repro.graph``), plus the
-vector-clock backend, on the ``hubstress`` workload built for exactly
-this: one long *hub* transaction per round anchors itself into a
-producer group's ever-growing write chain, then periodically probes
-old write-once seed fields.  Every probe would force a whole-graph
+Times the Velodrome per-edge checker, which runs on the incremental
+strongly-connected-component engine (``repro.graph``), ICD's
+transaction-end Tarjan pass (``repro.core.scc``), and the vector-clock
+backend, on the ``hubstress`` workload built for exactly this: one
+long *hub* transaction per round anchors itself into a producer
+group's ever-growing write chain, then periodically probes old
+write-once seed fields.  Every probe would force a whole-graph
 per-edge check to exhaust the hub's whole reachable region to *refute*
 a cycle, while the engine's component certificate answers in O(1).
-The retired whole-graph arms' last numbers are kept as ``LEGACY_*``
-constants, the bar the engine's visit counts are checked against.
+The retired arms' last numbers are kept as ``LEGACY_*`` constants:
+Velodrome's visit counts are checked against its whole-graph arm, and
+ICD's Tarjan schedule must reproduce its recorded visit count exactly.
 
 Records steps/sec and the deterministic visit counters into
 ``results/BENCH_analysis.json`` so future work has a committed
@@ -39,10 +40,12 @@ RESULTS_PATH = os.path.join(
 #: wall-clock repetitions per configuration (minimum is reported)
 REPS = 2
 
-#: the retired whole-graph arms on this workload (engine off): their
-#: deterministic counters, and steps/sec on the machine that produced
-#: the committed BENCH_analysis.json (machine-dependent, like the
-#: prechange numbers in bench_access_barrier)
+#: the retired arms on this workload: Velodrome's whole-graph checker
+#: and ICD's first run with the engine off, whose Section 3.2.3
+#: schedule ICD runs again.  Their deterministic counters, and
+#: steps/sec on the machine that produced the committed
+#: BENCH_analysis.json (machine-dependent, like the prechange numbers
+#: in bench_access_barrier)
 LEGACY_VELODROME = {
     "cycle_checks": 9800,
     "cycle_check_visits": 960127,
@@ -121,8 +124,6 @@ def _icd_first(spec):
         "steps_per_second": round(result.execution.steps / elapsed),
         "scc_computations": stats.scc_computations,
         "scc_visits": stats.scc_visits,
-        "scc_skipped_clean": stats.scc_skipped_clean,
-        "engine_search_visits": stats.engine_search_visits,
     }
 
 
@@ -159,7 +160,7 @@ def _measure():
     return {
         "hubstress": {
             "velodrome": {"engine": _velodrome(spec)},
-            "icd_first": {"engine": _icd_first(spec)},
+            "icd_first": {"tarjan": _icd_first(spec)},
             "vc": {
                 "default": _vc(spec, False),
                 "sync_edges": _vc(spec, True),
@@ -181,14 +182,15 @@ def write_report():
 
 
 def test_analysis_throughput():
-    """Regenerates the JSON baseline and checks the engine's wins.
+    """Regenerates the JSON baseline and checks the recorded bars.
 
-    The visit counters are deterministic — the engine must certify the
-    overwhelming majority of probe checks and cut visits by far more
-    than the 2x the acceptance bar asks for, against the recorded
-    whole-graph arms.  Steps/sec is noisy, so the wall-clock assertion
-    only requires the engine not to be meaningfully slower than the
-    recorded arms.
+    The visit counters are deterministic — Velodrome's engine must
+    certify the overwhelming majority of probe checks and cut visits
+    by far more than the 2x the acceptance bar asks for, against the
+    recorded whole-graph arm, and ICD's Tarjan schedule must visit
+    exactly what the recorded engine-off arm visited.  Steps/sec is
+    noisy, so the wall-clock assertions only require each arm not to
+    be meaningfully slower than the recorded arms.
     """
     report = write_report()
     rows = report["workloads"]["hubstress"]
@@ -207,15 +209,9 @@ def test_analysis_throughput():
         >= LEGACY_VELODROME["steps_per_second"] * 0.95
     )
 
-    icd = rows["icd_first"]
-    total_engine = (
-        icd["engine"]["scc_visits"] + icd["engine"]["engine_search_visits"]
-    )
-    assert total_engine * 2 <= LEGACY_ICD_FIRST["scc_visits"]
-    assert (
-        icd["engine"]["steps_per_second"]
-        >= LEGACY_ICD_FIRST["steps_per_second"] * 0.85
-    )
+    icd = rows["icd_first"]["tarjan"]
+    assert icd["scc_visits"] == LEGACY_ICD_FIRST["scc_visits"]
+    assert icd["steps_per_second"] >= LEGACY_ICD_FIRST["steps_per_second"] * 0.85
 
     # vector-clock arm: with sync edges it builds Velodrome's exact
     # graph, so the per-edge check counts must match Velodrome's; the

@@ -91,8 +91,8 @@ class DoubleChecker:
         pcd_memory_budget: per-component log-entry cap for PCD.
         icd_memory_budget: cap on ICD's live transactions + log entries.
         gc_interval: transaction-collector cadence (None disables).
-        instrument_arrays / array_granularity_object / cycle_detection /
-        eager_scc: experiment knobs forwarded to :class:`ICD`.
+        instrument_arrays / array_granularity_object / cycle_detection:
+            experiment knobs forwarded to :class:`ICD`.
     """
 
     def __init__(
@@ -105,7 +105,6 @@ class DoubleChecker:
         instrument_arrays: bool = False,
         array_granularity_object: bool = False,
         cycle_detection: bool = True,
-        eager_scc: bool = False,
     ) -> None:
         self.spec = spec
         self.pcd_memory_budget = pcd_memory_budget
@@ -114,7 +113,6 @@ class DoubleChecker:
         self.instrument_arrays = instrument_arrays
         self.array_granularity_object = array_granularity_object
         self.cycle_detection = cycle_detection
-        self.eager_scc = eager_scc
 
     # ------------------------------------------------------------------
     # single-run mode
@@ -304,7 +302,6 @@ class DoubleChecker:
             cycle_detection=(
                 self.cycle_detection if cycle_detection is None else cycle_detection
             ),
-            eager_scc=self.eager_scc,
             on_scc=on_scc,
             memory_budget=self.icd_memory_budget,
             gc_interval=self.gc_interval if gc_interval == -1 else gc_interval,

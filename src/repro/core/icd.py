@@ -26,15 +26,13 @@ ICD's imprecision is inherited from Octet and is intentional
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.gc import TransactionCollector
 from repro.core.rwlog import AccessEntry, ElisionFilter, ReadWriteLog
 from repro.core.scc import is_cyclic_component, scc_containing_counted
 from repro.core.transactions import IdgEdge, Transaction, TransactionManager
-from repro.graph.dirty import DirtySccScheduler
-from repro.graph.engine import GraphEngineStats
 from repro.obs.registry import publish_stats, recorder as obs_recorder
 from repro.errors import OutOfMemoryBudget
 from repro.octet.runtime import OctetListener, OctetRuntime, TransitionRecord
@@ -59,14 +57,7 @@ class ICDStats:
     largest_scc: int = 0
     scc_computations: int = 0
     scc_skipped_no_edges: int = 0
-    #: ends whose engine component was certified acyclic (dirty-marking
-    #: scheduler fast path; extends ``scc_skipped_no_edges`` to "has
-    #: edges, but none ever closed a cycle")
-    scc_skipped_clean: int = 0
-    #: ends whose component was unchanged since a fully-resolved check
-    scc_skipped_unchanged: int = 0
-    #: transactions actually indexed by the Tarjan passes that ran —
-    #: the traversal work the schedule did not avoid
+    #: transactions indexed by the Tarjan passes, summed over passes
     scc_visits: int = 0
     cycle_detection_calls: int = 0
     log_entries: int = 0
@@ -78,20 +69,6 @@ class ICDStats:
     live_log_entry_integral: int = 0
     instrumented_accesses: int = 0
     array_accesses_skipped: int = 0
-    #: the engine's live counters (linked when the dirty-marking
-    #: scheduler is active) — ``engine_search_visits`` reads through to
-    #: them, so the value can never drift from the engine's own stats
-    engine: Optional[GraphEngineStats] = None
-
-    @property
-    def engine_search_visits(self) -> int:
-        """Nodes visited by the engine's reorder/contraction searches.
-
-        Sourced live from the shared engine counters instead of being
-        hand-copied at execution end (0 when cycle detection is off,
-        the one configuration without an engine).
-        """
-        return 0 if self.engine is None else self.engine.search_visits
 
 
 class ICD(ExecutionListener, OctetListener):
@@ -114,8 +91,6 @@ class ICD(ExecutionListener, OctetListener):
             makes ICD *and* Velodrome imprecise, so cycle detection is
             disabled when the harness uses it).
         cycle_detection: run SCC detection at transaction end.
-        eager_scc: ablation — additionally run cycle detection whenever
-            a cross-thread edge is created (Velodrome's schedule).
         on_scc: callback receiving each new cyclic SCC's transactions.
         runtime_view: see :mod:`repro.runtime.view`.
         memory_budget: optional cap on live transactions + log entries,
@@ -135,7 +110,6 @@ class ICD(ExecutionListener, OctetListener):
         instrument_arrays: bool = False,
         array_granularity_object: bool = False,
         cycle_detection: bool = True,
-        eager_scc: bool = False,
         on_scc: Optional[SccCallback] = None,
         runtime_view: Optional[RuntimeView] = None,
         memory_budget: Optional[int] = None,
@@ -150,7 +124,6 @@ class ICD(ExecutionListener, OctetListener):
         self.instrument_arrays = instrument_arrays
         self.array_granularity_object = array_granularity_object
         self.cycle_detection = cycle_detection
-        self.eager_scc = eager_scc
         self.on_scc = on_scc
         self.memory_budget = memory_budget
         self.gc_interval = gc_interval
@@ -159,13 +132,6 @@ class ICD(ExecutionListener, OctetListener):
 
         self.stats = ICDStats()
         self._obs = obs_recorder()
-        #: dirty-marking SCC schedule over the shared incremental graph
-        #: engine; ``None`` exactly when no cycle detection runs
-        self.scheduler: Optional[DirtySccScheduler] = (
-            DirtySccScheduler() if cycle_detection or eager_scc else None
-        )
-        if self.scheduler is not None:
-            self.stats.engine = self.scheduler.graph.stats
         # RdSh→WrEx conflicts coordinate with *every other thread that
         # ever ran* — a finished thread responds like a blocked one (the
         # implicit protocol; it will trivially never access again), and
@@ -398,7 +364,6 @@ class ICD(ExecutionListener, OctetListener):
         if not obs.enabled:
             return
         publish_stats(obs, "icd", self.stats)
-        obs.inc("icd.engine_search_visits", self.stats.engine_search_visits)
         self.octet.stats.publish(obs)
         for key, value in sorted(self.octet.protocol.stats().items()):
             if isinstance(value, int) and not isinstance(value, bool):
@@ -411,8 +376,6 @@ class ICD(ExecutionListener, OctetListener):
             gauges=("peak_live_transactions", "peak_live_log_entries"),
         )
         publish_stats(obs, "elision", self._elision.stats)
-        if self.scheduler is not None:
-            self.scheduler.graph.stats.publish(obs, "icd.engine")
 
     # ------------------------------------------------------------------
     # OctetListener — the Figure 4 procedures
@@ -425,8 +388,7 @@ class ICD(ExecutionListener, OctetListener):
         for responder in record.coordination.responders:
             resp_tx = self.tx_manager.current_or_latest(responder.thread_name)
             self._add_edge(resp_tx, req_tx, "conflicting")
-        new_state = record.new_state
-        if new_state is not None and new_state.kind.name == "RD_EX":
+        if record.new_state.kind is StateKind.RD_EX:
             self._last_rdex[req_tx.thread_name] = req_tx
 
     def on_upgrading_rd_sh(self, record: TransitionRecord) -> None:
@@ -495,19 +457,11 @@ class ICD(ExecutionListener, OctetListener):
         dst.edge_touched = True
         self.collector.note_link(src, dst)
         self.stats.idg_edges += 1
-        if self.scheduler is not None:
-            # must precede the eager unary end below: ending src fires
-            # _transaction_ended, whose schedule consults the engine
-            self.scheduler.note_cross_edge(
-                src.tx_id, src.thread_name, dst.tx_id, dst.thread_name
-            )
         # the responder sits at a safe point: its interrupted unary
         # transaction (if any) can be ended eagerly (dst is the
         # requester's transaction, mid-access — it ends lazily)
         if src is not self._req_tx:
             self.tx_manager.end_if_interrupted_unary(src)
-        if self.eager_scc:
-            self._detect_from(dst)
         return edge
 
     # ------------------------------------------------------------------
@@ -579,24 +533,11 @@ class ICD(ExecutionListener, OctetListener):
         self._maybe_collect()
 
     def _detect_from(self, tx: Transaction) -> None:
-        if not tx.finished:
-            return
-        # only reached with cycle detection on, so the scheduler exists
-        scheduler = self.scheduler
-        frontier = scheduler.frontier_for(tx.tx_id)
-        if frontier is None:
-            # engine-certified: either the component is acyclic (the
-            # maintained topological order is the witness) or it is
-            # unchanged since a check that resolved all of it
-            if scheduler.last_skip_clean:
-                self.stats.scc_skipped_clean += 1
-            else:
-                self.stats.scc_skipped_unchanged += 1
-            return
+        """Section 3.2.3's pass: Tarjan from the transaction that just
+        ended, over the finished, uncollected transactions."""
         self.stats.scc_computations += 1
-        component, visits = scc_containing_counted(tx, frontier)
+        component, visits = scc_containing_counted(tx)
         self.stats.scc_visits += visits
-        scheduler.note_checked(tx.tx_id, {t.tx_id for t in component})
         if not is_cyclic_component(component):
             return
         key = frozenset(t.tx_id for t in component)
@@ -629,12 +570,6 @@ class ICD(ExecutionListener, OctetListener):
             roots.append(self._g_last_rdsh)
         self.collector.collect(roots)
         swept = self.collector.last_swept_ids
-        if self.scheduler is not None:
-            # the engine keeps merged components (its acyclicity
-            # certificate) but can drop collected singletons; the
-            # collector reports exactly what this collection swept, so
-            # no re-scan of the pre-collect population is needed
-            self.scheduler.forget(swept)
         self._live_log_entries -= self.collector.last_swept_log_entries
         if swept and not self.logging_enabled:
             # every recorded pair joins two transactions that were live

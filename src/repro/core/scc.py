@@ -7,88 +7,61 @@ is sound (if a transaction is involved in cycles, an SCC computation
 launched when its last-finishing member ends will detect them) and
 avoids racing with threads still updating their current transaction.
 
-The implementation is an iterative Tarjan restricted to finished
-transactions, returning the SCC that contains the root.  Successors
-are consumed straight off ``out_edges`` and ``intra_next`` with the
-finished/uncollected filter applied inline — no per-node successor
-list is allocated, so repeated passes over the same stable region
-cost only the traversal itself.
-
-``frontier`` optionally restricts the pass — ICD seeds it with the
-:class:`~repro.graph.chains.ChainFrontier` of the ending transaction's
-engine component (registered members plus the per-thread id windows
-that admit unregistered chain interiors).  The restriction cannot
-change the result: the engine graph is a supergraph of the live
-subgraph, so the root's true SCC is admitted in full, and an admitted
-transaction outside the SCC has no path back into it — skipping the
-rest prunes exactly the exploration that could never contribute to
-the root's SCC, and leaves the discovery (and hence pop) order of
-component members unchanged.
+The implementation is an iterative Tarjan restricted to finished,
+uncollected transactions, returning the SCC that contains the root.
+Successors are consumed straight off ``out_edges`` and ``intra_next``
+with the filter applied inline, so no per-node successor list is
+allocated.  The traversal state is keyed by ``tx_id`` and indexed by
+discovery order: an ``int`` hashes in C, where ``Transaction`` would
+call its Python-level ``__hash__`` on every probe.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.transactions import Transaction
 
 
-def scc_containing(
-    root: Transaction, frontier=None
-) -> List[Transaction]:
+def scc_containing(root: Transaction) -> List[Transaction]:
     """Return the members of ``root``'s SCC (size 1 if acyclic).
 
     Only finished transactions are explored; unfinished successors are
-    skipped exactly as the paper prescribes.  ``frontier``, when given,
-    bounds the pass to the transactions it ``admits``.
+    skipped exactly as the paper prescribes.
     """
-    return scc_containing_counted(root, frontier)[0]
+    return scc_containing_counted(root)[0]
 
 
-def scc_containing_counted(
-    root: Transaction, frontier=None
-) -> Tuple[List[Transaction], int]:
+def scc_containing_counted(root: Transaction) -> Tuple[List[Transaction], int]:
     """Like :func:`scc_containing`, also returning the visit count.
 
     The count is the number of transactions Tarjan actually indexed —
-    the real traversal cost ICD reports as ``scc_visits``.
+    the traversal cost ICD reports as ``scc_visits``.
     """
     if not root.finished:
         return [root], 1
 
-    index_of: Dict[Transaction, int] = {}
-    lowlink: Dict[Transaction, int] = {}
-    on_stack: Set[Transaction] = set()
-    stack: List[Transaction] = []
+    # discovery index by tx_id; node, lowlink and on-stack flag by index
+    index_of: Dict[int, int] = {root.tx_id: 0}
+    nodes: List[Transaction] = [root]
+    lowlink: List[int] = [0]
+    on_stack: List[bool] = [True]
+    stack: List[int] = [0]
     result: Optional[List[Transaction]] = None
-    counter = 0
 
-    # iterative Tarjan.  Work items are (node, next edge index, pending
-    # child): edge indices < len(out_edges) address cross-thread edges,
-    # index == len(out_edges) addresses the intra-thread successor, so
+    # iterative Tarjan.  Work items are (node index, next edge index):
+    # edge indices < len(out_edges) address cross-thread edges, index
+    # == len(out_edges) addresses the intra-thread successor, so
     # successors stream off the transaction without a filtered copy.
-    work: List[tuple[Transaction, int, Optional[Transaction]]] = []
-
-    def push(node: Transaction) -> None:
-        nonlocal counter
-        index_of[node] = counter
-        lowlink[node] = counter
-        counter += 1
-        stack.append(node)
-        on_stack.add(node)
-        work.append((node, 0, None))
-
-    push(root)
+    # The frame below a finished node is always its parent's.
+    work: List[Tuple[int, int]] = [(0, 0)]
     while work:
-        node, i, child = work.pop()
-        if child is not None:
-            # returned from recursing into child
-            child_low = lowlink[child]
-            if child_low < lowlink[node]:
-                lowlink[node] = child_low
+        node_index, i = work.pop()
+        node = nodes[node_index]
+        low = lowlink[node_index]
         out = node.out_edges
         n_out = len(out)
-        advanced = False
+        child = None
         while i <= n_out:
             if i < n_out:
                 succ = out[i].dst
@@ -99,34 +72,41 @@ def scc_containing_counted(
             i += 1
             if not succ.finished or succ.collected:
                 continue
-            if frontier is not None and not frontier.admits(
-                succ.thread_name, succ.tx_id
-            ):
-                continue
-            succ_index = index_of.get(succ)
+            succ_index = index_of.get(succ.tx_id)
             if succ_index is None:
-                work.append((node, i, succ))
-                push(succ)
-                advanced = True
+                child = succ
                 break
-            if succ in on_stack and succ_index < lowlink[node]:
-                lowlink[node] = succ_index
-        if advanced:
+            if succ_index < low and on_stack[succ_index]:
+                low = succ_index
+        lowlink[node_index] = low
+        if child is not None:
+            child_index = len(nodes)
+            index_of[child.tx_id] = child_index
+            nodes.append(child)
+            lowlink.append(child_index)
+            on_stack.append(True)
+            stack.append(child_index)
+            work.append((node_index, i))
+            work.append((child_index, 0))
             continue
         # node finished: pop its SCC if it is a root
-        if lowlink[node] == index_of[node]:
+        if low == node_index:
             component: List[Transaction] = []
             while True:
                 member = stack.pop()
-                on_stack.discard(member)
-                component.append(member)
-                if member is node:
+                on_stack[member] = False
+                component.append(nodes[member])
+                if member == node_index:
                     break
-            if node is root:
+            if node_index == 0:
                 result = component
+        elif work:
+            parent_index = work[-1][0]
+            if low < lowlink[parent_index]:
+                lowlink[parent_index] = low
 
     assert result is not None, "root must belong to some SCC"
-    return result, counter
+    return result, len(nodes)
 
 
 def is_cyclic_component(component: List[Transaction]) -> bool:

@@ -1,20 +1,17 @@
-"""Shared incremental cycle-detection engine.
-
-``repro.graph`` hosts the graph maintenance machinery shared by ICD
-and Velodrome:
+"""Incremental cycle-detection engine behind Velodrome's per-edge checks.
 
 * :class:`~repro.graph.engine.IncrementalSccDigraph` — Pearce–Kelly
   incremental topological ordering with union-find SCC contraction;
-  the acyclicity/membership certificate behind every fast path.
+  the acyclicity/membership certificate behind Velodrome's certified
+  skips.
 * :class:`~repro.graph.chains.ChainCollapsedGraph` — the lazy
   registration layer: only cross-edge endpoints enter the engine, with
   each thread's program-order chain collapsed to edges between its
   consecutive registered transactions.
-* :class:`~repro.graph.dirty.DirtySccScheduler` — the dirty-marking
-  transaction-end schedule ICD layers on top of the engine.
 
-See ``docs/API.md`` ("Analysis performance") for the design and the
-report-equivalence arguments.
+ICD does not use the engine: its transaction-end pass is the plain
+Tarjan of :mod:`repro.core.scc`.  See ``docs/API.md`` ("Analysis
+performance") for the design and the report-equivalence arguments.
 """
 
 from repro.graph.engine import (
@@ -27,7 +24,6 @@ from repro.graph.engine import (
     IncrementalSccDigraph,
 )
 from repro.graph.chains import ChainCollapsedGraph, ChainFrontier
-from repro.graph.dirty import DirtySccScheduler, DirtySccStats
 
 __all__ = [
     "EDGE_CYCLE",
@@ -39,6 +35,4 @@ __all__ = [
     "IncrementalSccDigraph",
     "ChainCollapsedGraph",
     "ChainFrontier",
-    "DirtySccScheduler",
-    "DirtySccStats",
 ]

@@ -46,7 +46,7 @@ from repro.graph.engine import IncrementalSccDigraph
 
 
 class ChainFrontier:
-    """Membership predicate seeding a restricted SCC/cycle traversal.
+    """Membership predicate seeding a restricted cycle traversal.
 
     ``members`` are the registered ids of one engine component;
     ``windows`` maps a chain key (thread name) to the ``[lo, hi]`` id
@@ -132,10 +132,7 @@ class ChainCollapsedGraph:
 
     def frontier(self, node_id: int) -> ChainFrontier:
         """The membership predicate for ``node_id``'s component."""
-        return self.frontier_of(self.graph.component_members(node_id))
-
-    def frontier_of(self, members: Set[int]) -> ChainFrontier:
-        """Build the window predicate for a known member set."""
+        members = self.graph.component_members(node_id)
         windows: Dict[str, List[int]] = {}
         chain_of = self._chain_of
         for member in members:

@@ -17,13 +17,12 @@ need:
   frontiers intersected) and contracted, so every later membership
   query is a near-O(1) union-find lookup.
 
-Clients use the component structure as a *certificate*: two nodes in
-different components provably have no cycle through them, so the
-Velodrome checker's per-edge cycle checks and ICD's transaction-end
-Tarjan pass can skip or restrict their traversals without changing
-any report (see ``repro.velodrome.checker``, ``repro.core.scc`` and
-``repro.graph.dirty`` for the equivalence arguments).  PCD's PDG is
-not a client (see ``repro.core.pdg``).
+Velodrome uses the component structure as a *certificate*: two nodes
+in different components provably have no cycle through them, so its
+per-edge cycle checks can skip or restrict their traversals without
+changing any report (see ``repro.velodrome.checker`` for the
+equivalence argument).  ICD's transaction-end pass (``repro.core.scc``)
+and PCD's PDG (``repro.core.pdg``) are not clients.
 
 The reordering step follows Pearce & Kelly ("A Dynamic Topological
 Sort Algorithm for Directed Acyclic Graphs", JEA 2006): the visited
@@ -38,7 +37,7 @@ or would have put the untouched node into one of the search frontiers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, Iterable, List, Set
 
 from repro.obs.registry import publish_stats
 
@@ -138,15 +137,6 @@ class IncrementalSccDigraph:
         rep = self.find(node)
         members = self._members.get(rep)
         return 1 if members is None else len(members)
-
-    def cyclic_members(self, node: object) -> Optional[Set[object]]:
-        """Member set when the component is cyclic, else ``None``.
-
-        One ``find`` resolves both questions the scheduler asks per
-        ending transaction — is the component cyclic, and who is in it
-        — so the hot path pays a single lookup (do not mutate).
-        """
-        return self._members.get(self.find(node))
 
     def in_cycle(self, node: object) -> bool:
         """True when the node's component contains a cycle.

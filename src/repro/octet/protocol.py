@@ -28,8 +28,7 @@ under a hold for implicit).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, NamedTuple
 
 
 class ProtocolKind(enum.Enum):
@@ -39,8 +38,7 @@ class ProtocolKind(enum.Enum):
     IMPLICIT = "implicit"
 
 
-@dataclass(frozen=True)
-class ResponderRecord:
+class ResponderRecord(NamedTuple):
     """One responder's participation in a coordination round."""
 
     thread_name: str
@@ -52,24 +50,16 @@ class ResponderRecord:
         return self.protocol is ProtocolKind.IMPLICIT
 
 
-@dataclass
-class CoordinationRound:
-    """A complete coordination round for one conflicting transition."""
+class CoordinationRound(NamedTuple):
+    """A complete coordination round for one conflicting transition.
+
+    The per-protocol responder counts are tallied while coordinating.
+    """
 
     requester: str
-    responders: List[ResponderRecord] = field(default_factory=list)
-
-    @property
-    def explicit_count(self) -> int:
-        return sum(
-            1 for r in self.responders if r.protocol is ProtocolKind.EXPLICIT
-        )
-
-    @property
-    def implicit_count(self) -> int:
-        return sum(
-            1 for r in self.responders if r.protocol is ProtocolKind.IMPLICIT
-        )
+    responders: List[ResponderRecord]
+    explicit_count: int
+    implicit_count: int
 
 
 class CoordinationProtocol:
@@ -93,19 +83,21 @@ class CoordinationProtocol:
     def coordinate(self, requester: str, responders: List[str]) -> CoordinationRound:
         """Run one coordination round against ``responders``."""
         self.rounds += 1
-        round_ = CoordinationRound(requester=requester)
+        records: List[ResponderRecord] = []
+        implicit = 0
         for name in responders:
             if name == requester:
                 continue
             if self._is_blocked(name):
-                protocol = ProtocolKind.IMPLICIT
-                self.implicit_responses += 1
-                self.holds_placed += 1
+                records.append(ResponderRecord(name, ProtocolKind.IMPLICIT))
+                implicit += 1
             else:
-                protocol = ProtocolKind.EXPLICIT
-                self.explicit_responses += 1
-            round_.responders.append(ResponderRecord(name, protocol))
-        return round_
+                records.append(ResponderRecord(name, ProtocolKind.EXPLICIT))
+        explicit = len(records) - implicit
+        self.explicit_responses += explicit
+        self.implicit_responses += implicit
+        self.holds_placed += implicit
+        return CoordinationRound(requester, records, explicit, implicit)
 
     def stats(self) -> Dict[str, int]:
         """Protocol statistics for cost accounting."""

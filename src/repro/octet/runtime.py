@@ -15,7 +15,7 @@ independently published mechanism that ICD extends.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional
 
 from repro.obs.registry import publish_stats
 from repro.octet.protocol import CoordinationProtocol, CoordinationRound
@@ -61,9 +61,12 @@ class OctetStats:
         target.inc(f"{prefix}.slow_path", self.slow_path())
 
 
-@dataclass(frozen=True)
-class TransitionRecord:
-    """Everything a listener may need to know about one transition."""
+class TransitionRecord(NamedTuple):
+    """Everything a listener may need to know about one transition.
+
+    A ``NamedTuple``, not a frozen dataclass: one is built for every
+    barrier that leaves the fast path.
+    """
 
     event: AccessEvent
     kind: TransitionKind
@@ -94,6 +97,19 @@ class OctetListener:
 
     def on_initial(self, record: TransitionRecord) -> None:
         """First access installed an exclusive state (no dependence)."""
+
+
+#: transition kind -> the :class:`OctetListener` hook it fires
+_HOOKS: Dict[TransitionKind, str] = {
+    TransitionKind.INITIAL: "on_initial",
+    TransitionKind.UPGRADING_WR_EX: "on_upgrading_wr_ex",
+    TransitionKind.UPGRADING_RD_SH: "on_upgrading_rd_sh",
+    TransitionKind.FENCE: "on_fence",
+    TransitionKind.CONFLICTING_WR_WR: "on_conflicting",
+    TransitionKind.CONFLICTING_WR_RD: "on_conflicting",
+    TransitionKind.CONFLICTING_RD_WR: "on_conflicting",
+    TransitionKind.CONFLICTING_SH_WR: "on_conflicting",
+}
 
 
 class OctetRuntime:
@@ -211,7 +227,7 @@ class OctetRuntime:
             old_state,
             event.kind,
             thread,
-            self.thread_counter(thread),
+            self._thread_rdsh.get(thread, 0),
             self.g_rdsh_counter + 1,
         )
         record = self._commit(event, oid, thread, old_state, classified)
@@ -274,9 +290,8 @@ class OctetRuntime:
         # conflicting transitions
         assert kind.is_conflicting()
         stats.conflicting += 1
-        stats.conflicting_by_kind[kind.value] = (
-            stats.conflicting_by_kind.get(kind.value, 0) + 1
-        )
+        by_kind = stats.conflicting_by_kind
+        by_kind[kind.value] = by_kind.get(kind.value, 0) + 1
         # enter the intermediate state: one atomic operation claims the
         # object for the requester
         stats.atomic_operations += 1
@@ -305,18 +320,11 @@ class OctetRuntime:
         )
 
     def _notify(self, record: TransitionRecord) -> None:
-        kind = record.kind
+        # the hook is looked up by name on every call, so a hook
+        # replaced on the listener's class takes effect at once
+        hook = _HOOKS[record.kind]
         for listener in self.listeners:
-            if kind.is_conflicting():
-                listener.on_conflicting(record)
-            elif kind is TransitionKind.UPGRADING_RD_SH:
-                listener.on_upgrading_rd_sh(record)
-            elif kind is TransitionKind.UPGRADING_WR_EX:
-                listener.on_upgrading_wr_ex(record)
-            elif kind is TransitionKind.FENCE:
-                listener.on_fence(record)
-            elif kind is TransitionKind.INITIAL:
-                listener.on_initial(record)
+            getattr(listener, hook)(record)
 
     # ------------------------------------------------------------------
     def snapshot_states(self) -> Dict[int, OctetState]:

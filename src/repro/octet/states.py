@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, Optional
 
 
 class StateKind(enum.Enum):
@@ -69,7 +69,7 @@ class OctetState:
         return self.kind in (StateKind.WR_EX, StateKind.RD_EX)
 
     def is_intermediate(self) -> bool:
-        return self.kind in (StateKind.RD_EX_INT, StateKind.WR_EX_INT)
+        return self.kind in _INTERMEDIATE
 
     def __str__(self) -> str:
         if self.kind is StateKind.RD_SH:
@@ -77,14 +77,40 @@ class OctetState:
         return f"{self.kind.value}({self.owner})"
 
 
+#: built once: ``classify`` tests every transition's source state, and
+#: each ``Enum`` class-attribute lookup goes through the metaclass
+_INTERMEDIATE = (StateKind.RD_EX_INT, StateKind.WR_EX_INT)
+
+#: process-wide intern tables of the per-thread states, owner -> state:
+#: the exclusive and intermediate states are value types, and the set
+#: of distinct owners is bounded by the program's threads, so a
+#: transition reuses one canonical instance (validated once, by
+#: ``__post_init__``) instead of building a frozen dataclass.
+#: Interning changes object identity only; comparisons stay by value.
+#: RdSh states carry an unbounded counter and are not interned.
+_WR_EX_OF: Dict[str, OctetState] = {}
+_RD_EX_OF: Dict[str, OctetState] = {}
+_RD_EX_INT_OF: Dict[str, OctetState] = {}
+_WR_EX_INT_OF: Dict[str, OctetState] = {}
+
+
+def _interned(
+    table: Dict[str, OctetState], kind: StateKind, owner: str
+) -> OctetState:
+    state = table.get(owner)
+    if state is None:
+        state = table[owner] = OctetState(kind, owner=owner)
+    return state
+
+
 def wr_ex(owner: str) -> OctetState:
-    """Construct a WrExT state."""
-    return OctetState(StateKind.WR_EX, owner=owner)
+    """The WrExT state."""
+    return _interned(_WR_EX_OF, StateKind.WR_EX, owner)
 
 
 def rd_ex(owner: str) -> OctetState:
-    """Construct a RdExT state."""
-    return OctetState(StateKind.RD_EX, owner=owner)
+    """The RdExT state."""
+    return _interned(_RD_EX_OF, StateKind.RD_EX, owner)
 
 
 def rd_sh(counter: int) -> OctetState:
@@ -93,10 +119,10 @@ def rd_sh(counter: int) -> OctetState:
 
 
 def rd_ex_int(owner: str) -> OctetState:
-    """Construct the intermediate state entered while acquiring RdEx."""
-    return OctetState(StateKind.RD_EX_INT, owner=owner)
+    """The intermediate state entered while acquiring RdEx."""
+    return _interned(_RD_EX_INT_OF, StateKind.RD_EX_INT, owner)
 
 
 def wr_ex_int(owner: str) -> OctetState:
-    """Construct the intermediate state entered while acquiring WrEx."""
-    return OctetState(StateKind.WR_EX_INT, owner=owner)
+    """The intermediate state entered while acquiring WrEx."""
+    return _interned(_WR_EX_INT_OF, StateKind.WR_EX_INT, owner)

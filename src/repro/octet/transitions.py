@@ -20,8 +20,7 @@ is.  The categories carry the information ICD needs:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from repro.runtime.events import AccessKind
 from repro.octet.states import OctetState, StateKind, rd_ex, rd_sh, wr_ex
@@ -41,12 +40,7 @@ class TransitionKind(enum.Enum):
     CONFLICTING_SH_WR = "conflicting-rdsh-wrex"
 
     def is_conflicting(self) -> bool:
-        return self in (
-            TransitionKind.CONFLICTING_WR_WR,
-            TransitionKind.CONFLICTING_WR_RD,
-            TransitionKind.CONFLICTING_RD_WR,
-            TransitionKind.CONFLICTING_SH_WR,
-        )
+        return self in _CONFLICTING
 
     def is_fast_path(self) -> bool:
         return self is TransitionKind.SAME_STATE
@@ -59,14 +53,24 @@ class TransitionKind(enum.Enum):
         )
 
 
-@dataclass(frozen=True)
-class Classified:
+#: built once: ``is_conflicting`` runs on every conflicting transition,
+#: and each ``Enum`` class-attribute lookup goes through the metaclass
+_CONFLICTING = (
+    TransitionKind.CONFLICTING_WR_WR,
+    TransitionKind.CONFLICTING_WR_RD,
+    TransitionKind.CONFLICTING_RD_WR,
+    TransitionKind.CONFLICTING_SH_WR,
+)
+
+
+class Classified(NamedTuple):
     """Result of classifying one access against the current state.
 
     ``new_state`` is ``None`` exactly for same-state transitions (and
     for fence transitions, which leave the object's state unchanged and
     instead update the *thread's* counter — signalled by
-    ``thread_counter_update``).
+    ``thread_counter_update``).  A ``NamedTuple``, not a frozen
+    dataclass: one is built for every Octet transition.
     """
 
     kind: TransitionKind

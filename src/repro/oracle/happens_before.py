@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.octet.runtime import OctetListener, TransitionRecord
+from repro.octet.states import StateKind
 from repro.oracle.vector_clock import VectorClock
 from repro.runtime.events import AccessEvent, AccessKind
 from repro.runtime.listeners import ExecutionListener
@@ -99,8 +100,7 @@ class HappensBeforeTracker(OctetListener, ExecutionListener):
             resp_clock = self._clock(responder.thread_name)
             resp_clock.tick(responder.thread_name)  # the response point
             clock.join(resp_clock)
-        new_state = record.new_state
-        if new_state is not None and new_state.kind.name == "RD_EX":
+        if record.new_state.kind is StateKind.RD_EX:
             self._last_rdex_clocks[requester] = clock.copy()
 
     def on_upgrading_rd_sh(self, record: TransitionRecord) -> None:

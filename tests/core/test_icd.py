@@ -134,25 +134,6 @@ class TestSccDetection:
         # with a huge quantum, most transactions run without conflicts
         assert icd.stats.scc_skipped_no_edges > 0
 
-    def test_eager_scc_finds_same_components(self):
-        def components_with(eager):
-            program = counter_program(threads=2, iterations=12)
-            _, components = run_icd(
-                program,
-                RandomScheduler(seed=6, switch_prob=0.8),
-                eager_scc=eager,
-            )
-            return {frozenset(t.tx_id for t in c) for c in components}
-
-        lazy = components_with(False)
-        eager = components_with(True)
-        # eager detection may catch sub-components earlier, but every
-        # lazily-found component must be covered by eager ones
-        assert all(
-            any(lazy_c <= eager_c or eager_c <= lazy_c for eager_c in eager)
-            for lazy_c in lazy
-        )
-
 
 class TestLogging:
     def test_logs_recorded_for_monitored_transactions(self):

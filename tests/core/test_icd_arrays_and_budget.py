@@ -93,20 +93,6 @@ class TestBudgetAndGcInterplay:
             spec, icd_memory_budget=budget, gc_interval=8
         ).run_single(counter_program(**program_args), scheduler())
 
-    def test_eager_scc_through_front_end(self):
-        program = counter_program(threads=2, iterations=10)
-        spec = spec_for(program)
-        lazy = DoubleChecker(spec).run_single(
-            counter_program(threads=2, iterations=10), scheduler(5)
-        )
-        eager = DoubleChecker(spec, eager_scc=True).run_single(
-            counter_program(threads=2, iterations=10), scheduler(5)
-        )
-        assert eager.blamed_methods == lazy.blamed_methods
-        assert (
-            eager.icd_stats.scc_computations >= lazy.icd_stats.scc_computations
-        )
-
     def test_run_multi_with_default_schedulers(self):
         spec = spec_for(counter_program(threads=2, iterations=8))
         result = DoubleChecker(spec).run_multi(

@@ -1,6 +1,13 @@
 """SCC detection over transaction graphs."""
 
-from repro.core.scc import is_cyclic_component, scc_containing
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.scc import (
+    is_cyclic_component,
+    scc_containing,
+    scc_containing_counted,
+)
 from repro.core.transactions import IdgEdge, Transaction
 
 
@@ -106,3 +113,73 @@ def test_deep_chain_does_not_recurse():
         connect(txs[i], txs[i + 1])
     connect(txs[-1], txs[0])  # one huge cycle
     assert len(scc_containing(txs[0])) == 5000
+
+
+@st.composite
+def transaction_graphs(draw):
+    """A few threads' intra chains, random cross edges between threads,
+    and random finished/collected flags on every transaction."""
+    lengths = draw(st.lists(st.integers(1, 5), min_size=2, max_size=4))
+    chains, txs = [], []
+    for thread, length in enumerate(lengths):
+        chain = []
+        for _ in range(length):
+            tx = Transaction(len(txs) + 1, f"T{thread}", "m", False)
+            tx.finished = draw(st.integers(0, 3)) > 0
+            tx.collected = draw(st.integers(0, 5)) == 0
+            if chain:
+                chain[-1].intra_next = tx
+                tx.intra_prev = chain[-1]
+            chain.append(tx)
+            txs.append(tx)
+        chains.append(chain)
+    ends = st.tuples(st.integers(0, len(chains) - 1), st.integers(0, 4))
+    for _ in range(draw(st.integers(0, 30))):
+        (src_t, src_i), (dst_t, dst_i) = draw(ends), draw(ends)
+        if src_t != dst_t:
+            src = chains[src_t][src_i % len(chains[src_t])]
+            dst = chains[dst_t][dst_i % len(chains[dst_t])]
+            connect(src, dst)
+    return txs
+
+
+def reachable(start):
+    """Transactions reachable from ``start`` through finished,
+    uncollected transactions (``start`` itself included)."""
+    seen, todo = {start}, [start]
+    while todo:
+        node = todo.pop()
+        succs = [edge.dst for edge in node.out_edges] + [node.intra_next]
+        for succ in succs:
+            if (
+                succ is not None
+                and succ.finished
+                and not succ.collected
+                and succ not in seen
+            ):
+                seen.add(succ)
+                todo.append(succ)
+    return seen
+
+
+@settings(max_examples=300, deadline=None)
+@given(transaction_graphs())
+def test_pass_returns_exactly_the_mutually_reachable_transactions(txs):
+    """The definition of the root's SCC, checked without Tarjan from
+    every root: the finished, uncollected transactions that reach the
+    root and that the root reaches, through finished, uncollected
+    transactions over ``out_edges`` and ``intra_next``; ``[root]`` for
+    an unfinished root.  The visit count is the root's reachable
+    region."""
+    for root in txs:
+        component, visits = scc_containing_counted(root)
+        if not root.finished:
+            assert (component, visits) == ([root], 1)
+            continue
+        if root.collected:
+            continue  # ICD starts each pass from a just-ended, live root
+        forward = reachable(root)
+        expected = {tx for tx in forward if root in reachable(tx)}
+        assert len(component) == len(set(component))
+        assert set(component) == expected
+        assert visits == len(forward)

@@ -1,8 +1,8 @@
 """Equivalence of the incremental engine with the reference algorithms.
 
-The engine replaces Velodrome's per-edge whole-graph DFS and ICD's
-full Tarjan pass with maintained certificates.  These tests pin it to
-brute-force references on random edge streams:
+The engine replaces Velodrome's per-edge whole-graph DFS with
+maintained certificates.  These tests pin it to brute-force
+references on random edge streams:
 
 * component membership after every edge equals the SCCs a from-scratch
   Tarjan computes on the same edge multiset;
@@ -25,7 +25,6 @@ from repro.graph import (
     EDGE_FAST,
     EDGE_REORDERED,
     EDGE_SELF,
-    DirtySccScheduler,
     IncrementalSccDigraph,
 )
 
@@ -220,83 +219,3 @@ def test_pdg_cycles_match_reference_sccs(edges):
         for prev, nxt in zip(cycle, cycle[1:] + cycle[:1]):
             assert prev.dst == nxt.src
     assert pdg.nodes() == {node for pair in added for node in pair}
-
-
-cross_ops_strategy = st.lists(
-    st.tuples(
-        st.integers(0, 2),  # source thread
-        st.integers(0, 3),  # source back-offset on that thread's chain
-        st.integers(0, 1),  # destination thread offset (never the same)
-        st.integers(0, 3),  # destination back-offset
-    ),
-    max_size=40,
-)
-
-
-@settings(max_examples=150, deadline=None)
-@given(cross_ops_strategy)
-def test_scheduler_matches_reference_sccs_over_chains(ops):
-    """The chain-collapsed scheduler against full Tarjan with intra edges.
-
-    The reference graph contains every program-order (intra) edge plus
-    the cross edges; the scheduler's engine only ever sees cross-edge
-    endpoints.  Pinned properties:
-
-    * clean skip iff the reference SCC is a singleton — the skip can
-      never hide a cyclic component;
-    * an unchanged skip only re-finds a component an earlier full pass
-      already resolved, unchanged — exactly what ICD's processed-SCC
-      dedup would drop;
-    * a returned frontier's members are exactly the registered part of
-      the reference SCC, and its windows admit every member including
-      the unregistered chain interiors Tarjan must traverse.
-    """
-    scheduler = DirtySccScheduler()
-    chains = {0: [], 1: [], 2: []}
-    chain_of = {}
-    reference_edges = []
-    registered = set()
-    resolved = {}
-    next_id = 0
-
-    def tx_on(thread, back):
-        nonlocal next_id
-        while len(chains[thread]) < back + 1:
-            if chains[thread]:
-                reference_edges.append((chains[thread][-1], next_id))
-            chains[thread].append(next_id)
-            chain_of[next_id] = thread
-            next_id += 1
-        return chains[thread][-1 - back]
-
-    for src_thread, src_back, dst_offset, dst_back in ops:
-        dst_thread = (src_thread + 1 + dst_offset) % 3
-        src = tx_on(src_thread, src_back)
-        dst = tx_on(dst_thread, dst_back)
-        scheduler.note_cross_edge(src, f"T{src_thread}", dst, f"T{dst_thread}")
-        registered.update((src, dst))
-        reference_edges.append((src, dst))
-        reference = tarjan_sccs(reference_edges)
-        for node in (src, dst):
-            frontier = scheduler.frontier_for(node)
-            scc = reference[node]
-            if frontier is None:
-                if scheduler.last_skip_clean:
-                    # acyclic-certificate skip: Tarjan would have
-                    # computed a non-cyclic singleton
-                    assert len(scc) == 1
-                else:
-                    # unchanged-component skip: the pass would re-find
-                    # the already-resolved set
-                    assert resolved.get(node) == scc
-            else:
-                assert frontier.members == {
-                    m for m in scc if m in registered
-                }
-                for member in scc:
-                    assert frontier.admits(f"T{chain_of[member]}", member)
-                # a full pass resolves the component: it stays skipped
-                # until the next merge changes its membership
-                scheduler.note_checked(node, set(scc))
-                for member in scc:
-                    resolved[member] = scc

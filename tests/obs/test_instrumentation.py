@@ -1,13 +1,11 @@
 """End-to-end instrumentation: registry counters must byte-match the
-legacy ``*Stats`` dataclasses after a checker run (the acceptance
-criterion for the telemetry layer, and the satellite-1 drift fix for
-``engine_search_visits``)."""
+legacy ``*Stats`` dataclasses after a checker run, and Velodrome's
+``engine_search_visits`` must read through to its engine's stats."""
 
 import dataclasses
 
 import pytest
 
-from repro.core.doublechecker import DoubleChecker
 from repro.harness import runner
 from repro.obs.registry import (
     MetricsRegistry,
@@ -73,14 +71,6 @@ def test_single_run_counters_byte_match_legacy_stats(registry):
     )
     _assert_stats_match(counters, "pcd", result.pcd_stats)
 
-    # the satellite-1 metric: sourced from the linked engine stats, so
-    # the property, the engine counter, and the registry cannot drift
-    assert (
-        counters["icd.engine_search_visits"]
-        == result.icd_stats.engine_search_visits
-        == counters.get("icd.engine.search_visits", 0)
-    )
-
     # executor-level counters reflect the same execution
     assert counters["executor.steps"] == result.execution.steps
     assert counters["executor.accesses"] == result.execution.access_count
@@ -106,24 +96,6 @@ def test_velodrome_counters_byte_match_legacy_stats(registry):
     )
 
 
-def test_icd_engine_search_visits_reads_through():
-    spec = runner.initial_spec(WORKLOAD)
-    checker = DoubleChecker(spec)
-    result = checker.run_single(build(WORKLOAD), runner.make_scheduler(0))
-    stats = result.icd_stats
-    assert stats.engine is not None
-    assert stats.engine_search_visits == stats.engine.search_visits
-
-
-def test_icd_engine_search_visits_zero_without_engine():
-    # cycle detection off is the one configuration without an engine
-    spec = runner.initial_spec(WORKLOAD)
-    checker = DoubleChecker(spec, cycle_detection=False)
-    result = checker.run_single(build(WORKLOAD), runner.make_scheduler(0))
-    assert result.icd_stats.engine is None
-    assert result.icd_stats.engine_search_visits == 0
-
-
 def test_velodrome_engine_search_visits_reads_through():
     spec = runner.initial_spec(WORKLOAD)
     checker = VelodromeChecker(spec)
@@ -135,13 +107,16 @@ def test_velodrome_engine_search_visits_reads_through():
 
 def test_stats_with_linked_engine_survive_pickling():
     """CellPool ships results across processes; the linked engine stats
-    must pickle with the dataclass."""
+    must pickle with the dataclass (Velodrome is the one analysis whose
+    stats link an engine)."""
     import pickle
 
     spec = runner.initial_spec(WORKLOAD)
-    result = runner.run_single(WORKLOAD, spec, seed=0)
-    clone = pickle.loads(pickle.dumps(result.icd_stats))
-    assert clone.engine_search_visits == result.icd_stats.engine_search_visits
+    result = runner.run_velodrome(WORKLOAD, spec, seed=0)
+    assert result.stats.engine is not None
+    clone = pickle.loads(pickle.dumps(result.stats))
+    assert clone.engine_search_visits == result.stats.engine_search_visits
+    assert clone.engine == result.stats.engine
 
 
 def test_disabled_mode_records_nothing():
