@@ -22,7 +22,9 @@ Run with::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_analysis_throughput.py -q
 
-or standalone (no pytest-benchmark timings, JSON only)::
+which writes its report under pytest's ``tmp_path``, or standalone
+(no pytest-benchmark timings, JSON only), which regenerates the
+committed ``results/BENCH_analysis.json``::
 
     PYTHONPATH=src python benchmarks/bench_analysis_throughput.py
 """
@@ -169,20 +171,21 @@ def _measure():
     }
 
 
-def write_report():
+def write_report(path=RESULTS_PATH):
     report = {
         "python": platform.python_version(),
         "workloads": _measure(),
     }
-    os.makedirs(os.path.dirname(RESULTS_PATH), exist_ok=True)
-    with open(RESULTS_PATH, "w") as handle:
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with open(path, "w") as handle:
         json.dump(report, handle, indent=2, sort_keys=True)
         handle.write("\n")
     return report
 
 
-def test_analysis_throughput():
-    """Regenerates the JSON baseline and checks the recorded bars.
+def test_analysis_throughput(tmp_path):
+    """Writes a fresh report under ``tmp_path`` (never over the
+    committed baseline) and checks the recorded bars.
 
     The visit counters are deterministic — Velodrome's engine must
     certify the overwhelming majority of probe checks and cut visits
@@ -192,7 +195,7 @@ def test_analysis_throughput():
     noisy, so the wall-clock assertions only require each arm not to
     be meaningfully slower than the recorded arms.
     """
-    report = write_report()
+    report = write_report(str(tmp_path / "BENCH_analysis.json"))
     rows = report["workloads"]["hubstress"]
 
     velo = rows["velodrome"]

@@ -10,7 +10,9 @@ Run with::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_executor_throughput.py -q
 
-or standalone (no pytest-benchmark timings, JSON only)::
+which writes its report under pytest's ``tmp_path``, or standalone
+(no pytest-benchmark timings, JSON only), which regenerates the
+committed ``results/BENCH_executor.json``::
 
     PYTHONPATH=src python benchmarks/bench_executor_throughput.py
 """
@@ -45,21 +47,21 @@ def _measure():
     return report
 
 
-def write_report():
+def write_report(path=RESULTS_PATH):
     report = {
         "python": platform.python_version(),
         "workloads": _measure(),
     }
-    os.makedirs(os.path.dirname(RESULTS_PATH), exist_ok=True)
-    with open(RESULTS_PATH, "w") as handle:
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with open(path, "w") as handle:
         json.dump(report, handle, indent=2, sort_keys=True)
         handle.write("\n")
     return report
 
 
-def test_executor_throughput(benchmark):
-    """Times the uninstrumented hsqldb6 run and refreshes the JSON
-    baseline as a side effect."""
+def test_executor_throughput(benchmark, tmp_path):
+    """Times the uninstrumented hsqldb6 run and checks a fresh report
+    (written under ``tmp_path``, never over the committed baseline)."""
     from repro.harness import runner
 
     result = benchmark.pedantic(
@@ -68,7 +70,7 @@ def test_executor_throughput(benchmark):
         iterations=1,
     )
     assert result.steps_per_second > 0
-    report = write_report()
+    report = write_report(str(tmp_path / "BENCH_executor.json"))
     for stats in report["workloads"].values():
         assert stats["baseline_steps_per_second"] > 0
         assert stats["single_run_steps_per_second"] > 0

@@ -31,7 +31,8 @@ Run with::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_obs_overhead.py -q
 
-or standalone (JSON only)::
+which writes its report under pytest's ``tmp_path``, or standalone
+(JSON only), which regenerates the committed ``results/BENCH_obs.json``::
 
     PYTHONPATH=src python benchmarks/bench_obs_overhead.py
 """
@@ -140,7 +141,7 @@ def _measure():
     return report
 
 
-def write_report():
+def write_report(path=RESULTS_PATH):
     workloads = _measure()
     report = {
         "python": platform.python_version(),
@@ -151,21 +152,19 @@ def write_report():
         ),
         "workloads": workloads,
     }
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    with open(RESULTS_PATH, "w") as handle:
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with open(path, "w") as handle:
         json.dump(report, handle, indent=2, sort_keys=True)
         handle.write("\n")
     return report
 
 
-def check_overhead_budget(report=None):
+def check_overhead_budget(report):
     """Return a list of budget violations (empty = within budget).
 
     Shared by the pytest wrapper below and
     ``benchmarks/check_bench_regression.py``.
     """
-    if report is None:
-        report = write_report()
     budget = report["overhead_budget_percent"]
     violations = []
     for name, stats in sorted(report["workloads"].items()):
@@ -180,11 +179,11 @@ def check_overhead_budget(report=None):
     return violations
 
 
-def test_disabled_mode_overhead():
+def test_disabled_mode_overhead(tmp_path):
     """Off-mode throughput must stay within the 2% budget of the
-    pre-telemetry loop (median of paired rounds); refreshes
-    ``results/BENCH_obs.json`` as a side effect."""
-    report = write_report()
+    pre-telemetry loop (median of paired rounds); the report goes under
+    ``tmp_path``, never over the committed baseline."""
+    report = write_report(str(tmp_path / "BENCH_obs.json"))
     for stats in report["workloads"].values():
         assert stats["off_steps_per_second"] > 0
         assert stats["counters_steps_per_second"] > 0

@@ -25,7 +25,6 @@ intentional change — or on new hardware — regenerate them with::
     PYTHONPATH=src python benchmarks/bench_executor_throughput.py
     PYTHONPATH=src python benchmarks/bench_analysis_throughput.py
     PYTHONPATH=src python benchmarks/bench_obs_overhead.py
-    PYTHONPATH=src python benchmarks/bench_fault_overhead.py
     PYTHONPATH=src python benchmarks/bench_access_barrier.py
 
 Run the gate with::
@@ -47,7 +46,6 @@ BASELINES = {
     "BENCH_executor.json": ("bench_executor_throughput", 0.30),
     "BENCH_analysis.json": ("bench_analysis_throughput", 0.30),
     "BENCH_obs.json": ("bench_obs_overhead", 0.30),
-    "BENCH_faults.json": ("bench_fault_overhead", 0.30),
     "BENCH_access.json": ("bench_access_barrier", 0.30),
 }
 

@@ -12,18 +12,15 @@ independent (workload, checker, seed) cells across N worker processes;
 for any job count.  Each single analysis run executes in-process
 (:meth:`repro.core.doublechecker.DoubleChecker.run_single`).
 
-Fault tolerance (see ``docs/ROBUSTNESS.md``):
+Exit statuses:
 
-* ``--retries N`` retries each cell up to N times after a transient
-  failure, worker crash, or timeout (``DOUBLECHECKER_RETRIES``);
-* ``--cell-timeout SECONDS`` kills and retries cells that hang
-  (``DOUBLECHECKER_CELL_TIMEOUT``);
-* ``--checkpoint FILE`` persists every completed cell to a JSONL file
-  (atomic write-then-rename) so a killed run, re-invoked with the same
-  flag, skips completed cells and renders the identical output
-  (``DOUBLECHECKER_CHECKPOINT``);
-* ``--fault-spec SPEC`` injects deterministic faults for testing the
-  recovery paths, e.g. ``crash:0.2`` (``DOUBLECHECKER_FAULT_SPEC``).
+* 0 — success;
+* 1 — ``crosscheck`` found disagreeing verdicts;
+* 2 — a pre-flight or usage error (bad flags, bad
+  ``DOUBLECHECKER_JOBS``, an unwritable output path);
+* 3 — a worker process died while running a cell (under ``--jobs``).
+  There is no retry: the run stops with one error line naming the
+  cell, and is simply started again.
 
 Telemetry (see :mod:`repro.obs` and ``docs/OBSERVABILITY.md``):
 
@@ -58,7 +55,7 @@ from typing import List, Optional
 
 import repro
 from repro.harness import figure7, section54, table2, table3
-from repro.harness.parallel import CellPool
+from repro.harness.parallel import CellFailedError, CellPool
 from repro.obs import (
     MODE_COUNTERS,
     MODE_FULL,
@@ -213,46 +210,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         ),
     )
     parser.add_argument(
-        "--retries",
-        type=int,
-        default=None,
-        help=(
-            "extra attempts per cell after a transient failure, worker "
-            "crash, or timeout (default: $DOUBLECHECKER_RETRIES or 0)"
-        ),
-    )
-    parser.add_argument(
-        "--cell-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help=(
-            "kill and retry cells that run longer than this "
-            "(default: $DOUBLECHECKER_CELL_TIMEOUT or no timeout; "
-            "needs --jobs > 1 to preempt)"
-        ),
-    )
-    parser.add_argument(
-        "--checkpoint",
-        default=None,
-        metavar="FILE",
-        help=(
-            "JSONL checkpoint of completed cells; a killed run resumed "
-            "with the same file skips completed cells "
-            "(default: $DOUBLECHECKER_CHECKPOINT or none)"
-        ),
-    )
-    parser.add_argument(
-        "--fault-spec",
-        default=None,
-        metavar="SPEC",
-        help=(
-            "inject deterministic faults, e.g. crash:0.2 or "
-            "transient:0.3:limit=2 — for testing the recovery paths "
-            "(default: $DOUBLECHECKER_FAULT_SPEC or none)"
-        ),
-    )
-    parser.add_argument(
         "--obs",
         choices=(MODE_OFF, MODE_COUNTERS, MODE_FULL),
         default=None,
@@ -317,7 +274,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     for path, flag in (
         (args.metrics_out, "--metrics-out"),
         (args.trace_out, "--trace-out"),
-        (args.checkpoint, "--checkpoint"),
     ):
         if path:
             error = _check_writable(path, flag)
@@ -333,15 +289,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     experiments = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
 
     try:
-        pool = CellPool(
-            args.jobs,
-            retries=args.retries,
-            cell_timeout=args.cell_timeout,
-            checkpoint=args.checkpoint,
-            fault_spec=args.fault_spec,
-        )
+        pool = CellPool(args.jobs)
     except ValueError as exc:
-        # covers bad env values and malformed --fault-spec clauses
+        # a malformed DOUBLECHECKER_JOBS
         print(f"doublechecker-experiments: error: {exc}", file=sys.stderr)
         return 2
 
@@ -387,6 +337,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                             file=sys.stderr,
                         )
                         return 2
+    except CellFailedError as exc:
+        print(f"doublechecker-experiments: error: {exc}", file=sys.stderr)
+        return 3
     finally:
         if registry is not None:
             use_registry(previous)

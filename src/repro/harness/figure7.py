@@ -128,30 +128,21 @@ def generate(
     first_trials: int = 2,
     seed_base: int = 50_000,
     model: Optional[CostModel] = None,
-    jobs: Optional[int] = None,
-    retries: Optional[int] = None,
-    cell_timeout: Optional[float] = None,
-    checkpoint: Optional[str] = None,
     pool: Optional[CellPool] = None,
 ) -> Figure7Result:
     """Regenerate Figure 7 (default: the 16 compute-bound benchmarks).
 
     All (benchmark, configuration, seed) cells are independent, so
-    they run in two global fan-out stages across ``jobs`` workers:
+    they run in two global fan-out stages across ``pool``'s workers:
     first every baseline/Velodrome/single/first cell of every
     benchmark, then every second-run cell (which needs the first runs'
     static-transaction info).  Results are aggregated in submission
     order, so the rendered figure is byte-identical for any job count.
-    ``retries``/``cell_timeout``/``checkpoint`` configure the owned
-    pool's fault tolerance (see ``docs/ROBUSTNESS.md``).
     """
     model = model or CostModel()
     selected = list(names or compute_bound_names())
     seeds = [seed_base + i for i in range(trials)]
-    with ensure_pool(
-        pool, jobs,
-        retries=retries, cell_timeout=cell_timeout, checkpoint=checkpoint,
-    ) as cells:
+    with ensure_pool(pool) as cells:
         specs = {name: runner.final_spec(name, pool=cells) for name in selected}
 
         # stage 1: everything that does not depend on first-run output

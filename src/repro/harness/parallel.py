@@ -1,4 +1,4 @@
-"""Parallel, fault-tolerant execution of independent experiment cells.
+"""Parallel execution of independent experiment cells.
 
 Every paper artefact (Table 2, Table 3, Figure 7, the Section 5.3/5.4
 studies) is an aggregation over independent (workload, checker, seed)
@@ -25,59 +25,33 @@ harness embarrassingly parallel, and — because the cells are separate
   process ever writes the final-spec disk cache (see
   :func:`repro.harness.runner._store_cache`).
 
-**Fault tolerance** (see ``docs/ROBUSTNESS.md``): because cells are
-pure functions of their picklable arguments, every recovery action is
-safe to repeat and the recovered run renders byte-identical output:
-
-* transient failures (:class:`~repro.harness.faults.TransientCellError`,
-  ``OSError``) are retried up to ``retries`` times per cell with
-  exponential backoff;
-* a worker crash (``BrokenProcessPool``) rebuilds the pool and
-  re-submits every outstanding cell; crashes charge one retry attempt
-  to the outstanding cells (the crasher cannot be identified from the
-  parent, so the charge is collective — see ``docs/ROBUSTNESS.md``);
-* a cell exceeding ``cell_timeout`` seconds has its workers killed,
-  the pool rebuilt, and outstanding cells re-submitted (only the hung
-  cell is charged an attempt);
-* after ``max_pool_failures`` *consecutive* pool-level failures the
-  pool degrades gracefully to inline serial execution instead of
-  thrashing;
-* with ``checkpoint=FILE`` every completed cell is persisted (atomic
-  write-then-rename per flush, see
-  :class:`~repro.harness.checkpoint.Checkpoint`) and a resumed run
-  skips completed cells entirely.
-
 A batch's telemetry merge is **all-or-nothing**: per-cell snapshots
 are folded into the caller's registry — in submission order — only
 after the whole batch succeeds, so a failed experiment never leaves a
-partially merged registry behind.  Harness-level recovery counters
-(``harness.retries``, ``harness.worker_crashes``, ...) are recorded on
-the active registry as the events happen.
+partially merged registry behind.
+
+There is no recovery: the first failing cell cancels its pending
+siblings, waits for the running ones, and re-raises.  A worker process
+that dies (``BrokenProcessPool``) surfaces as :class:`CellFailedError`
+naming the cell.  A whole experiment grid runs in minutes, so a failed
+run is simply started again.
 
 The job count comes from (highest precedence first) an explicit
 ``jobs=`` argument, the ``--jobs`` CLI flag, or the
 ``DOUBLECHECKER_JOBS`` environment variable; the default is serial.
 ``jobs=1`` executes cells inline in the parent process — no worker
-processes, no pickling — which is also the fallback the pool uses when
-process creation is unavailable.  ``retries``, ``cell_timeout``, and
-``checkpoint`` fall back to ``DOUBLECHECKER_RETRIES``,
-``DOUBLECHECKER_CELL_TIMEOUT``, and ``DOUBLECHECKER_CHECKPOINT``.
+processes, no pickling.
 """
 
 from __future__ import annotations
 
 import os
-import time
 from concurrent.futures import Future, ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures import wait as futures_wait
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.harness import faults
-from repro.harness.checkpoint import MISSING, Checkpoint, cell_key
 from repro.obs.registry import (
     MetricsRegistry,
     recorder as obs_recorder,
@@ -85,11 +59,8 @@ from repro.obs.registry import (
 )
 from repro.obs.wire import aligned_epoch, trace_context
 
-#: environment variables consulted when no explicit value is given
+#: environment variable consulted when no explicit job count is given
 JOBS_ENV = "DOUBLECHECKER_JOBS"
-RETRIES_ENV = "DOUBLECHECKER_RETRIES"
-CELL_TIMEOUT_ENV = "DOUBLECHECKER_CELL_TIMEOUT"
-CHECKPOINT_ENV = "DOUBLECHECKER_CHECKPOINT"
 
 
 def resolve_jobs(jobs: Optional[int] = None) -> int:
@@ -113,59 +84,13 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
     return jobs
 
 
-def resolve_retries(retries: Optional[int] = None) -> int:
-    """Per-cell retry budget; ``None`` falls back to
-    ``DOUBLECHECKER_RETRIES`` (and then to 0)."""
-    if retries is None:
-        raw = os.environ.get(RETRIES_ENV, "").strip()
-        if not raw:
-            return 0
-        try:
-            retries = int(raw)
-        except ValueError:
-            raise ValueError(
-                f"{RETRIES_ENV} must be an integer, got {raw!r}"
-            ) from None
-    if retries < 0:
-        raise ValueError(f"retries must be >= 0, got {retries}")
-    return retries
-
-
-def resolve_cell_timeout(timeout: Optional[float] = None) -> Optional[float]:
-    """Per-cell timeout in seconds; ``None`` falls back to
-    ``DOUBLECHECKER_CELL_TIMEOUT`` (and then to no timeout)."""
-    if timeout is None:
-        raw = os.environ.get(CELL_TIMEOUT_ENV, "").strip()
-        if not raw:
-            return None
-        try:
-            timeout = float(raw)
-        except ValueError:
-            raise ValueError(
-                f"{CELL_TIMEOUT_ENV} must be a number, got {raw!r}"
-            ) from None
-    if timeout <= 0:
-        raise ValueError(f"cell timeout must be > 0, got {timeout}")
-    return timeout
-
-
-def resolve_checkpoint(path: Optional[str] = None) -> Optional[str]:
-    """Checkpoint file path; ``None`` falls back to
-    ``DOUBLECHECKER_CHECKPOINT`` (and then to no checkpointing)."""
-    if path is None:
-        path = os.environ.get(CHECKPOINT_ENV, "").strip() or None
-    return path
-
-
 class CellFailedError(Exception):
-    """A cell exhausted its retry budget (the cause is chained)."""
+    """A worker process died while running a cell (the cause is
+    chained)."""
 
-    def __init__(self, label: str, attempts: int, cause: BaseException) -> None:
-        super().__init__(
-            f"cell {label} failed after {attempts} attempt(s): {cause!r}"
-        )
+    def __init__(self, label: str, cause: BaseException) -> None:
+        super().__init__(f"cell {label} failed: {cause!r}")
         self.label = label
-        self.attempts = attempts
 
 
 def _init_worker() -> None:
@@ -204,127 +129,23 @@ def _obs_cell(octx: dict, fn: Callable[..., Any], args: Sequence[Any]) -> Tuple[
     return result, registry.snapshot()
 
 
-def _guarded_cell(
-    plan: Optional[faults.FaultPlan],
-    key: Optional[str],
-    attempt: int,
-    octx: Optional[dict],
-    fn: Callable[..., Any],
-    args: Sequence[Any],
-) -> Tuple[Any, Optional[dict]]:
-    """The worker-side cell wrapper: fire injected faults, then run.
-
-    Returns ``(result, snapshot)`` with ``snapshot=None`` when
-    telemetry is off.  Module-level so it pickles.
-    """
-    if plan is not None:
-        plan.fire(key or "", attempt, in_worker=True)
-    if octx is None:
-        return fn(*args), None
-    return _obs_cell(octx, fn, args)
-
-
-@dataclass
-class _Cell:
-    """Book-keeping for one cell of a :meth:`CellPool.starmap` batch."""
-
-    index: int
-    fn: Callable[..., Any]
-    args: Tuple[Any, ...]
-    key: Optional[str] = None
-    #: next attempt number (0-based; also the fault-injection attempt)
-    attempt: int = 0
-    done: bool = False
-    result: Any = None
-    snapshot: Optional[dict] = field(default=None, repr=False)
-
-    @property
-    def label(self) -> str:
-        return self.key or f"{self.fn.__qualname__}[{self.index}]"
-
-
 class CellPool:
     """Run independent experiment cells, optionally across processes.
 
     Args:
         jobs: worker count (see :func:`resolve_jobs`).  With ``jobs=1``
-            every call executes inline and the pool is free.
-        retries: extra attempts allowed per cell after a transient
-            failure, worker crash, or timeout (default 0; env
-            ``DOUBLECHECKER_RETRIES``).
-        cell_timeout: seconds a cell may run before its workers are
-            killed and it is retried (default none; env
-            ``DOUBLECHECKER_CELL_TIMEOUT``).  Only enforceable with
-            worker processes; inline cells cannot be preempted.
-        checkpoint: path of a JSONL checkpoint file (or an existing
-            :class:`~repro.harness.checkpoint.Checkpoint`); completed
-            cells are persisted and skipped on resume (env
-            ``DOUBLECHECKER_CHECKPOINT``).
-        fault_spec / fault_seed: deterministic fault injection (see
-            :mod:`repro.harness.faults`; env
-            ``DOUBLECHECKER_FAULT_SPEC`` / ``_FAULT_SEED``).
-        backoff: base of the exponential retry backoff, in seconds.
-        max_pool_failures: consecutive pool-level failures (crashes or
-            timeout kills with no intervening completed cell) before
-            degrading to inline serial execution.
+            every cell executes inline and the pool is free.
 
     The pool is a context manager; exiting shuts the workers down.
     """
 
-    def __init__(
-        self,
-        jobs: Optional[int] = None,
-        *,
-        retries: Optional[int] = None,
-        cell_timeout: Optional[float] = None,
-        checkpoint: Any = None,
-        fault_spec: Optional[str] = None,
-        fault_seed: Optional[int] = None,
-        backoff: float = 0.05,
-        max_pool_failures: int = 3,
-    ) -> None:
+    def __init__(self, jobs: Optional[int] = None) -> None:
         self.jobs = resolve_jobs(jobs)
-        self.retries = resolve_retries(retries)
-        self.cell_timeout = resolve_cell_timeout(cell_timeout)
-        self.fault_plan = faults.resolve_fault_plan(fault_spec, fault_seed)
-        if isinstance(checkpoint, Checkpoint):
-            self.checkpoint: Optional[Checkpoint] = checkpoint
-        else:
-            path = resolve_checkpoint(checkpoint)
-            self.checkpoint = Checkpoint(path) if path else None
-        self.backoff = backoff
-        self.max_pool_failures = max_pool_failures
-        self._degraded = False
-        self._consecutive_pool_failures = 0
-        self._key_counts: Dict[str, int] = {}
         self._executor: Optional[ProcessPoolExecutor] = None
         if self.jobs > 1:
-            self._executor = self._new_executor()
-
-    def _new_executor(self) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(
-            max_workers=self.jobs, initializer=_init_worker
-        )
-
-    # ------------------------------------------------------------------
-    def submit(self, fn: Callable[..., Any], /, *args: Any) -> "Future[Any]":
-        """Schedule one cell; returns a future (completed futures in
-        serial mode, so result order always equals submission order).
-
-        ``submit`` is the raw, recovery-free interface; batch recovery
-        (retries, timeouts, checkpointing) lives in :meth:`starmap`.
-        """
-        if self._executor is None:
-            future: "Future[Any]" = Future()
-            try:
-                future.set_result(fn(*args))
-            except Exception as exc:
-                future.set_exception(exc)
-            # non-Exception BaseExceptions (KeyboardInterrupt,
-            # SystemExit) propagate immediately: parking a Ctrl-C in a
-            # future swallows it until (if ever) .result() is called
-            return future
-        return self._executor.submit(fn, *args)
+            self._executor = ProcessPoolExecutor(
+                max_workers=self.jobs, initializer=_init_worker
+            )
 
     def starmap(
         self,
@@ -343,279 +164,68 @@ class CellPool:
         submission order **after the whole batch succeeds**, so serial
         and parallel runs of the same experiment produce identical
         merged counters and a failed batch merges nothing.
-
-        Recovery (retries, timeouts, pool rebuilds, checkpointing) is
-        applied per the pool's configuration; cells are pure functions
-        of their arguments, so retried and resumed runs return exactly
-        what a fault-free run would.
         """
-        pending: List[Tuple[Callable[..., Any], Sequence[Any]]] = [
-            (fn, tuple(args)) for args in argslists
-        ]
+        batch = [tuple(args) for args in argslists]
         target = obs_recorder()
-        if (
-            self._executor is None
-            and not target.enabled
-            and not self._engine_needed()
-        ):
-            # the plain serial fast path: nothing to recover, nothing
-            # to record — identical to a bare comprehension
-            return [f(*args) for f, args in pending]
-        return self._run_batch(pending, target)
-
-    def map(self, fn: Callable[..., Any], items: Iterable[Any]) -> List[Any]:
-        """Like :meth:`starmap` for single-argument cells."""
-        return self.starmap(fn, [(item,) for item in items])
-
-    # ------------------------------------------------------------------
-    # the batch recovery engine
-    # ------------------------------------------------------------------
-    def _engine_needed(self) -> bool:
-        return (
-            self.retries > 0
-            or self.cell_timeout is not None
-            or self.checkpoint is not None
-            or self.fault_plan is not None
-        )
-
-    def _assign_key(self, fn: Callable[..., Any], args: Sequence[Any]) -> str:
-        """A stable cell key, disambiguated by submission occurrence."""
-        base = cell_key(fn, args)
-        occurrence = self._key_counts.get(base, 0)
-        self._key_counts[base] = occurrence + 1
-        return f"{base}#{occurrence}"
-
-    def _run_batch(
-        self,
-        pending: List[Tuple[Callable[..., Any], Sequence[Any]]],
-        target: Any,
-    ) -> List[Any]:
-        octx = trace_context(target)
-        need_keys = self.checkpoint is not None or self.fault_plan is not None
-        cells = []
-        for index, (f, args) in enumerate(pending):
-            key = self._assign_key(f, args) if need_keys else None
-            cells.append(_Cell(index=index, fn=f, args=args, key=key))
-        if self.checkpoint is not None:
-            for cell in cells:
-                payload = self.checkpoint.get(cell.key)
-                if payload is not MISSING:
-                    cell.result, cell.snapshot = payload
-                    cell.done = True
-                    target.inc("harness.cells_resumed")
-        round_number = 0
-        while True:
-            remaining = [c for c in cells if not c.done]
-            if not remaining:
-                break
-            if round_number > 0 and self.backoff > 0:
-                time.sleep(min(self.backoff * 2 ** (round_number - 1), 2.0))
+        if not target.enabled:
             if self._executor is None:
-                self._run_round_inline(remaining, octx, target)
-            else:
-                self._run_round_parallel(remaining, octx, target)
-            round_number += 1
-        # all-or-nothing merge, in submission order
-        if target.enabled:
-            for cell in cells:
-                if cell.snapshot is not None:
-                    target.merge(cell.snapshot)
-        return [cell.result for cell in cells]
-
-    def _complete(self, cell: _Cell, result: Any, snapshot: Optional[dict],
-                  target: Any) -> None:
-        cell.result = result
-        cell.snapshot = snapshot
-        cell.done = True
-        target.inc("harness.cells_completed")
-        if self.checkpoint is not None:
-            self.checkpoint.add(cell.key, result, snapshot)
-
-    def _charge(self, cell: _Cell, target: Any) -> bool:
-        """Consume one attempt; returns True when the budget is gone."""
-        cell.attempt += 1
-        if cell.attempt > self.retries:
-            return True
-        target.inc("harness.retries")
-        return False
-
-    # -------------------------- inline rounds -------------------------
-    def _run_round_inline(self, remaining: List[_Cell], octx: Optional[dict],
-                          target: Any) -> None:
-        """Run every remaining cell in the parent process, retrying
-        transient/injected failures on the spot."""
-        for cell in remaining:
-            while True:
-                try:
-                    if self.fault_plan is not None:
-                        self.fault_plan.fire(
-                            cell.key or "", cell.attempt, in_worker=False
-                        )
-                    if octx is None:
-                        result, snapshot = cell.fn(*cell.args), None
-                    else:
-                        result, snapshot = _obs_cell(octx, cell.fn, cell.args)
-                except faults.SimulatedCrash as exc:
-                    target.inc("harness.worker_crashes")
-                    self._retry_or_fail(cell, exc, target)
-                except faults.InjectedHang as exc:
-                    target.inc("harness.cell_timeouts")
-                    self._retry_or_fail(cell, exc, target)
-                except (faults.TransientCellError, OSError) as exc:
-                    target.inc("harness.transient_errors")
-                    self._retry_or_fail(cell, exc, target)
-                else:
-                    self._complete(cell, result, snapshot, target)
-                    break
-
-    def _retry_or_fail(self, cell: _Cell, exc: BaseException,
-                       target: Any) -> None:
-        if self._charge(cell, target):
-            raise CellFailedError(cell.label, cell.attempt, exc) from exc
-        if self.backoff > 0:
-            time.sleep(min(self.backoff * 2 ** (cell.attempt - 1), 2.0))
-
-    # ------------------------- parallel rounds ------------------------
-    def _run_round_parallel(self, remaining: List[_Cell],
-                            octx: Optional[dict], target: Any) -> None:
-        """One submit-and-collect round across worker processes.
-
-        Collects as many cells as possible in submission order; a
-        pool-level event (worker crash, timeout kill) ends the round
-        early after harvesting whatever already finished, and the
-        outer loop re-submits the rest.
-        """
-        futures: Dict[int, "Future[Any]"] = {}
-        pool_failure: Optional[BaseException] = None
-        try:
-            for cell in remaining:
-                futures[cell.index] = self._executor.submit(
-                    _guarded_cell, self.fault_plan, cell.key, cell.attempt,
-                    octx, cell.fn, cell.args,
-                )
-        except BrokenProcessPool as exc:
-            # earlier-submitted cells start executing while the rest of
-            # the round is still being submitted, so a worker crash can
-            # break the pool mid-submission and surface here, from
-            # submit() itself, instead of from a future
-            target.inc("harness.worker_crashes")
-            pool_failure = exc
-        for cell in remaining if pool_failure is None else []:
-            future = futures[cell.index]
-            try:
-                result, snapshot = future.result(timeout=self.cell_timeout)
-            except FuturesTimeout as exc:
-                target.inc("harness.cell_timeouts")
-                exhausted = self._charge(cell, target)
-                self._harvest(remaining, futures, target)
-                self._pool_failed(target)
-                if exhausted:
-                    raise CellFailedError(
-                        cell.label, cell.attempt, exc
-                    ) from exc
-                return
-            except BrokenProcessPool as exc:
-                target.inc("harness.worker_crashes")
-                pool_failure = exc
-                break
-            except (faults.TransientCellError, OSError) as exc:
-                # an isolated cell failure: siblings keep running, only
-                # this cell is retried next round
-                target.inc("harness.transient_errors")
-                if self._charge(cell, target):
-                    self._abort(futures)
-                    raise CellFailedError(
-                        cell.label, cell.attempt, exc
-                    ) from exc
-            except Exception:
-                # non-retryable: cancel pending siblings, drain the
-                # running ones, and leave the caller's registry
-                # untouched (no partial merge has happened)
-                self._abort(futures)
-                raise
-            except BaseException:
-                # KeyboardInterrupt/SystemExit: cancel what we can and
-                # re-raise immediately — never park these in a future
-                for pending_future in futures.values():
-                    pending_future.cancel()
-                raise
-            else:
-                self._complete(cell, result, snapshot, target)
-                self._consecutive_pool_failures = 0
-        if pool_failure is not None:
-            # the pool is broken: every incomplete future failed with
-            # BrokenProcessPool.  Harvest any results that made it back
-            # first, then charge the submitted survivors one attempt
-            # each (the actual crasher is indistinguishable from the
-            # parent, and only submitted cells can have crashed) and
-            # rebuild.
-            submitted = [cell for cell in remaining if cell.index in futures]
-            self._harvest(submitted, futures, target)
-            exhausted = [
-                cell for cell in submitted
-                if not cell.done and self._charge(cell, target)
-            ]
-            self._pool_failed(target)
-            if exhausted:
-                cell = exhausted[0]
-                raise CellFailedError(
-                    cell.label, cell.attempt, pool_failure
-                ) from pool_failure
-
-    def _harvest(self, remaining: List[_Cell],
-                 futures: Dict[int, "Future[Any]"], target: Any) -> None:
-        """Record every future that already finished successfully, so a
-        pool rebuild never discards completed work."""
-        for cell in remaining:
-            if cell.done:
-                continue
-            future = futures[cell.index]
-            if future.done() and not future.cancelled() \
-                    and future.exception() is None:
-                result, snapshot = future.result()
-                self._complete(cell, result, snapshot, target)
-
-    def _abort(self, futures: Dict[int, "Future[Any]"]) -> None:
-        """Cancel pending sibling futures and drain the running ones, so
-        a failed batch neither wastes workers on doomed cells nor leaves
-        them racing the caller's cleanup."""
-        outstanding = [f for f in futures.values() if not f.done()]
-        for future in outstanding:
-            future.cancel()
-        still_running = [f for f in outstanding if not f.cancelled()]
-        if still_running:
-            futures_wait(still_running)
-
-    def _pool_failed(self, target: Any) -> None:
-        """Tear down the broken/hung pool; rebuild it, or degrade to
-        inline serial execution after too many consecutive failures."""
-        self._consecutive_pool_failures += 1
-        target.inc("harness.pool_rebuilds")
-        self._kill_workers()
-        try:
-            # wait=True: with every worker killed the manager thread
-            # exits promptly, and joining it releases the wakeup pipe —
-            # otherwise the interpreter's atexit hook trips over the
-            # dead executor's closed file descriptors
-            self._executor.shutdown(wait=True, cancel_futures=True)
-        except Exception:
-            pass
-        if self._consecutive_pool_failures >= self.max_pool_failures:
-            self._executor = None
-            self._degraded = True
-            target.inc("harness.degraded_to_serial")
+                return [fn(*args) for args in batch]
+            return self._collect(fn, batch, None)
+        octx = trace_context(target)
+        if self._executor is None:
+            pairs = [_obs_cell(octx, fn, args) for args in batch]
         else:
-            self._executor = self._new_executor()
+            pairs = self._collect(fn, batch, octx)
+        # all-or-nothing merge, in submission order
+        for _, snapshot in pairs:
+            target.merge(snapshot)
+        return [result for result, _ in pairs]
 
-    def _kill_workers(self) -> None:
-        processes = getattr(self._executor, "_processes", None) or {}
-        for process in list(processes.values()):
-            try:
-                process.kill()
-            except Exception:
-                pass
+    def _collect(
+        self,
+        fn: Callable[..., Any],
+        batch: List[Tuple[Any, ...]],
+        octx: Optional[dict],
+    ) -> List[Any]:
+        """Submit every cell to the workers and collect the results in
+        submission order (``(result, snapshot)`` pairs when ``octx``
+        carries a telemetry context)."""
+        futures: List["Future[Any]"] = []
+        try:
+            for args in batch:
+                if octx is None:
+                    futures.append(self._executor.submit(fn, *args))
+                else:
+                    futures.append(
+                        self._executor.submit(_obs_cell, octx, fn, args)
+                    )
+            return [future.result() for future in futures]
+        except BrokenProcessPool as exc:
+            # a worker died: every unfinished future fails with this,
+            # and so does ``submit`` once the pool has noticed.  Which
+            # cell the dead worker ran cannot be told from here, so
+            # the error names the first cell without a result.
+            index = next(
+                (i for i, future in enumerate(futures)
+                 if not future.done() or future.exception() is not None),
+                len(futures),
+            )
+            raise CellFailedError(f"{fn.__qualname__}[{index}]", exc) from exc
+        except Exception:
+            # cancel pending siblings and drain the running ones, so a
+            # failed batch neither wastes workers on doomed cells nor
+            # leaves them racing the caller's cleanup
+            for future in futures:
+                future.cancel()
+            futures_wait(futures)
+            raise
+        except BaseException:
+            # KeyboardInterrupt/SystemExit: cancel what we can and
+            # re-raise at once
+            for future in futures:
+                future.cancel()
+            raise
 
-    # ------------------------------------------------------------------
     def close(self) -> None:
         if self._executor is not None:
             self._executor.shutdown()
@@ -629,44 +239,22 @@ class CellPool:
 
 
 @contextmanager
-def ensure_pool(
-    pool: Optional[CellPool],
-    jobs: Optional[int] = None,
-    *,
-    retries: Optional[int] = None,
-    cell_timeout: Optional[float] = None,
-    checkpoint: Any = None,
-    fault_spec: Optional[str] = None,
-) -> Iterator[CellPool]:
-    """Yield ``pool`` if given, else a fresh :class:`CellPool` that is
-    closed on exit.  Lets experiment entry points accept either an
-    explicit pool (shared across experiments) or per-call knobs."""
+def ensure_pool(pool: Optional[CellPool]) -> Iterator[CellPool]:
+    """Yield ``pool`` if given, else a fresh :class:`CellPool` (job
+    count from ``DOUBLECHECKER_JOBS``) that is closed on exit.  Lets
+    experiment entry points accept an explicit pool shared across
+    experiments."""
     if pool is not None:
         yield pool
         return
-    owned = CellPool(
-        jobs,
-        retries=retries,
-        cell_timeout=cell_timeout,
-        checkpoint=checkpoint,
-        fault_spec=fault_spec,
-    )
-    try:
+    with CellPool() as owned:
         yield owned
-    finally:
-        owned.close()
 
 
 __all__ = [
-    "CELL_TIMEOUT_ENV",
-    "CHECKPOINT_ENV",
     "CellFailedError",
     "CellPool",
     "JOBS_ENV",
-    "RETRIES_ENV",
     "ensure_pool",
-    "resolve_cell_timeout",
-    "resolve_checkpoint",
     "resolve_jobs",
-    "resolve_retries",
 ]

@@ -229,10 +229,6 @@ def refine(
     seed_base: int = 0,
     first_trials: int = 2,
     pool: Optional["CellPool"] = None,
-    jobs: Optional[int] = None,
-    retries: Optional[int] = None,
-    cell_timeout: Optional[float] = None,
-    checkpoint: Optional[str] = None,
 ) -> RefinementResult:
     """Run iterative refinement with one checker configuration.
 
@@ -242,76 +238,34 @@ def refine(
     inside one step are independent; passing ``pool`` fans them across
     workers.  Trial seeds do not depend on the execution order, so the
     parallel path converges to exactly the serial result.
-
-    Without an explicit ``pool``, passing any of ``jobs``, ``retries``,
-    ``cell_timeout``, or ``checkpoint`` builds a fault-tolerant
-    :class:`~repro.harness.parallel.CellPool` for the duration of the
-    call (see ``docs/ROBUSTNESS.md``).
     """
     with phase(f"refine.{checker}", workload=name):
-        if pool is None and any(
-            knob is not None
-            for knob in (jobs, retries, cell_timeout, checkpoint)
-        ):
-            from repro.harness.parallel import CellPool as _CellPool
+        spec0 = initial_spec(name)
 
-            with _CellPool(
-                jobs,
-                retries=retries,
-                cell_timeout=cell_timeout,
-                checkpoint=checkpoint,
-            ) as owned:
-                return _refine(
-                    name,
-                    checker,
-                    trials_per_step=trials_per_step,
-                    seed_base=seed_base,
-                    first_trials=first_trials,
-                    pool=owned,
-                )
-        return _refine(
-            name,
-            checker,
-            trials_per_step=trials_per_step,
-            seed_base=seed_base,
-            first_trials=first_trials,
-            pool=pool,
-        )
-
-
-def _refine(
-    name: str,
-    checker: str,
-    *,
-    trials_per_step: int,
-    seed_base: int,
-    first_trials: int,
-    pool: Optional["CellPool"],
-) -> RefinementResult:
-    spec0 = initial_spec(name)
-
-    def trial_runner(spec: AtomicitySpecification, trial: int) -> Set[str]:
-        return refine_trial(name, checker, spec, trial, seed_base, first_trials)
-
-    step_runner = None
-    if pool is not None:
-        def step_runner(
-            spec: AtomicitySpecification, trials: Sequence[int]
-        ) -> List[Set[str]]:
-            return pool.starmap(
-                refine_trial,
-                [
-                    (name, checker, spec, trial, seed_base, first_trials)
-                    for trial in trials
-                ],
+        def trial_runner(spec: AtomicitySpecification, trial: int) -> Set[str]:
+            return refine_trial(
+                name, checker, spec, trial, seed_base, first_trials
             )
 
-    return iterative_refinement(
-        spec0,
-        trial_runner,
-        trials_per_step=trials_per_step,
-        step_runner=step_runner,
-    )
+        step_runner = None
+        if pool is not None:
+            def step_runner(
+                spec: AtomicitySpecification, trials: Sequence[int]
+            ) -> List[Set[str]]:
+                return pool.starmap(
+                    refine_trial,
+                    [
+                        (name, checker, spec, trial, seed_base, first_trials)
+                        for trial in trials
+                    ],
+                )
+
+        return iterative_refinement(
+            spec0,
+            trial_runner,
+            trials_per_step=trials_per_step,
+            step_runner=step_runner,
+        )
 
 
 # ----------------------------------------------------------------------
@@ -379,19 +333,12 @@ def final_spec(
     *,
     use_cache: bool = True,
     pool: Optional["CellPool"] = None,
-    jobs: Optional[int] = None,
-    retries: Optional[int] = None,
-    cell_timeout: Optional[float] = None,
-    checkpoint: Optional[str] = None,
 ) -> AtomicitySpecification:
     """The refined specification used by performance experiments.
 
     The intersection of the specs Velodrome and single-run mode each
     converge to, avoiding bias toward one approach (Section 5.1).
-    ``pool`` parallelizes the refinement trials on a cache miss;
-    without one, ``jobs``/``retries``/``cell_timeout``/``checkpoint``
-    build a fault-tolerant pool for the refinements (see
-    ``docs/ROBUSTNESS.md``).
+    ``pool`` parallelizes the refinement trials on a cache miss.
     """
     if name in _FINAL_SPEC_MEMO:
         return _FINAL_SPEC_MEMO[name]
@@ -402,18 +349,8 @@ def final_spec(
         spec = spec0.exclude(excluded)
     else:
         with phase("final_spec", workload=name):
-            knobs = dict(
-                jobs=jobs,
-                retries=retries,
-                cell_timeout=cell_timeout,
-                checkpoint=checkpoint,
-            )
-            velodrome = refine(
-                name, "velodrome", seed_base=0, pool=pool, **knobs
-            )
-            single = refine(
-                name, "single", seed_base=10_000, pool=pool, **knobs
-            )
+            velodrome = refine(name, "velodrome", seed_base=0, pool=pool)
+            single = refine(name, "single", seed_base=10_000, pool=pool)
             spec = velodrome.final_spec.intersect(single.final_spec)
         cache[name] = sorted(spec.excluded)
         if use_cache:

@@ -143,10 +143,6 @@ def unsound_velodrome(
     seed_base: int = 60_000,
     model: Optional[CostModel] = None,
     crash_threshold: int = 15,
-    jobs: Optional[int] = None,
-    retries: Optional[int] = None,
-    cell_timeout: Optional[float] = None,
-    checkpoint: Optional[str] = None,
     pool: Optional[CellPool] = None,
 ) -> UnsoundVelodromeResult:
     """Compare sound Velodrome with the unsound variant.
@@ -158,10 +154,7 @@ def unsound_velodrome(
     model = model or CostModel()
     seeds = [seed_base + i for i in range(trials)]
     rows = []
-    with ensure_pool(
-        pool, jobs,
-        retries=retries, cell_timeout=cell_timeout, checkpoint=checkpoint,
-    ) as cells:
+    with ensure_pool(pool) as cells:
         for name in names or compute_bound_names():
             spec = runner.final_spec(name, pool=cells)
             sound_values = cells.starmap(
@@ -213,10 +206,6 @@ def refinement_phases(
     trials: int = 2,
     seed_base: int = 70_000,
     model: Optional[CostModel] = None,
-    jobs: Optional[int] = None,
-    retries: Optional[int] = None,
-    cell_timeout: Optional[float] = None,
-    checkpoint: Optional[str] = None,
     pool: Optional[CellPool] = None,
 ) -> RefinementPhasesResult:
     """Single-run mode's cost at the start/halfway/end of refinement.
@@ -226,10 +215,7 @@ def refinement_phases(
     """
     model = model or CostModel()
     rows: Dict[str, Tuple[float, float, float]] = {}
-    with ensure_pool(
-        pool, jobs,
-        retries=retries, cell_timeout=cell_timeout, checkpoint=checkpoint,
-    ) as cells:
+    with ensure_pool(pool) as cells:
         for name in names or compute_bound_names():
             refinement = runner.refine(
                 name, "single", seed_base=seed_base, pool=cells
@@ -284,10 +270,6 @@ def arrays(
     trials: int = 2,
     seed_base: int = 80_000,
     model: Optional[CostModel] = None,
-    jobs: Optional[int] = None,
-    retries: Optional[int] = None,
-    cell_timeout: Optional[float] = None,
-    checkpoint: Optional[str] = None,
     pool: Optional[CellPool] = None,
 ) -> ArraysResult:
     """The Section 5.4 array-instrumentation comparison."""
@@ -302,10 +284,7 @@ def arrays(
         for instrument in (False, True)
     ]
     rows: Dict[str, Tuple[float, float, float, float]] = {}
-    with ensure_pool(
-        pool, jobs,
-        retries=retries, cell_timeout=cell_timeout, checkpoint=checkpoint,
-    ) as cells:
+    with ensure_pool(pool) as cells:
         for name in selected:
             spec = runner.final_spec(name, pool=cells)
             batch = [
@@ -359,10 +338,6 @@ def pcd_only(
     seed_base: int = 90_000,
     pcd_memory_budget: int = 9_000,
     model: Optional[CostModel] = None,
-    jobs: Optional[int] = None,
-    retries: Optional[int] = None,
-    cell_timeout: Optional[float] = None,
-    checkpoint: Optional[str] = None,
     pool: Optional[CellPool] = None,
 ) -> PcdOnlyResult:
     """Compare single-run mode with the PCD-only variant."""
@@ -370,10 +345,7 @@ def pcd_only(
     seeds = [seed_base + i for i in range(trials)]
     rows: Dict[str, Tuple[float, Optional[float]]] = {}
     oom: List[str] = []
-    with ensure_pool(
-        pool, jobs,
-        retries=retries, cell_timeout=cell_timeout, checkpoint=checkpoint,
-    ) as cells:
+    with ensure_pool(pool) as cells:
         for name in names or compute_bound_names():
             spec = runner.final_spec(name, pool=cells)
             single_values = cells.starmap(
@@ -422,10 +394,6 @@ def second_run_variants(
     first_trials: int = 2,
     seed_base: int = 95_000,
     model: Optional[CostModel] = None,
-    jobs: Optional[int] = None,
-    retries: Optional[int] = None,
-    cell_timeout: Optional[float] = None,
-    checkpoint: Optional[str] = None,
     pool: Optional[CellPool] = None,
 ) -> SecondRunVariantsResult:
     """Evaluate the conditional-unary optimization and Velodrome-as-
@@ -433,10 +401,7 @@ def second_run_variants(
     model = model or CostModel()
     seeds = [seed_base + 100 + i for i in range(trials)]
     rows: Dict[str, Tuple[float, float, float]] = {}
-    with ensure_pool(
-        pool, jobs,
-        retries=retries, cell_timeout=cell_timeout, checkpoint=checkpoint,
-    ) as cells:
+    with ensure_pool(pool) as cells:
         for name in names or compute_bound_names():
             spec = runner.final_spec(name, pool=cells)
             firsts = cells.starmap(

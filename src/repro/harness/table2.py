@@ -104,26 +104,16 @@ def generate(
     *,
     trials_per_step: int = 3,
     seed_base: int = 0,
-    jobs: Optional[int] = None,
-    retries: Optional[int] = None,
-    cell_timeout: Optional[float] = None,
-    checkpoint: Optional[str] = None,
     pool: Optional[CellPool] = None,
 ) -> Table2Result:
     """Regenerate Table 2 for the given benchmarks (default: all 19).
 
     Refinement rounds stay serial (each round depends on the last),
-    but every round's trials fan out across ``jobs`` workers; results
-    are identical for any job count.  ``retries``, ``cell_timeout``,
-    and ``checkpoint`` configure the owned pool's fault tolerance
-    (ignored when an explicit ``pool`` is passed; see
-    ``docs/ROBUSTNESS.md``).
+    but every round's trials fan out across ``pool``'s workers; results
+    are identical for any job count.
     """
     rows = []
-    with ensure_pool(
-        pool, jobs,
-        retries=retries, cell_timeout=cell_timeout, checkpoint=checkpoint,
-    ) as cells:
+    with ensure_pool(pool) as cells:
         for name in names or all_names():
             velodrome = runner.refine(
                 name, "velodrome", trials_per_step=trials_per_step,

@@ -101,26 +101,17 @@ def generate(
     trials: int = 3,
     first_trials: int = 2,
     seed_base: int = 40_000,
-    jobs: Optional[int] = None,
-    retries: Optional[int] = None,
-    cell_timeout: Optional[float] = None,
-    checkpoint: Optional[str] = None,
     pool: Optional[CellPool] = None,
 ) -> Table3Result:
     """Regenerate Table 3 (default: all 19 benchmarks).
 
     The statistics-gathering trials of every benchmark are independent
-    cells; with ``jobs`` workers the single-run and first-run cells fan
-    out first, then the second-run cells (which need the first runs'
+    cells; across ``pool``'s workers the single-run and first-run cells
+    fan out first, then the second-run cells (which need the first runs'
     static-transaction info).  Counters are identical to a serial run.
-    ``retries``/``cell_timeout``/``checkpoint`` configure the owned
-    pool's fault tolerance (see ``docs/ROBUSTNESS.md``).
     """
     rows = []
-    with ensure_pool(
-        pool, jobs,
-        retries=retries, cell_timeout=cell_timeout, checkpoint=checkpoint,
-    ) as cells:
+    with ensure_pool(pool) as cells:
         for name in names or all_names():
             spec = runner.final_spec(name, pool=cells)
             seeds = [seed_base + i for i in range(trials)]

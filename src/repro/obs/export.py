@@ -11,7 +11,7 @@ relative to the run's shared epoch (see :mod:`repro.obs.wire`).
 Every file exporter writes **atomically** — the document is serialized
 to a temporary file in the destination directory and renamed over the
 target (the same write-then-rename discipline as
-:class:`~repro.harness.checkpoint.Checkpoint`) — so a run killed
+:meth:`repro.trace.recorder.Trace.save`) — so a run killed
 mid-export never leaves a truncated trace or metrics file behind.
 """
 

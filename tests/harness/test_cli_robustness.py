@@ -1,11 +1,14 @@
-"""CLI robustness: fault-tolerance flags, pre-flight validation, and
-readable exit-2 failures (never a traceback for predictable mistakes)."""
+"""CLI robustness: pre-flight validation, readable exit-2 failures
+(never a traceback for predictable mistakes), and exit status 3 when a
+worker process dies."""
+
+import os
 
 import pytest
 
 from repro.harness import runner
 from repro.harness.cli import main
-from repro.harness.parallel import RETRIES_ENV
+from repro.harness.parallel import JOBS_ENV
 
 
 @pytest.fixture(autouse=True)
@@ -17,46 +20,13 @@ def fresh_caches(tmp_path, monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# the fault-tolerance flags, end to end
-# ----------------------------------------------------------------------
-def test_retries_and_fault_spec_flags(capsys):
-    code = main([
-        "table3", "--names", "hedc",
-        "--retries", "2", "--fault-spec", "transient:0.3",
-    ])
-    assert code == 0
-    assert "hedc" in capsys.readouterr().out
-
-
-def test_checkpoint_flag_resumes(tmp_path, capsys):
-    ck = str(tmp_path / "ck.jsonl")
-    assert main(["table3", "--names", "hedc", "--checkpoint", ck]) == 0
-    first = capsys.readouterr().out
-    assert main(["table3", "--names", "hedc", "--checkpoint", ck]) == 0
-    assert capsys.readouterr().out == first
-
-
-def test_cell_timeout_flag(capsys):
-    code = main(["table3", "--names", "hedc", "--cell-timeout", "300"])
-    assert code == 0
-
-
-# ----------------------------------------------------------------------
 # readable exit-2 failures
 # ----------------------------------------------------------------------
-def test_bad_fault_spec_exits_2(capsys):
-    code = main(["table3", "--names", "hedc", "--fault-spec", "meteor:0.5"])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "error" in err and "meteor" in err
-    assert "Traceback" not in err
-
-
-def test_bad_retries_env_exits_2(monkeypatch, capsys):
-    monkeypatch.setenv(RETRIES_ENV, "several")
+def test_bad_jobs_env_exits_2(monkeypatch, capsys):
+    monkeypatch.setenv(JOBS_ENV, "several")
     code = main(["table3", "--names", "hedc"])
     assert code == 2
-    assert RETRIES_ENV in capsys.readouterr().err
+    assert JOBS_ENV in capsys.readouterr().err
 
 
 def test_out_under_a_file_exits_2(tmp_path, capsys):
@@ -85,10 +55,23 @@ def test_out_accepts_not_yet_existing_directory(tmp_path, capsys):
     assert (target / "table3.txt").exists()
 
 
-def test_checkpoint_in_missing_directory_exits_2(tmp_path, capsys):
-    code = main([
-        "table3", "--names", "hedc",
-        "--checkpoint", str(tmp_path / "nowhere" / "ck.jsonl"),
-    ])
-    assert code == 2
-    assert "--checkpoint" in capsys.readouterr().err
+# ----------------------------------------------------------------------
+# a dead worker
+# ----------------------------------------------------------------------
+def _dying_cell(*args):
+    os._exit(1)
+
+
+def test_dead_worker_exits_3(monkeypatch, capsys):
+    # table3 submits the patched cell, which kills its worker process:
+    # the run must end in one error line, with no traceback
+    monkeypatch.setattr(runner, "run_cell", _dying_cell)
+    code = main(["table3", "--names", "hedc", "--jobs", "2"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(
+        "doublechecker-experiments: error: cell _dying_cell["
+    )

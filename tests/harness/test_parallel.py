@@ -14,16 +14,11 @@ import pytest
 
 from repro.harness import figure7, runner, table2, table3
 from repro.harness.parallel import (
-    CELL_TIMEOUT_ENV,
-    CHECKPOINT_ENV,
+    CellFailedError,
     CellPool,
     JOBS_ENV,
-    RETRIES_ENV,
     ensure_pool,
-    resolve_cell_timeout,
-    resolve_checkpoint,
     resolve_jobs,
-    resolve_retries,
 )
 from repro.obs.registry import MODE_COUNTERS, MetricsRegistry, use_registry
 
@@ -73,15 +68,7 @@ def test_starmap_results_are_ordered():
 def test_serial_pool_runs_inline():
     pool = CellPool(1)
     assert pool._executor is None
-    assert pool.map(_square, [3]) == [9]
-    future = pool.submit(_square, 4)
-    assert future.result() == 16
-
-
-def test_serial_pool_submit_captures_exceptions():
-    future = CellPool(1).submit(_boom, 1)
-    with pytest.raises(RuntimeError):
-        future.result()
+    assert pool.starmap(_square, [(3,), (4,)]) == [9, 16]
 
 
 def test_parallel_pool_propagates_exceptions():
@@ -90,48 +77,26 @@ def test_parallel_pool_propagates_exceptions():
             pool.starmap(_boom, [(1,)])
 
 
-def test_ensure_pool_reuses_and_owns():
+def test_ensure_pool_reuses_and_owns(monkeypatch):
     with CellPool(1) as outer:
         with ensure_pool(outer) as inner:
             assert inner is outer
-    with ensure_pool(None, 1) as owned:
+    monkeypatch.delenv(JOBS_ENV, raising=False)
+    with ensure_pool(None) as owned:
         assert owned.jobs == 1
 
 
-def test_resolve_retries_explicit_beats_env(monkeypatch):
-    monkeypatch.setenv(RETRIES_ENV, "5")
-    assert resolve_retries(2) == 2
-    assert resolve_retries(None) == 5
-    monkeypatch.delenv(RETRIES_ENV)
-    assert resolve_retries(None) == 0
+def _die(x):
+    os._exit(7)
 
 
-@pytest.mark.parametrize("value", ["-1", "soon"])
-def test_resolve_retries_rejects_garbage(monkeypatch, value):
-    monkeypatch.setenv(RETRIES_ENV, value)
-    with pytest.raises(ValueError):
-        resolve_retries(None)
-
-
-def test_resolve_cell_timeout(monkeypatch):
-    monkeypatch.setenv(CELL_TIMEOUT_ENV, "2.5")
-    assert resolve_cell_timeout(9.0) == 9.0
-    assert resolve_cell_timeout(None) == 2.5
-    monkeypatch.delenv(CELL_TIMEOUT_ENV)
-    assert resolve_cell_timeout(None) is None
-    with pytest.raises(ValueError):
-        resolve_cell_timeout(0.0)
-    monkeypatch.setenv(CELL_TIMEOUT_ENV, "later")
-    with pytest.raises(ValueError):
-        resolve_cell_timeout(None)
-
-
-def test_resolve_checkpoint(monkeypatch):
-    monkeypatch.setenv(CHECKPOINT_ENV, "/tmp/env.jsonl")
-    assert resolve_checkpoint("explicit.jsonl") == "explicit.jsonl"
-    assert resolve_checkpoint(None) == "/tmp/env.jsonl"
-    monkeypatch.delenv(CHECKPOINT_ENV)
-    assert resolve_checkpoint(None) is None
+def test_dead_worker_raises_cell_failed_error():
+    # a worker process that dies mid-cell breaks the process pool;
+    # starmap must end in CellFailedError naming a cell, never hang
+    with CellPool(2) as pool:
+        with pytest.raises(CellFailedError) as failure:
+            pool.starmap(_die, [(i,) for i in range(4)])
+    assert failure.value.label.startswith("_die[")
 
 
 def _interrupt(x):
@@ -142,14 +107,13 @@ def _exit(x):
     raise SystemExit(3)
 
 
-def test_serial_pool_submit_reraises_keyboard_interrupt():
-    # a Ctrl-C during an inline cell must reach the user immediately,
-    # not sit parked in a Future until (if ever) .result() is called
+def test_serial_pool_starmap_reraises_keyboard_interrupt():
+    # a Ctrl-C during an inline cell must reach the user immediately
     pool = CellPool(1)
     with pytest.raises(KeyboardInterrupt):
-        pool.submit(_interrupt, 1)
+        pool.starmap(_interrupt, [(1,)])
     with pytest.raises(SystemExit):
-        pool.submit(_exit, 1)
+        pool.starmap(_exit, [(1,)])
 
 
 def _marker_or_boom(directory, index, delay):
