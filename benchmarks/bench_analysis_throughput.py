@@ -1,14 +1,14 @@
 """Analysis-phase throughput benchmark: the cycle-detection clients.
 
-Times the Velodrome per-edge checker, which runs on the incremental
-strongly-connected-component engine (``repro.graph``), ICD's
-transaction-end Tarjan pass (``repro.core.scc``), and the vector-clock
-backend, on the ``hubstress`` workload built for exactly this: one
-long *hub* transaction per round anchors itself into a producer
-group's ever-growing write chain, then periodically probes old
-write-once seed fields.  Every probe would force a whole-graph
-per-edge check to exhaust the hub's whole reachable region to *refute*
-a cycle, while the engine's component certificate answers in O(1).
+Times the Velodrome per-edge checker, whose checks the transaction
+clocks certify (``repro.core.clocks``), ICD's transaction-end Tarjan
+pass (``repro.core.scc``), and the vector-clock backend, on the
+``hubstress`` workload built for exactly this: one long *hub*
+transaction per round anchors itself into a producer group's
+ever-growing write chain, then periodically probes old write-once seed
+fields.  Every probe would force a whole-graph per-edge check to
+exhaust the hub's whole reachable region to *refute* a cycle, while
+the source's clock answers with one dict probe.
 The retired arms' last numbers are kept as ``LEGACY_*`` constants:
 Velodrome's visit counts are checked against its whole-graph arm, and
 ICD's Tarjan schedule must reproduce its recorded visit count exactly.
@@ -101,7 +101,6 @@ def _velodrome(spec):
         "cycle_checks": stats.cycle_checks,
         "cycle_checks_certified": stats.cycle_checks_certified,
         "cycle_check_visits": stats.cycle_check_visits,
-        "engine_search_visits": stats.engine_search_visits,
     }
 
 
@@ -161,7 +160,7 @@ def _measure():
     spec = hubstress_spec()
     return {
         "hubstress": {
-            "velodrome": {"engine": _velodrome(spec)},
+            "velodrome": {"clocks": _velodrome(spec)},
             "icd_first": {"tarjan": _icd_first(spec)},
             "vc": {
                 "default": _vc(spec, False),
@@ -187,7 +186,7 @@ def test_analysis_throughput(tmp_path):
     """Writes a fresh report under ``tmp_path`` (never over the
     committed baseline) and checks the recorded bars.
 
-    The visit counters are deterministic — Velodrome's engine must
+    The visit counters are deterministic — Velodrome's clocks must
     certify the overwhelming majority of probe checks and cut visits
     by far more than the 2x the acceptance bar asks for, against the
     recorded whole-graph arm, and ICD's Tarjan schedule must visit
@@ -198,17 +197,16 @@ def test_analysis_throughput(tmp_path):
     report = write_report(str(tmp_path / "BENCH_analysis.json"))
     rows = report["workloads"]["hubstress"]
 
-    velo = rows["velodrome"]
-    assert velo["engine"]["cycle_checks"] == LEGACY_VELODROME["cycle_checks"]
-    total_engine = (
-        velo["engine"]["cycle_check_visits"]
-        + velo["engine"]["engine_search_visits"]
-    )
-    assert total_engine * 2 <= LEGACY_VELODROME["cycle_check_visits"]
-    certified = velo["engine"]["cycle_checks_certified"]
-    assert certified >= velo["engine"]["cycle_checks"] * 0.9
+    velo = rows["velodrome"]["clocks"]
+    assert velo["cycle_checks"] == LEGACY_VELODROME["cycle_checks"]
     assert (
-        velo["engine"]["steps_per_second"]
+        velo["cycle_check_visits"] * 2
+        <= LEGACY_VELODROME["cycle_check_visits"]
+    )
+    certified = velo["cycle_checks_certified"]
+    assert certified >= velo["cycle_checks"] * 0.9
+    assert (
+        velo["steps_per_second"]
         >= LEGACY_VELODROME["steps_per_second"] * 0.95
     )
 
@@ -220,7 +218,7 @@ def test_analysis_throughput(tmp_path):
     # graph, so the per-edge check counts must match Velodrome's; the
     # default arm drops sync-edge work on the floor, never adds any
     vc = rows["vc"]
-    assert vc["sync_edges"]["cycle_checks"] == velo["engine"]["cycle_checks"]
+    assert vc["sync_edges"]["cycle_checks"] == velo["cycle_checks"]
     assert vc["default"]["edges"] <= vc["sync_edges"]["edges"]
     assert vc["default"]["cycles_found"] <= vc["sync_edges"]["cycles_found"]
     # the linear-time claim: no graph searches at all, so the vc arm

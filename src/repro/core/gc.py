@@ -102,7 +102,7 @@ class TransactionCollector:
         self.last_swept_log_entries = 0
         #: tx ids swept by the most recent :meth:`collect`, in
         #: population order — lets clients retire exactly the collected
-        #: nodes (e.g. from the incremental engine) without re-scanning
+        #: nodes (e.g. their transaction clocks) without re-scanning
         #: the whole pre-collect population for ``collected`` flags
         self.last_swept_ids: List[int] = []
         self._pending_links: List[tuple] = []

@@ -20,12 +20,8 @@ Hence only cross-thread edges need the per-edge cycle check.
 **A plain adjacency map, searched by DFS.**  A PDG spans one ICD
 component (on pcdheavy a median of 14 transactions, at most 128), so
 each cycle check is a DFS from the new edge's sink over the whole
-graph.  The graph keeps no incremental SCC engine, unlike Velodrome's
-whole-execution graph: an engine's membership filter would never
-change the path the DFS finds (a node outside ``dst``'s component
-cannot reach ``src``), and its union-find contraction cannot be
-undone.  Without it, :meth:`PDG.truncate` undoes the newest edges by
-deleting them, which is what lets PCD roll a kept replay back (see
+graph, and the newest edges can be undone: :meth:`PDG.truncate`
+deletes them, which is what lets PCD roll a kept replay back (see
 :mod:`repro.core.pcd`); an edge re-added after a rollback gets the
 creation order it would get in a from-scratch replay.
 """

@@ -153,7 +153,6 @@ class CostModel:
             s.edges * w.edge_add
             + s.cycle_checks * w.scc_setup
             + s.cycle_check_visits * w.graph_visit
-            + s.engine_search_visits * w.graph_visit
         )
         breakdown.components["gc"] = (
             result.gc_stats.transactions_collected * w.gc_per_tx_scanned

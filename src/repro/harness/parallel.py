@@ -24,6 +24,10 @@ harness embarrassingly parallel, and — because the cells are separate
   :func:`repro.harness.runner.set_cache_readonly`, so only the parent
   process ever writes the final-spec disk cache (see
   :func:`repro.harness.runner._store_cache`).
+* **Workers die with their parent.**  A parent killed outright
+  (``kill -9``) cannot shut its pool down, and its workers would idle
+  on, reparented.  Each worker polls its parent pid from a daemon
+  thread and exits as soon as it changes.
 
 A batch's telemetry merge is **all-or-nothing**: per-cell snapshots
 are folded into the caller's registry — in submission order — only
@@ -46,6 +50,8 @@ processes, no pickling.
 from __future__ import annotations
 
 import os
+import threading
+import time
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures import wait as futures_wait
 from concurrent.futures.process import BrokenProcessPool
@@ -61,6 +67,9 @@ from repro.obs.wire import aligned_epoch, trace_context
 
 #: environment variable consulted when no explicit job count is given
 JOBS_ENV = "DOUBLECHECKER_JOBS"
+
+#: seconds between a worker's checks that its parent is still alive
+_PARENT_POLL_S = 0.5
 
 
 def resolve_jobs(jobs: Optional[int] = None) -> int:
@@ -94,10 +103,22 @@ class CellFailedError(Exception):
 
 
 def _init_worker() -> None:
-    """Worker initializer: never write shared on-disk caches."""
+    """Worker initializer: never write shared on-disk caches, and exit
+    once the parent process is gone."""
     from repro.harness import runner
 
     runner.set_cache_readonly(True)
+    threading.Thread(
+        target=_exit_with_parent, args=(os.getppid(),), daemon=True
+    ).start()
+
+
+def _exit_with_parent(parent: int) -> None:
+    """Poll the parent pid; an orphaned worker is reparented, so its
+    parent pid changes, and it exits at once."""
+    while os.getppid() == parent:
+        time.sleep(_PARENT_POLL_S)
+    os._exit(1)
 
 
 def _obs_cell(octx: dict, fn: Callable[..., Any], args: Sequence[Any]) -> Tuple[Any, dict]:

@@ -1,7 +1,7 @@
 """Unified telemetry: metrics registry, phase spans, and exporters.
 
 The observability layer shared by the executor, the analyses (Octet,
-ICD, PCD, Velodrome, the graph engine), and the experiment harness.
+ICD, PCD, Velodrome, vc), and the experiment harness.
 See ``docs/OBSERVABILITY.md`` for the metric-name catalog and the
 exporter formats.
 

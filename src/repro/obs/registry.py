@@ -329,10 +329,9 @@ def publish_stats(target: Any, prefix: str, stats: Any,
     Every integer field becomes ``<prefix>.<field>``; integer-valued
     dict fields fan out to ``<prefix>.<field>.<key>``.  Field names in
     ``gauges`` (peaks and other high-water marks) become max-merged
-    gauges instead.  Non-numeric fields — including linked nested stats
-    objects — are skipped, so analyses can keep their existing
-    dataclasses as hot-path accumulators and publish them once at
-    execution end.
+    gauges instead.  Non-numeric fields are skipped, so analyses can
+    keep their existing dataclasses as hot-path accumulators and
+    publish them once at execution end.
     """
     if not target.enabled:
         return

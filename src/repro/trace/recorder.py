@@ -6,10 +6,10 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Tuple
+from typing import Any, Callable, Iterable, List, Optional, Tuple
 
 from repro.errors import TraceFormatError
-from repro.runtime.events import AccessEvent
+from repro.runtime.events import AccessEvent, AccessKind
 from repro.runtime.executor import Executor
 from repro.runtime.listeners import ExecutionListener
 from repro.runtime.program import Program
@@ -18,8 +18,38 @@ from repro.runtime.scheduler import Scheduler
 #: trace record kinds
 ACCESS, ENTER, EXIT, START, END = "a", "m+", "m-", "t+", "t-"
 
-#: required record length per kind (see :class:`Trace`)
-_RECORD_ARITY = {ACCESS: 11, ENTER: 4, EXIT: 4, START: 2, END: 2}
+#: a field's expected type, as (description, predicate)
+_Type = Tuple[str, Callable[[Any], bool]]
+
+_INT: _Type = (
+    "an int", lambda v: isinstance(v, int) and not isinstance(v, bool)
+)
+_STR: _Type = ("a string", lambda v: isinstance(v, str))
+_BOOL: _Type = ("a bool", lambda v: isinstance(v, bool))
+_ACCESS_KINDS = [k.value for k in AccessKind]
+_KIND: _Type = (f"one of {_ACCESS_KINDS}", lambda v: v in _ACCESS_KINDS)
+_METHOD_FIELDS = (("thread", _STR), ("method", _STR), ("depth", _INT))
+_THREAD_FIELDS = (("thread", _STR),)
+
+#: the fields after the kind, per record kind (see :class:`Trace`)
+_RECORD_FIELDS = {
+    ACCESS: (
+        ("seq", _INT),
+        ("thread", _STR),
+        ("oid", _INT),
+        ("label", _STR),
+        ("field", _STR),
+        ("kind", _KIND),
+        ("is_sync", _BOOL),
+        ("is_array", _BOOL),
+        ("site_method", _STR),
+        ("site_index", _INT),
+    ),
+    ENTER: _METHOD_FIELDS,
+    EXIT: _METHOD_FIELDS,
+    START: _THREAD_FIELDS,
+    END: _THREAD_FIELDS,
+}
 
 
 @dataclass
@@ -62,19 +92,26 @@ class Trace:
                     line_number, "record is not a non-empty JSON array"
                 )
             kind = record[0]
-            arity = _RECORD_ARITY.get(kind)
-            if arity is None:
+            fields = _RECORD_FIELDS.get(kind) if isinstance(kind, str) else None
+            if fields is None:
                 raise TraceFormatError(
                     line_number,
                     f"unknown record kind {kind!r} (expected one of "
-                    f"{sorted(_RECORD_ARITY)})",
+                    f"{sorted(_RECORD_FIELDS)})",
                 )
-            if len(record) != arity:
+            if len(record) != len(fields) + 1:
                 raise TraceFormatError(
                     line_number,
                     f"{kind!r} record has {len(record)} fields, expected "
-                    f"{arity}",
+                    f"{len(fields) + 1}",
                 )
+            for (name, (expected, valid)), value in zip(fields, record[1:]):
+                if not valid(value):
+                    raise TraceFormatError(
+                        line_number,
+                        f"{kind!r} record field {name} is {value!r}, "
+                        f"expected {expected}",
+                    )
             records.append(tuple(record))
         return cls(records)
 

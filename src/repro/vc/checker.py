@@ -7,24 +7,20 @@ transaction objects — so the transaction collector, the metadata
 table, and the violation model are reused unchanged.  What differs is
 cycle detection: instead of running a graph search per new edge
 (Velodrome) or deferring precision to a second pass (ICD+PCD), every
-transaction carries a vector clock mapping each thread to the newest
-transaction of that thread known to happen before it.  An edge
-``src -> dst`` closes a cycle exactly when ``src`` already sees a
-transaction of ``dst``'s thread at least as new as ``dst`` — a single
-dict probe, no traversal.
+transaction carries a vector clock
+(:class:`~repro.core.clocks.TransactionClocks`) mapping each thread to
+the newest transaction of that thread with a path into it.  An edge
+``src -> dst`` closes a cycle exactly when ``src``'s clock already
+sees a transaction of ``dst``'s thread at least as new as ``dst`` — a
+single dict probe, no traversal.
 
-Soundness and completeness of the edge-time check rest on *eager*
-clock propagation: whenever a clock grows, the growth is pushed
-transitively along the transaction's out-edges and intra-thread
-successor chain until a fixpoint (joins are monotone and bounded by
-the per-thread transaction counters, so the worklist terminates).  At
-fixpoint, every clock reflects every path in the current graph; a new
-cycle must contain the edge just added (any other cycle predates the
-edge and was caught at *its* last edge), and the path closing it is
-already summarized in ``src``'s clock.  A transaction's intra-thread
-predecessor is joined in at start, so program-order edges never close
-a cycle themselves — the temporally last edge of any cycle is always a
-cross edge.
+The probe is complete because the clocks propagate eagerly (see
+:mod:`repro.core.clocks`): at every edge they reflect every path in
+the current graph, and a new cycle must contain the edge just added
+(any other cycle predates the edge and was caught at *its* last edge).
+A transaction inherits its intra-thread predecessor's clock at start,
+so program-order edges never close a cycle themselves — the
+temporally last edge of any cycle is always a cross edge.
 
 By default the checker skips synchronization pseudo-accesses
 (``sync_edges=False``), the AeroDrome design point: only data
@@ -39,8 +35,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Optional, Set, Tuple
 
+from repro.core.clocks import TransactionClocks
 from repro.core.gc import GcStats, TransactionCollector
 from repro.core.reports import ViolationRecord, ViolationSummary
 from repro.core.transactions import (
@@ -99,21 +96,6 @@ class VcResult:
         return self.violations.blamed_methods()
 
 
-class _VcState:
-    """Per-transaction clock state (side table keyed by tx id —
-    :class:`Transaction` is a ``__slots__`` type shared with the other
-    backends, so backend-private state lives outside it)."""
-
-    __slots__ = ("clock",)
-
-    def __init__(self, clock: Dict[str, int]) -> None:
-        #: thread name -> newest tx id of that thread that happens
-        #: before (or is) this transaction's latest observed point;
-        #: tx ids are globally monotone, hence monotone per thread,
-        #: so they double as the per-thread ordinals
-        self.clock = clock
-
-
 class VcChecker(ExecutionListener):
     """Sound linear-time conflict-serializability checking.
 
@@ -152,18 +134,16 @@ class VcChecker(ExecutionListener):
         self.stats = VcStats()
         self.metadata = MetadataTable()
         self.violations = ViolationSummary()
+        self.clocks = TransactionClocks()
         self.tx_manager = TransactionManager(
             spec,
             monitor_regular=monitor_regular,
             monitor_unary=monitor_unary,
-            on_transaction_start=self._transaction_started,
+            on_transaction_start=self.clocks.start,
             on_transaction_end=self._transaction_ended,
         )
         self.collector = TransactionCollector(self.tx_manager)
         self._edge_order = 0
-        #: tx id -> clock state; entries are dropped when the collector
-        #: sweeps the transaction
-        self._states: Dict[int, _VcState] = {}
         self._reported: Set[Tuple[int, int]] = set()
         self._tx_ends_since_gc = 0
         self._obs = obs_recorder()
@@ -328,67 +308,21 @@ class VcChecker(ExecutionListener):
         self.collector.note_link(src, dst)
         self.stats.edges += 1
 
-        src_state = self._states[src.tx_id]
-        dst_state = self._states[dst.tx_id]
-
         # cycle probe: src happens-after a transaction of dst's thread
         # at least as new as dst => a path dst ~> src already exists,
         # and this edge closes it
         self.stats.cycle_checks += 1
-        if src_state.clock.get(dst.thread_name, 0) >= dst.tx_id:
+        if self.clocks.clock(src).get(dst.thread_name, 0) >= dst.tx_id:
             self._report_cycle(src, dst)
 
-        self._join_into(src, src_state, dst, dst_state)
+        grown = self.clocks.add_edge(src, dst)
+        if grown:
+            self.stats.clock_joins += 1
+            self.stats.propagations += grown - 1
 
         # eagerly end an interrupted unary transaction on the source
         # side (the destination is the accessor, mid-access)
         self.tx_manager.end_if_interrupted_unary(src)
-
-    def _join_into(
-        self,
-        src: Transaction,
-        src_state: _VcState,
-        dst: Transaction,
-        dst_state: _VcState,
-    ) -> None:
-        """Join ``src``'s knowledge into ``dst`` and propagate any
-        growth transitively (worklist over out-edges and the
-        intra-thread chain)."""
-        if not self._join(src, src_state, dst_state):
-            return
-        self.stats.clock_joins += 1
-        states = self._states
-        worklist: List[Transaction] = [dst]
-        while worklist:
-            node = worklist.pop()
-            node_state = states.get(node.tx_id)
-            if node_state is None:
-                continue
-            succs: List[Transaction] = [e.dst for e in node.out_edges]
-            if node.intra_next is not None:
-                succs.append(node.intra_next)
-            for succ in succs:
-                succ_state = states.get(succ.tx_id)
-                if succ_state is None:
-                    continue
-                if self._join(node, node_state, succ_state):
-                    self.stats.propagations += 1
-                    worklist.append(succ)
-
-    @staticmethod
-    def _join(src: Transaction, src_state: _VcState, dst_state: _VcState) -> bool:
-        """``dst_state.clock |= src_state.clock ∪ {src.thread: src}``;
-        returns whether the destination clock grew."""
-        dst_clock = dst_state.clock
-        grew = False
-        for thread, ordinal in src_state.clock.items():
-            if dst_clock.get(thread, 0) < ordinal:
-                dst_clock[thread] = ordinal
-                grew = True
-        if dst_clock.get(src.thread_name, 0) < src.tx_id:
-            dst_clock[src.thread_name] = src.tx_id
-            grew = True
-        return grew
 
     def _report_cycle(self, src: Transaction, dst: Transaction) -> None:
         key = (src.tx_id, dst.tx_id)
@@ -414,17 +348,6 @@ class VcChecker(ExecutionListener):
     # ------------------------------------------------------------------
     # transaction lifecycle, GC, memory budget
     # ------------------------------------------------------------------
-    def _transaction_started(self, tx: Transaction) -> None:
-        prev = tx.intra_prev
-        if prev is not None:
-            prev_state = self._states.get(prev.tx_id)
-            if prev_state is not None:
-                clock = dict(prev_state.clock)
-                clock[tx.thread_name] = prev.tx_id
-                self._states[tx.tx_id] = _VcState(clock)
-                return
-        self._states[tx.tx_id] = _VcState({})
-
     def _transaction_ended(self, tx: Transaction) -> None:
         self._tx_ends_since_gc += 1
         if (
@@ -438,9 +361,7 @@ class VcChecker(ExecutionListener):
             # (the last purge already dropped every collected reference)
             swept = self.collector.last_swept_ids
             if swept:
-                states = self._states
-                for tx_id in swept:
-                    states.pop(tx_id, None)
+                self.clocks.forget(swept)
                 self.metadata.purge_collected()
         if self.memory_budget is not None:
             used = len(self.tx_manager.all_transactions)

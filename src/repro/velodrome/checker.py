@@ -10,15 +10,20 @@ every access, updates the field's last-access metadata inside a
 critical section (one atomic operation + fences per instrumented
 access), adds edges eagerly, and runs a cycle check after every new
 edge.
+
+The check probes the per-transaction vector clocks of
+:mod:`repro.core.clocks`, shared with the vc backend; only an edge
+that closes a cycle runs a DFS, which reconstructs it for the report.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.blame import blamed_nodes
+from repro.core.clocks import TransactionClocks
 from repro.core.gc import GcStats, TransactionCollector
 from repro.core.pdg import PdgEdge
 from repro.core.reports import ViolationRecord, ViolationSummary
@@ -29,8 +34,6 @@ from repro.core.transactions import (
     TransactionStats,
 )
 from repro.errors import OutOfMemoryBudget
-from repro.graph.chains import ChainCollapsedGraph, ChainFrontier
-from repro.graph.engine import GraphEngineStats
 from repro.obs.registry import publish_stats, recorder as obs_recorder
 from repro.runtime.events import AccessEvent
 from repro.runtime.executor import ExecutionResult, Executor
@@ -53,21 +56,12 @@ class VelodromeStats:
     edges: int = 0
     cycle_checks: int = 0
     cycle_check_visits: int = 0
-    #: checks resolved by the engine's component certificate alone —
-    #: the endpoints sat in different components, so no traversal ran
+    #: checks resolved by the transaction clocks alone — the source's
+    #: clock records no path from the destination, so no traversal ran
     cycle_checks_certified: int = 0
     cycles_found: int = 0
     array_accesses_skipped: int = 0
     lost_metadata_updates: int = 0
-    #: the engine's live counters (linked when cycle detection runs);
-    #: ``engine_search_visits`` reads through, so it cannot drift
-    engine: Optional[GraphEngineStats] = None
-
-    @property
-    def engine_search_visits(self) -> int:
-        """Nodes visited by the engine's reorder/contraction searches
-        (0 when cycle detection is off)."""
-        return 0 if self.engine is None else self.engine.search_visits
 
 
 @dataclass
@@ -140,13 +134,11 @@ class VelodromeChecker(ExecutionListener):
         self._intra_order: Dict[int, int] = {}
         self._reported_cycles: Set[frozenset] = set()
         self._tx_ends_since_gc = 0
-        #: incremental certificate for the per-edge cycle checks
+        #: reachability certificate for the per-edge cycle checks
         #: (``None`` exactly when cycle detection is off)
-        self.engine: Optional[ChainCollapsedGraph] = (
-            ChainCollapsedGraph() if cycle_detection else None
+        self.clocks: Optional[TransactionClocks] = (
+            TransactionClocks() if cycle_detection else None
         )
-        if self.engine is not None:
-            self.stats.engine = self.engine.graph.stats
         self._obs = obs_recorder()
 
     # ------------------------------------------------------------------
@@ -171,9 +163,6 @@ class VelodromeChecker(ExecutionListener):
         if not obs.enabled:
             return
         publish_stats(obs, "velodrome", self.stats)
-        obs.inc(
-            "velodrome.engine_search_visits", self.stats.engine_search_visits
-        )
         publish_stats(obs, "transactions", self.tx_manager.stats)
         publish_stats(
             obs,
@@ -181,8 +170,6 @@ class VelodromeChecker(ExecutionListener):
             self.collector.stats,
             gauges=("peak_live_transactions", "peak_live_log_entries"),
         )
-        if self.engine is not None:
-            self.engine.graph.stats.publish(obs, "velodrome.engine")
 
     def on_access(self, event: AccessEvent) -> None:
         if event.is_array and not self.instrument_arrays:
@@ -269,10 +256,8 @@ class VelodromeChecker(ExecutionListener):
         dst.edge_touched = True
         self.collector.note_link(src, dst)
         self.stats.edges += 1
-        if self.engine is not None:
-            self.engine.note_cross_edge(
-                src.tx_id, src.thread_name, dst.tx_id, dst.thread_name
-            )
+        if self.clocks is not None:
+            self.clocks.add_edge(src, dst)
         # eagerly end an interrupted unary transaction on the source
         # side (the destination is the accessor, mid-access)
         self.tx_manager.end_if_interrupted_unary(src)
@@ -288,19 +273,16 @@ class VelodromeChecker(ExecutionListener):
         self.stats.cycle_checks += 1
         target = closing.src
         start = closing.dst
-        # only reached with cycle detection on, so the engine exists
-        engine = self.engine
-        if not engine.same_component(start.tx_id, target.tx_id):
-            # certified acyclic: the engine already has the closing
-            # edge, so a dst ⇝ src path would have merged the two
-            # components — different components means no cycle
+        # the target's clock records start ⇝ target exactly when the
+        # edge closes a cycle; a target swept since its edge was added
+        # has no clock, and can join no cycle
+        reach = self.clocks.clock(target)
+        if reach is None or reach.get(start.thread_name, 0) < start.tx_id:
             self.stats.cycle_checks_certified += 1
             return
-        # restricting the DFS to the component's frontier cannot change
-        # the outcome: every node on a dst ⇝ src path lies on a cycle
-        # through the closing edge (hence in the component, or an
-        # admitted chain interior of it)
-        membership: ChainFrontier = engine.frontier(start.tx_id)
+        # admitting only the target and the nodes whose path into it
+        # the clock records cannot change the path found: a node with
+        # no path into the target never discovers one that has one
         discovered: Dict[Transaction, Tuple[Transaction, Optional[IdgEdge]]] = {}
         stack = [start]
         seen = {start}
@@ -313,8 +295,9 @@ class VelodromeChecker(ExecutionListener):
             if node.intra_next is not None:
                 steps.append((node.intra_next, None))
             for succ, via in steps:
-                if succ in seen or not membership.admits(
-                    succ.thread_name, succ.tx_id
+                if succ in seen or (
+                    succ is not target
+                    and reach.get(succ.thread_name, 0) < succ.tx_id
                 ):
                     continue
                 seen.add(succ)
@@ -380,6 +363,8 @@ class VelodromeChecker(ExecutionListener):
     # ------------------------------------------------------------------
     def _transaction_started(self, tx: Transaction) -> None:
         self._intra_order[tx.tx_id] = self._edge_order
+        if self.clocks is not None:
+            self.clocks.start(tx)
 
     def _transaction_ended(self, tx: Transaction) -> None:
         self._tx_ends_since_gc += 1
@@ -390,15 +375,12 @@ class VelodromeChecker(ExecutionListener):
             self._tx_ends_since_gc = 0
             self.collector.note_peak()
             self.collector.collect()
-            # the collector reports exactly what it swept, in
-            # population order, so neither the engine nor the intra
-            # orders need a pass over the live transactions — and a
-            # collection that swept nothing leaves nothing to retire
+            # a collection that swept nothing leaves nothing to retire
             # (the last purge already dropped every collected reference)
             swept = self.collector.last_swept_ids
             if swept:
-                if self.engine is not None:
-                    self.engine.forget(swept)
+                if self.clocks is not None:
+                    self.clocks.forget(swept)
                 intra_order = self._intra_order
                 for tx_id in swept:
                     intra_order.pop(tx_id, None)

@@ -279,8 +279,8 @@ def seeder(
 
     The body takes a ``lane`` argument (the listener's index).  Each
     invocation writes the archive's ping field — chaining the
-    transaction onto the global write-only seeder chain, which is what
-    *registers* it in the incremental engine at creation time — then
+    transaction onto the global write-only seeder chain at creation
+    time — then
     writes one fresh ``seed<lane>_<k>`` field on the seedbank (never
     written again: a later hub-scan probe of it can add an edge but
     never close a cycle) and advances the lane's cursor.  The chain is
@@ -307,13 +307,12 @@ def seeder(
         if listener_count > 1:
             # read a *sibling* listener's cursor: its last writer is an
             # old transaction of another thread, so this access gives
-            # every seed transaction a precise cross-thread edge — and
-            # hence an engine registration — at creation time.  Without
-            # it, burst-interior seeds (whose ping/cursor writes follow
-            # a same-thread access) would only register lazily when the
-            # hub probes them, long after younger transactions claimed
-            # later topological positions.  Bursts do not overlap, so
-            # these sibling edges always point old -> new: acyclic.
+            # every seed transaction a precise cross-thread edge at
+            # creation time.  Without it, burst-interior seeds (whose
+            # ping/cursor writes follow a same-thread access) would get
+            # their first cross edge only when the hub probes them.
+            # Bursts do not overlap, so these sibling edges always
+            # point old -> new: acyclic.
             yield Read(archive, f"cursor{(listener + 1) % listener_count}")
         yield Write(archive, "ping", listener)
         count = yield Read(archive, f"cursor{listener}")

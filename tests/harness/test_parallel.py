@@ -8,10 +8,15 @@ counters, Figure 7's normalized times.
 """
 
 import os
+import signal
+import subprocess
+import sys
+import textwrap
 import time
 
 import pytest
 
+import repro
 from repro.harness import figure7, runner, table2, table3
 from repro.harness.parallel import (
     CellFailedError,
@@ -97,6 +102,68 @@ def test_dead_worker_raises_cell_failed_error():
         with pytest.raises(CellFailedError) as failure:
             pool.starmap(_die, [(i,) for i in range(4)])
     assert failure.value.label.startswith("_die[")
+
+
+#: a parent process running two cells that record their worker's pid
+#: and then sleep for longer than the test waits
+_ORPHANING_PARENT = textwrap.dedent(
+    """
+    import os, sys, time
+    from repro.harness.parallel import CellPool
+
+    def cell(directory, index):
+        open(os.path.join(directory, f"worker-{os.getpid()}"), "w").close()
+        time.sleep(120)
+
+    if __name__ == "__main__":
+        with CellPool(2) as pool:
+            pool.starmap(cell, [(sys.argv[1], 0), (sys.argv[1], 1)])
+    """
+)
+
+
+def _running(pid):
+    """Whether ``pid`` is a live process; a zombie (dead, waiting for
+    the init process to reap it) counts as gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def test_workers_exit_when_parent_is_killed(tmp_path):
+    # kill -9 leaves the pool no chance to shut its workers down: they
+    # must notice the reparenting themselves and exit
+    script = tmp_path / "parent.py"
+    script.write_text(_ORPHANING_PARENT)
+    pids_dir = tmp_path / "pids"
+    pids_dir.mkdir()
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    parent = subprocess.Popen([sys.executable, str(script), str(pids_dir)], env=env)
+    pids = []
+    try:
+        deadline = time.monotonic() + 60
+        while len(pids) < 2 and time.monotonic() < deadline:
+            time.sleep(0.1)
+            pids = [int(name.split("-")[1]) for name in os.listdir(pids_dir)]
+        assert len(pids) == 2, "the two cells never started"
+        parent.send_signal(signal.SIGKILL)
+        parent.wait(timeout=10)
+        deadline = time.monotonic() + 10
+        while any(_running(pid) for pid in pids) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert not any(_running(pid) for pid in pids)
+    finally:
+        if parent.poll() is None:
+            parent.kill()
+            parent.wait(timeout=10)
+        for pid in filter(_running, pids):
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
 
 
 def _interrupt(x):

@@ -1,6 +1,5 @@
 """End-to-end instrumentation: registry counters must byte-match the
-legacy ``*Stats`` dataclasses after a checker run, and Velodrome's
-``engine_search_visits`` must read through to its engine's stats."""
+legacy ``*Stats`` dataclasses after a checker run."""
 
 import dataclasses
 
@@ -13,8 +12,6 @@ from repro.obs.registry import (
     recorder,
     use_registry,
 )
-from repro.velodrome.checker import VelodromeChecker
-from repro.workloads import build
 
 WORKLOAD = "hedc"
 
@@ -89,34 +86,6 @@ def test_velodrome_counters_byte_match_legacy_stats(registry):
     result = runner.run_velodrome(WORKLOAD, spec, seed=0)
     counters = registry.snapshot()["counters"]
     _assert_stats_match(counters, "velodrome", result.stats)
-    assert (
-        counters["velodrome.engine_search_visits"]
-        == result.stats.engine_search_visits
-        == counters.get("velodrome.engine.search_visits", 0)
-    )
-
-
-def test_velodrome_engine_search_visits_reads_through():
-    spec = runner.initial_spec(WORKLOAD)
-    checker = VelodromeChecker(spec)
-    result = checker.run(build(WORKLOAD), runner.make_scheduler(0))
-    assert result.stats.engine_search_visits == (
-        0 if result.stats.engine is None else result.stats.engine.search_visits
-    )
-
-
-def test_stats_with_linked_engine_survive_pickling():
-    """CellPool ships results across processes; the linked engine stats
-    must pickle with the dataclass (Velodrome is the one analysis whose
-    stats link an engine)."""
-    import pickle
-
-    spec = runner.initial_spec(WORKLOAD)
-    result = runner.run_velodrome(WORKLOAD, spec, seed=0)
-    assert result.stats.engine is not None
-    clone = pickle.loads(pickle.dumps(result.stats))
-    assert clone.engine_search_visits == result.stats.engine_search_visits
-    assert clone.engine == result.stats.engine
 
 
 def test_disabled_mode_records_nothing():

@@ -1,5 +1,6 @@
 """Trace recording and serialization."""
 
+import json
 import os
 
 import pytest
@@ -80,6 +81,10 @@ class TestCorruptLineRejection:
         with pytest.raises(TraceFormatError, match="unknown record kind"):
             Trace.from_jsonl('["zz", 1, 2]')
 
+    def test_unhashable_kind(self):
+        with pytest.raises(TraceFormatError, match="unknown record kind"):
+            Trace.from_jsonl('[["a"], 1]')
+
     def test_truncated_access_record(self):
         trace = record_execution(
             counter_program(threads=2, iterations=2), RandomScheduler(seed=4)
@@ -93,6 +98,54 @@ class TestCorruptLineRejection:
     def test_wrong_method_record_arity(self):
         with pytest.raises(TraceFormatError, match="expected 4"):
             Trace.from_jsonl('["m+", "A", "worker"]')
+
+    #: a well-formed record of each kind, and for each of its fields a
+    #: value of the wrong type (bools are not ints)
+    WELL_FORMED = {
+        "a": [
+            "a", 7, "A", 3, "x", "f", "read", False, False, "worker", 2
+        ],
+        "m+": ["m+", "A", "worker", 1],
+        "m-": ["m-", "A", "worker", 1],
+        "t+": ["t+", "A"],
+        "t-": ["t-", "A"],
+    }
+    WRONG_TYPED = [
+        ("a", 1, "seven"),
+        ("a", 1, True),
+        ("a", 2, 4),
+        ("a", 3, "3"),
+        ("a", 3, None),
+        ("a", 4, 5),
+        ("a", 5, ["f"]),
+        ("a", 6, "update"),
+        ("a", 6, 1),
+        ("a", 7, 0),
+        ("a", 8, "no"),
+        ("a", 9, 12),
+        ("a", 10, 2.0),
+        ("a", 10, False),
+        ("m+", 1, None),
+        ("m+", 2, 7),
+        ("m-", 3, "1"),
+        ("m-", 3, True),
+        ("t+", 1, 1),
+        ("t-", 1, ["A"]),
+    ]
+
+    def test_well_formed_records_load(self):
+        lines = [json.dumps(r) for r in self.WELL_FORMED.values()]
+        trace = Trace.from_jsonl("\n".join(lines))
+        assert trace.records == [tuple(r) for r in self.WELL_FORMED.values()]
+
+    @pytest.mark.parametrize("kind,index,value", WRONG_TYPED)
+    def test_wrong_typed_field(self, kind, index, value):
+        record = list(self.WELL_FORMED[kind])
+        record[index] = value
+        text = '["t+", "A"]\n' + json.dumps(record)
+        with pytest.raises(TraceFormatError, match="expected") as excinfo:
+            Trace.from_jsonl(text)
+        assert excinfo.value.line_number == 2
 
     def test_load_names_line_number(self, tmp_path):
         path = tmp_path / "bad.trace.jsonl"

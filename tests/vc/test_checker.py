@@ -151,13 +151,18 @@ class TestGcAndBudget:
 
         assert blamed(None) == blamed(4)
 
-    def test_clock_states_swept_with_transactions(self):
+    @pytest.mark.parametrize(
+        "backend", [VcChecker, VelodromeChecker], ids=["vc", "velodrome"]
+    )
+    def test_clock_states_swept_with_transactions(self, backend):
+        """Both backends keep their transaction clocks in step with the
+        collector: no clock outlives its transaction."""
         program = counter_program(threads=2, iterations=30)
-        checker = VcChecker(spec_for(program), gc_interval=4)
+        checker = backend(spec_for(program), gc_interval=4)
         checker.run(program, scheduler())
         assert checker.collector.stats.transactions_collected > 0
         live = {t.tx_id for t in checker.tx_manager.all_transactions}
-        assert set(checker._states) <= live
+        assert set(checker.clocks._clocks) <= live
 
     def test_memory_budget(self):
         program = counter_program(threads=2, iterations=100)
