@@ -44,6 +44,8 @@ from repro.spec.specification import AtomicitySpecification
 
 SccCallback = Callable[[List[Transaction]], None]
 
+_RD_EX = StateKind.RD_EX
+
 
 @dataclass
 class ICDStats:
@@ -148,6 +150,10 @@ class ICD(ExecutionListener, OctetListener):
             merge_unary=merge_unary,
             monitor_unary_site=monitor_unary_site,
         )
+        # the manager's per-thread tables, read directly on the slow path
+        # (only ever mutated in place, so binding them here is safe)
+        self._tx_current = self.tx_manager._current
+        self._tx_latest = self.tx_manager._latest
         self.track_unary_sites = track_unary_sites
         #: extension: unary tx id -> enclosing methods of its accesses
         self.unary_sites: Dict[int, Set[str]] = {}
@@ -199,9 +205,17 @@ class ICD(ExecutionListener, OctetListener):
         if event.is_array and not self.instrument_arrays:
             self.stats.array_accesses_skipped += 1
             return
-        tx = self.tx_manager.transaction_for_access(event)
-        if tx is None:
-            return  # not instrumented in this configuration
+        # a monitored regular transaction resolves inline, as in the
+        # fused barrier; transaction_for_fields handles the rest
+        tx = self._tx_current.get(event.thread_name)
+        if tx is None or tx.is_unary or not tx.monitored:
+            tx = self.tx_manager.transaction_for_fields(
+                event.thread_name, event.site
+            )
+            if tx is None:
+                return  # not instrumented in this configuration
+        else:
+            self.tx_manager.stats.regular_accesses += 1
         self.stats.instrumented_accesses += 1
         if self.track_unary_sites and tx.is_unary:
             self.unary_sites.setdefault(tx.tx_id, set()).add(event.site.method)
@@ -224,12 +238,13 @@ class ICD(ExecutionListener, OctetListener):
         accessing thread, or RdSh read with a current ``rdShCnt``) —
         costs one dict probe and one branch chain and allocates nothing
         but the log entry: no :meth:`OctetRuntime.observe` call, no
-        ``Classified``/:class:`TransitionRecord`/:class:`AccessEvent`,
-        no listener fan-out (same-state transitions never fire Figure 4
+        :class:`TransitionRecord` or :class:`AccessEvent`, no listener
+        fan-out (same-state transitions never fire Figure 4
         procedures).  Every other access (first access to an object,
         any Octet state transition) builds its :class:`AccessEvent`,
-        ``is_sync`` included, for the :meth:`on_access` slow path
-        (Octet's ``observe`` plus the Figure 4 procedures), so the fast
+        ``is_sync`` included, for the :meth:`on_access` slow path: one
+        pass through Octet's ``observe``, which fires the Figure 4
+        procedure of the transition's kind, if it has one.  The fast
         path only skips work the slow path would find to be a no-op.
 
         Configurations whose per-access work the fused path does not
@@ -378,17 +393,26 @@ class ICD(ExecutionListener, OctetListener):
         publish_stats(obs, "elision", self._elision.stats)
 
     # ------------------------------------------------------------------
-    # OctetListener — the Figure 4 procedures
+    # OctetListener — the Figure 4 procedures.  ICD inherits the no-op
+    # hooks of initial and RdExT -> WrExT transitions, which Octet then
+    # never calls: any dependence an upgrade to WrEx creates is already
+    # captured by existing intra- and cross-thread edges.
     # ------------------------------------------------------------------
     def on_conflicting(self, record: TransitionRecord) -> None:
         """handleConflictingTransition: edge from each responder's
-        current transaction to the requester's current transaction."""
+        current (else latest) transaction to the requester's current
+        transaction."""
         req_tx = self._req_tx
         assert req_tx is not None and record.coordination is not None
+        current = self._tx_current
+        latest = self._tx_latest
         for responder in record.coordination.responders:
-            resp_tx = self.tx_manager.current_or_latest(responder.thread_name)
+            # a responder between transactions: the intra-thread chain
+            # makes an edge from its latest transaction sound
+            name = responder.thread_name
+            resp_tx = current.get(name) or latest.get(name)
             self._add_edge(resp_tx, req_tx, "conflicting")
-        if record.new_state.kind is StateKind.RD_EX:
+        if record.new_state.kind is _RD_EX:
             self._last_rdex[req_tx.thread_name] = req_tx
 
     def on_upgrading_rd_sh(self, record: TransitionRecord) -> None:
@@ -409,10 +433,6 @@ class ICD(ExecutionListener, OctetListener):
         assert req_tx is not None
         self._add_edge(self._g_last_rdsh, req_tx, "fence")
 
-    def on_upgrading_wr_ex(self, record: TransitionRecord) -> None:
-        """RdExT → WrExT is safely ignored: any dependence it creates is
-        already captured by existing intra- and cross-thread edges."""
-
     # ------------------------------------------------------------------
     # IDG construction
     # ------------------------------------------------------------------
@@ -423,44 +443,56 @@ class ICD(ExecutionListener, OctetListener):
             # a collected source can never re-enter a cycle (the GC
             # liveness proof), so its edge adds no detectable ordering
             return None
-        if src.thread_name == dst.thread_name:
+        src_thread = src.thread_name
+        dst_thread = dst.thread_name
+        stats = self.stats
+        if src_thread == dst_thread:
             # covered transitively by the thread's intra-transaction chain
-            self.stats.edges_elided_same_thread += 1
+            stats.edges_elided_same_thread += 1
             return None
         if not self.logging_enabled:
             key = (src.tx_id, dst.tx_id)
             if key in self._seen_edges:
-                self.stats.edges_deduplicated += 1
+                stats.edges_deduplicated += 1
                 src.edge_touched = True
                 dst.edge_touched = True
                 return None
             self._seen_edges.add(key)
-        self._edge_order += 1
-        edge = IdgEdge(src, dst, kind, self._edge_order)
+        order = self._edge_order = self._edge_order + 1
+        edge = IdgEdge(src, dst, kind, order)
         if self.logging_enabled:
             # edges arise only inside on_access, so both marks carry the
             # requesting access's seq: PCD's resumption cut relies on
             # every log being nondecreasing in seq (see repro.core.rwlog)
             seq = self._req_event.seq  # type: ignore[union-attr]
             # edges interrupt the elision windows of both threads
-            self._elision.bump(src.thread_name)
-            self._elision.bump(dst.thread_name)
+            window = self._elision._thread_ts
+            window[src_thread] = window.get(src_thread, 0) + 1
+            window[dst_thread] = window.get(dst_thread, 0) + 1
+            # each mark is a log entry, checked against the budget at once
+            check_budget = self.memory_budget is not None
             if src.log is not None:
-                edge.src_log_index = src.log.append_mark(edge.order, True, seq)
-                self._count_log_entry(is_mark=True)
+                edge.src_log_index = src.log.append_mark(order, True, seq)
+                stats.log_marks += 1
+                self._live_log_entries += 1
+                if check_budget:
+                    self._check_budget()
             if dst.log is not None:
-                edge.dst_log_index = dst.log.append_mark(edge.order, False, seq)
-                self._count_log_entry(is_mark=True)
+                edge.dst_log_index = dst.log.append_mark(order, False, seq)
+                stats.log_marks += 1
+                self._live_log_entries += 1
+                if check_budget:
+                    self._check_budget()
         src.out_edges.append(edge)
         dst.in_edges.append(edge)
         src.edge_touched = True
         dst.edge_touched = True
         self.collector.note_link(src, dst)
-        self.stats.idg_edges += 1
+        stats.idg_edges += 1
         # the responder sits at a safe point: its interrupted unary
         # transaction (if any) can be ended eagerly (dst is the
         # requester's transaction, mid-access — it ends lazily)
-        if src is not self._req_tx:
+        if src.is_unary and src is not self._req_tx:
             self.tx_manager.end_if_interrupted_unary(src)
         return edge
 
@@ -473,8 +505,7 @@ class ICD(ExecutionListener, OctetListener):
         The address tuple is built once and interned (the elision probe,
         the :class:`AccessEntry`, and every later access to the same
         field share one tuple), the site string is interned per static
-        site, and the entry count is folded into the append instead of
-        a separate :meth:`_count_log_entry` call.
+        site, and the entry count is inline.
         """
         log = tx.log
         if log is None:
@@ -499,14 +530,6 @@ class ICD(ExecutionListener, OctetListener):
         self._live_log_entries += 1
         if self.memory_budget is not None:
             self._check_budget()
-
-    def _count_log_entry(self, is_mark: bool) -> None:
-        if is_mark:
-            self.stats.log_marks += 1
-        else:
-            self.stats.log_entries += 1
-        self._live_log_entries += 1
-        self._check_budget()
 
     # ------------------------------------------------------------------
     # transaction lifecycle

@@ -16,8 +16,8 @@ Exit statuses:
 
 * 0 — success;
 * 1 — ``crosscheck`` found disagreeing verdicts;
-* 2 — a pre-flight or usage error (bad flags, bad
-  ``DOUBLECHECKER_JOBS``, an unwritable output path);
+* 2 — a pre-flight or usage error (bad flags, an unknown ``--names``
+  benchmark, bad ``DOUBLECHECKER_JOBS``, an unwritable output path);
 * 3 — a worker process died while running a cell (under ``--jobs``).
   There is no retry: the run stops with one error line naming the
   cell, and is simply started again.
@@ -67,6 +67,7 @@ from repro.obs import (
     write_metrics_json,
 )
 from repro.obs.registry import MetricsRegistry
+from repro.workloads import all_names
 
 EXPERIMENTS = (
     "table2",
@@ -244,6 +245,15 @@ def main(argv: Optional[List[str]] = None) -> int:
             "the check experiment",
             file=sys.stderr,
         )
+        return 2
+
+    # an unknown benchmark would otherwise end the run in a KeyError
+    # traceback with exit 1, the status of a crosscheck disagreement
+    unknown = [name for name in args.names or () if name not in all_names()]
+    if unknown:
+        print(f"doublechecker-experiments: error: unknown benchmark "
+              f"{', '.join(map(repr, unknown))} in --names; known: "
+              f"{', '.join(all_names())}", file=sys.stderr)
         return 2
 
     # Explicit --obs choices that contradict an output flag fail up

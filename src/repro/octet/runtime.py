@@ -1,11 +1,15 @@
 """The Octet runtime: per-object states, counters, and barriers.
 
 :class:`OctetRuntime` is driven by a client analysis (ICD) that calls
-:meth:`OctetRuntime.observe` from its access barrier.  ``observe``
-classifies the access against the object's current state (Table 1),
-commits the state change, performs coordination for conflicting
-transitions, and fires :class:`OctetListener` callbacks — the hooks
-ICD's Figure 4 procedures attach to.
+:meth:`OctetRuntime.observe` from its access barrier.  ``observe`` is
+one pass per access: a single decision tree over the object's state
+kind, its owner, the access kind and the thread's ``rdShCnt`` picks
+Table 1's transition and commits it on the spot — the state change,
+the counters, the coordination round of a conflicting transition —
+then fires the :class:`OctetListener` callbacks ICD's Figure 4
+procedures attach to.  :func:`~repro.octet.transitions.classify`
+stays the pure reference form of Table 1 that the tests pin
+``observe`` against; the barrier never calls it.
 
 The runtime never inspects transactions; it only knows threads and
 objects.  That separation mirrors the paper, where Octet is an
@@ -18,9 +22,13 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, NamedTuple, Optional
 
 from repro.obs.registry import publish_stats
-from repro.octet.protocol import CoordinationProtocol, CoordinationRound
-from repro.octet.states import OctetState, StateKind, rd_ex_int, wr_ex_int
-from repro.octet.transitions import Classified, TransitionKind, classify
+from repro.octet.protocol import (
+    CoordinationProtocol, CoordinationRound, ProtocolKind, ResponderRecord,
+)
+from repro.octet.states import (
+    OctetState, StateKind, rd_ex, rd_ex_int, rd_sh, wr_ex, wr_ex_int,
+)
+from repro.octet.transitions import TransitionKind
 from repro.runtime.events import AccessEvent, AccessKind
 
 @dataclass
@@ -99,17 +107,21 @@ class OctetListener:
         """First access installed an exclusive state (no dependence)."""
 
 
-#: transition kind -> the :class:`OctetListener` hook it fires
-_HOOKS: Dict[TransitionKind, str] = {
-    TransitionKind.INITIAL: "on_initial",
-    TransitionKind.UPGRADING_WR_EX: "on_upgrading_wr_ex",
-    TransitionKind.UPGRADING_RD_SH: "on_upgrading_rd_sh",
-    TransitionKind.FENCE: "on_fence",
-    TransitionKind.CONFLICTING_WR_WR: "on_conflicting",
-    TransitionKind.CONFLICTING_WR_RD: "on_conflicting",
-    TransitionKind.CONFLICTING_RD_WR: "on_conflicting",
-    TransitionKind.CONFLICTING_SH_WR: "on_conflicting",
-}
+# Bound once: each ``Enum`` class-attribute lookup goes through the
+# metaclass, and ``.value`` is a Python-level property.
+_READ = AccessKind.READ
+_WR_EX, _RD_EX, _RD_SH = StateKind.WR_EX, StateKind.RD_EX, StateKind.RD_SH
+_EXPLICIT, _IMPLICIT = ProtocolKind.EXPLICIT, ProtocolKind.IMPLICIT
+_SAME_STATE = TransitionKind.SAME_STATE
+_INITIAL = TransitionKind.INITIAL
+_UPGRADING_WR_EX = TransitionKind.UPGRADING_WR_EX
+_UPGRADING_RD_SH = TransitionKind.UPGRADING_RD_SH
+_FENCE = TransitionKind.FENCE
+#: conflicting kinds, each with its ``conflicting_by_kind`` key
+_WR_WR, _WR_RD, _RD_WR, _SH_WR = ((kind, kind.value) for kind in (
+    TransitionKind.CONFLICTING_WR_WR, TransitionKind.CONFLICTING_WR_RD,
+    TransitionKind.CONFLICTING_RD_WR, TransitionKind.CONFLICTING_SH_WR,
+))
 
 
 class OctetRuntime:
@@ -133,9 +145,14 @@ class OctetRuntime:
         self._states: Dict[int, OctetState] = {}
         self._thread_rdsh: Dict[str, int] = {}
         self.g_rdsh_counter = 0
-        self.protocol = CoordinationProtocol(is_thread_blocked)
+        self._is_blocked = is_thread_blocked or (lambda _name: False)
+        self.protocol = CoordinationProtocol(self._is_blocked)
         self._live_threads = live_threads or (lambda: [])
-        self.listeners: List[OctetListener] = []
+        #: hook name -> the listeners' bound hooks, filled by add_listener
+        self._hooks: Dict[str, List[Callable]] = {
+            "on_initial": [], "on_upgrading_wr_ex": [],
+            "on_upgrading_rd_sh": [], "on_fence": [], "on_conflicting": [],
+        }
         self._stats = OctetStats()
         # Hot-counter batching: the two counters every barrier bumps
         # live in plain attributes and are folded into ``_stats`` only
@@ -174,7 +191,17 @@ class OctetRuntime:
 
     # ------------------------------------------------------------------
     def add_listener(self, listener: OctetListener) -> None:
-        self.listeners.append(listener)
+        """Subscribe ``listener``'s hooks.
+
+        Each hook is bound here, once, into its transition kind's
+        table; a hook the listener inherits unchanged from
+        :class:`OctetListener` is a no-op and is left out.  A hook
+        replaced on the listener's class after this call is not seen.
+        """
+        for name, table in self._hooks.items():
+            hook = getattr(listener, name)
+            if getattr(hook, "__func__", None) is not getattr(OctetListener, name):
+                table.append(hook)
 
     def state_of(self, oid: int) -> Optional[OctetState]:
         """Current state of object ``oid`` (None = untouched)."""
@@ -191,143 +218,122 @@ class OctetRuntime:
         The client must call this *before* the access logically takes
         effect (it is the read/write barrier).
 
-        The common case — a same-state access, i.e. the paper's
-        unsynchronized fast path — is detected inline without calling
-        :func:`classify` (no :class:`Classified` allocation, no
-        ``_commit``/``_notify`` dispatch; listeners never consume
-        same-state records).  The inline check is Table 1's same-state
-        rule verbatim (``is_same_state``, pinned against ``classify``
-        by the Octet tests), so every other access is a real
-        transition.
+        One pass: a single decision tree over the object's state kind,
+        its owner, the access kind and the thread's ``rdShCnt`` reaches
+        Table 1's outcome and commits it where it is found, with no
+        :func:`~repro.octet.transitions.classify` call and no second
+        dispatch on the transition kind.  A same-state access (the
+        paper's unsynchronized fast path) returns at once and fires no
+        hook.  A conflicting transition coordinates with the exclusive
+        owner as its one responder, or, from RdSh, with every other
+        live thread.  The hooks of the transition's kind fire last,
+        once the new state and every counter are committed.
         """
         oid = event.obj.oid
         thread = event.thread_name
-        old_state = self._states.get(oid)
-        if old_state is not None:
-            kind = old_state.kind
-            if (
-                old_state.owner == thread
-                and (
-                    kind is StateKind.WR_EX
-                    or (kind is StateKind.RD_EX and event.kind is AccessKind.READ)
-                )
-            ) or (
-                kind is StateKind.RD_SH
-                and event.kind is AccessKind.READ
-                and self._thread_rdsh.get(thread, 0) >= old_state.counter
-            ):
-                self._barriers_pending += 1
+        is_read = event.kind is _READ
+        states = self._states
+        stats = self._stats
+        old_state = states.get(oid)
+        self._barriers_pending += 1
+        prior_owner = coordination = counter = conflict = None
+        if old_state is None:
+            # first access: install an exclusive state, no coordination
+            stats.initial += 1
+            transition, hooks = _INITIAL, self._hooks["on_initial"]
+            new_state = states[oid] = rd_ex(thread) if is_read else wr_ex(thread)
+        elif old_state.kind is _RD_SH:
+            if not is_read:
+                conflict = _SH_WR
+            elif self._thread_rdsh.get(thread, 0) >= old_state.counter:
                 self._fastpath_pending += 1
                 return TransitionRecord(
-                    event, TransitionKind.SAME_STATE, old_state, old_state,
-                    None, None,
+                    event, _SAME_STATE, old_state, old_state, None, None
                 )
-        self._barriers_pending += 1
-        classified = classify(
-            old_state,
-            event.kind,
-            thread,
-            self._thread_rdsh.get(thread, 0),
-            self.g_rdsh_counter + 1,
-        )
-        record = self._commit(event, oid, thread, old_state, classified)
-        self._notify(record)
-        return record
-
-    # ------------------------------------------------------------------
-    def _commit(
-        self,
-        event: AccessEvent,
-        oid: int,
-        thread: str,
-        old_state: Optional[OctetState],
-        classified: Classified,
-    ) -> TransitionRecord:
-        kind = classified.kind
-        stats = self._stats
-
-        if kind is TransitionKind.INITIAL:
-            stats.initial += 1
-            self._states[oid] = classified.new_state
-            return TransitionRecord(
-                event, kind, None, classified.new_state, None, None
-            )
-
-        if kind is TransitionKind.UPGRADING_WR_EX:
-            stats.upgrading_wr_ex += 1
-            stats.atomic_operations += 1
-            self._states[oid] = classified.new_state
-            return TransitionRecord(
-                event, kind, old_state, classified.new_state,
-                old_state.owner if old_state else None, None,
-            )
-
-        if kind is TransitionKind.UPGRADING_RD_SH:
-            stats.upgrading_rd_sh += 1
-            # gRdShCnt is incremented atomically, globally ordering all
-            # transitions to RdSh (Section 3.2.1)
-            stats.atomic_operations += 1
-            self.g_rdsh_counter += 1
-            new_state = classified.new_state
-            assert new_state is not None and new_state.counter == self.g_rdsh_counter
-            self._states[oid] = new_state
-            # the upgrading thread's own counter becomes current, so its
-            # subsequent reads of this object take the fast path
-            self._thread_rdsh[thread] = new_state.counter
-            prior_owner = old_state.owner if old_state else None
-            return TransitionRecord(
-                event, kind, old_state, new_state, prior_owner, None,
-                rdsh_counter=new_state.counter,
-            )
-
-        if kind is TransitionKind.FENCE:
-            stats.fences += 1
-            stats.memory_fences_issued += 1
-            assert classified.thread_counter_update is not None
-            self._thread_rdsh[thread] = classified.thread_counter_update
-            return TransitionRecord(event, kind, old_state, old_state, None, None)
-
-        # conflicting transitions
-        assert kind.is_conflicting()
-        stats.conflicting += 1
-        by_kind = stats.conflicting_by_kind
-        by_kind[kind.value] = by_kind.get(kind.value, 0) + 1
-        # enter the intermediate state: one atomic operation claims the
-        # object for the requester
-        stats.atomic_operations += 1
-        self.intermediate_entries += 1
-        intermediate = (
-            rd_ex_int(thread)
-            if classified.new_state.kind is StateKind.RD_EX
-            else wr_ex_int(thread)
-        )
-        self._states[oid] = intermediate
-
-        if kind is TransitionKind.CONFLICTING_SH_WR:
-            responders = [t for t in self._live_threads() if t != thread]
-            prior_owner = None
+            else:
+                # a stale rdShCnt: a fence brings the thread's counter
+                # up to date and leaves the object's state as it is
+                stats.fences += 1
+                stats.memory_fences_issued += 1
+                self._thread_rdsh[thread] = old_state.counter
+                transition, hooks = _FENCE, self._hooks["on_fence"]
+                new_state = old_state
         else:
-            assert old_state is not None and old_state.owner is not None
-            responders = [old_state.owner]
+            # exclusive: the barrier never leaves an intermediate state
+            kind = old_state.kind
             prior_owner = old_state.owner
-        coordination = self.protocol.coordinate(thread, responders)
-        # implicit responses set a flag atomically
-        stats.atomic_operations += coordination.implicit_count
+            assert kind is _WR_EX or kind is _RD_EX, old_state
+            if prior_owner == thread:
+                if is_read or kind is _WR_EX:
+                    self._fastpath_pending += 1
+                    return TransitionRecord(
+                        event, _SAME_STATE, old_state, old_state, None, None
+                    )
+                # RdExT -> WrExT: one atomic operation, no coordination
+                stats.upgrading_wr_ex += 1
+                stats.atomic_operations += 1
+                transition, hooks = _UPGRADING_WR_EX, self._hooks["on_upgrading_wr_ex"]
+                new_state = states[oid] = wr_ex(thread)
+            elif is_read and kind is _RD_EX:
+                # RdExT1 -> RdShc: gRdShCnt is incremented atomically,
+                # globally ordering all transitions to RdSh (Section
+                # 3.2.1); the upgrading thread's counter becomes current
+                stats.upgrading_rd_sh += 1
+                stats.atomic_operations += 1
+                counter = self.g_rdsh_counter = self.g_rdsh_counter + 1
+                self._thread_rdsh[thread] = counter
+                transition, hooks = _UPGRADING_RD_SH, self._hooks["on_upgrading_rd_sh"]
+                new_state = states[oid] = rd_sh(counter)
+            else:
+                conflict = _WR_RD if is_read else (
+                    _WR_WR if kind is _WR_EX else _RD_WR
+                )
 
-        self._states[oid] = classified.new_state
-        return TransitionRecord(
-            event, kind, old_state, classified.new_state, prior_owner, coordination
+        if conflict is not None:
+            # one atomic operation claims the object for the requester
+            # by entering the intermediate state
+            transition, key = conflict
+            stats.conflicting += 1
+            by_kind = stats.conflicting_by_kind
+            by_kind[key] = by_kind.get(key, 0) + 1
+            stats.atomic_operations += 1
+            self.intermediate_entries += 1
+            states[oid] = rd_ex_int(thread) if is_read else wr_ex_int(thread)
+            if prior_owner is None:
+                # RdSh -> WrEx: readers are not tracked individually, so
+                # every other thread responds
+                coordination = self.protocol.coordinate(
+                    thread, [t for t in self._live_threads() if t != thread]
+                )
+            else:
+                # the exclusive owner is the one responder; a blocked one
+                # answers implicitly, under a hold the requester places
+                implicit = 1 if self._is_blocked(prior_owner) else 0
+                protocol = self.protocol
+                protocol.rounds += 1
+                protocol.explicit_responses += 1 - implicit
+                protocol.implicit_responses += implicit
+                protocol.holds_placed += implicit
+                responder = ResponderRecord(
+                    prior_owner, _IMPLICIT if implicit else _EXPLICIT
+                )
+                coordination = CoordinationRound(
+                    thread, [responder], 1 - implicit, implicit
+                )
+            # each implicit response sets a flag atomically
+            stats.atomic_operations += coordination.implicit_count
+            hooks = self._hooks["on_conflicting"]
+            new_state = states[oid] = rd_ex(thread) if is_read else wr_ex(thread)
+
+        record = TransitionRecord(
+            event, transition, old_state, new_state, prior_owner,
+            coordination, counter,
         )
-
-    def _notify(self, record: TransitionRecord) -> None:
-        # the hook is looked up by name on every call, so a hook
-        # replaced on the listener's class takes effect at once
-        hook = _HOOKS[record.kind]
-        for listener in self.listeners:
-            getattr(listener, hook)(record)
+        for hook in hooks:
+            hook(record)
+        return record
 
     # ------------------------------------------------------------------
     def snapshot_states(self) -> Dict[int, OctetState]:
         """Copy of the state table (testing aid)."""
         return dict(self._states)
-

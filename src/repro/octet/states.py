@@ -69,7 +69,7 @@ class OctetState:
         return self.kind in (StateKind.WR_EX, StateKind.RD_EX)
 
     def is_intermediate(self) -> bool:
-        return self.kind in _INTERMEDIATE
+        return self.kind in (StateKind.RD_EX_INT, StateKind.WR_EX_INT)
 
     def __str__(self) -> str:
         if self.kind is StateKind.RD_SH:
@@ -77,40 +77,35 @@ class OctetState:
         return f"{self.kind.value}({self.owner})"
 
 
-#: built once: ``classify`` tests every transition's source state, and
-#: each ``Enum`` class-attribute lookup goes through the metaclass
-_INTERMEDIATE = (StateKind.RD_EX_INT, StateKind.WR_EX_INT)
-
 #: process-wide intern tables of the per-thread states, owner -> state:
 #: the exclusive and intermediate states are value types, and the set
 #: of distinct owners is bounded by the program's threads, so a
 #: transition reuses one canonical instance (validated once, by
 #: ``__post_init__``) instead of building a frozen dataclass.
 #: Interning changes object identity only; comparisons stay by value.
-#: RdSh states carry an unbounded counter and are not interned.
+#: RdSh states carry an unbounded counter and are not interned.  Each
+#: constructor below probes its table inline, so a hit is one call.
 _WR_EX_OF: Dict[str, OctetState] = {}
 _RD_EX_OF: Dict[str, OctetState] = {}
 _RD_EX_INT_OF: Dict[str, OctetState] = {}
 _WR_EX_INT_OF: Dict[str, OctetState] = {}
 
 
-def _interned(
+def _intern(
     table: Dict[str, OctetState], kind: StateKind, owner: str
 ) -> OctetState:
-    state = table.get(owner)
-    if state is None:
-        state = table[owner] = OctetState(kind, owner=owner)
+    state = table[owner] = OctetState(kind, owner=owner)
     return state
 
 
 def wr_ex(owner: str) -> OctetState:
     """The WrExT state."""
-    return _interned(_WR_EX_OF, StateKind.WR_EX, owner)
+    return _WR_EX_OF.get(owner) or _intern(_WR_EX_OF, StateKind.WR_EX, owner)
 
 
 def rd_ex(owner: str) -> OctetState:
     """The RdExT state."""
-    return _interned(_RD_EX_OF, StateKind.RD_EX, owner)
+    return _RD_EX_OF.get(owner) or _intern(_RD_EX_OF, StateKind.RD_EX, owner)
 
 
 def rd_sh(counter: int) -> OctetState:
@@ -120,9 +115,13 @@ def rd_sh(counter: int) -> OctetState:
 
 def rd_ex_int(owner: str) -> OctetState:
     """The intermediate state entered while acquiring RdEx."""
-    return _interned(_RD_EX_INT_OF, StateKind.RD_EX_INT, owner)
+    return _RD_EX_INT_OF.get(owner) or _intern(
+        _RD_EX_INT_OF, StateKind.RD_EX_INT, owner
+    )
 
 
 def wr_ex_int(owner: str) -> OctetState:
     """The intermediate state entered while acquiring WrEx."""
-    return _interned(_WR_EX_INT_OF, StateKind.WR_EX_INT, owner)
+    return _WR_EX_INT_OF.get(owner) or _intern(
+        _WR_EX_INT_OF, StateKind.WR_EX_INT, owner
+    )

@@ -2,7 +2,10 @@
 
 Given an object's current state and an access (thread + read/write),
 :func:`classify` decides which transition fires and what the new state
-is.  The categories carry the information ICD needs:
+is.  It is Table 1's pure reference form: the barrier,
+``OctetRuntime.observe``, reaches the same decisions in one pass, and
+the Octet tests pin the two together.  The categories carry the
+information ICD needs:
 
 * **same-state** — the fast path; no state change, no dependence.
 * **initial** — first access to an untouched object; installs an
@@ -40,7 +43,7 @@ class TransitionKind(enum.Enum):
     CONFLICTING_SH_WR = "conflicting-rdsh-wrex"
 
     def is_conflicting(self) -> bool:
-        return self in _CONFLICTING
+        return self.name.startswith("CONFLICTING_")
 
     def is_fast_path(self) -> bool:
         return self is TransitionKind.SAME_STATE
@@ -53,33 +56,18 @@ class TransitionKind(enum.Enum):
         )
 
 
-#: built once: ``is_conflicting`` runs on every conflicting transition,
-#: and each ``Enum`` class-attribute lookup goes through the metaclass
-_CONFLICTING = (
-    TransitionKind.CONFLICTING_WR_WR,
-    TransitionKind.CONFLICTING_WR_RD,
-    TransitionKind.CONFLICTING_RD_WR,
-    TransitionKind.CONFLICTING_SH_WR,
-)
-
-
 class Classified(NamedTuple):
     """Result of classifying one access against the current state.
 
     ``new_state`` is ``None`` exactly for same-state transitions (and
     for fence transitions, which leave the object's state unchanged and
     instead update the *thread's* counter — signalled by
-    ``thread_counter_update``).  A ``NamedTuple``, not a frozen
-    dataclass: one is built for every Octet transition.
+    ``thread_counter_update``).
     """
 
     kind: TransitionKind
     new_state: Optional[OctetState]
     thread_counter_update: Optional[int] = None
-
-    @property
-    def changes_object_state(self) -> bool:
-        return self.new_state is not None
 
 
 def is_same_state(
@@ -94,9 +82,10 @@ def is_same_state(
     ``TransitionKind.SAME_STATE``: the thread owns a WrEx object (read
     or write), the thread owns a RdEx object and reads, or the object
     is RdSh, the access is a read, and the thread's ``rdShCnt`` is
-    current.  ``OctetRuntime.observe`` and ICD's fused access barrier
-    inline this check (duplicated for speed); the property tests pin
-    all three against :func:`classify`.
+    current.  Two copies run per access, for speed: the same-state
+    leaves of ``OctetRuntime.observe``'s decision tree, and ICD's fused
+    access barrier.  The Octet tests pin this predicate, ``observe``
+    and the fused barrier against :func:`classify`.
     """
     if state is None:
         return False

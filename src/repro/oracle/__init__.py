@@ -6,7 +6,9 @@ implementation and a happens-before tracker that derives its ordering
 *only* from Octet state transitions — the mechanism's soundness
 theorem ("Octet's state transitions establish happens-before edges
 that transitively imply all cross-thread dependences", Section 3.2.1)
-as executable, checkable code.
+as executable, checkable code.  :mod:`repro.oracle.serializability`
+adds the whole-trace oracle the single-run properties referee ICD,
+PCD, Velodrome and vc against.
 """
 
 from repro.oracle.vector_clock import VectorClock

@@ -23,6 +23,13 @@ class ThreadState(enum.Enum):
     FINISHED = "finished"
 
 
+#: a thread at a blocking operation (lock, wait, join): Octet's
+#: coordination protocol answers a request to it implicitly
+BLOCKED_STATES = (
+    ThreadState.BLOCKED_LOCK, ThreadState.WAITING, ThreadState.BLOCKED_JOIN
+)
+
+
 class VThread:
     """A simulated thread: a call stack of generators plus blocking state."""
 
@@ -56,14 +63,6 @@ class VThread:
 
     def is_runnable(self) -> bool:
         return self.state is ThreadState.RUNNABLE
-
-    def is_blocked(self) -> bool:
-        """True when Octet would use the implicit coordination protocol."""
-        return self.state in (
-            ThreadState.BLOCKED_LOCK,
-            ThreadState.WAITING,
-            ThreadState.BLOCKED_JOIN,
-        )
 
     def current_method(self) -> str:
         """Name of the method on top of the call stack."""

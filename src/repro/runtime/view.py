@@ -10,7 +10,7 @@ unit tests drive analyses with the :class:`NullView` default.
 
 from __future__ import annotations
 
-from typing import List
+from repro.runtime.threads import BLOCKED_STATES
 
 
 class RuntimeView:
@@ -43,7 +43,7 @@ class ExecutorView(RuntimeView):
 
     def is_thread_blocked(self, thread_name: str) -> bool:
         thread = self._executor.threads.get(thread_name)
-        return thread is not None and thread.is_blocked()
+        return thread is not None and thread.state in BLOCKED_STATES
 
     def holds_any_lock(self, thread_name: str) -> bool:
         monitors = self._executor.locks._monitors

@@ -48,6 +48,23 @@ def test_out_path_is_a_file_exits_2(tmp_path, capsys):
     assert "--out" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["table2", "--names", "nope"],
+    ["figure7", "--names", "hedc", "nope", "--jobs", "2"],
+    ["crosscheck", "--names", "nope"],
+])
+def test_unknown_benchmark_name_exits_2(argv, capsys):
+    # a typo must not look like a crosscheck disagreement (exit 1)
+    code = main(argv)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("doublechecker-experiments: error: ")
+    assert "'nope'" in lines[0] and "hedc" in lines[0]
+
+
 def test_out_accepts_not_yet_existing_directory(tmp_path, capsys):
     target = tmp_path / "a" / "b" / "results"
     code = main(["table3", "--names", "hedc", "--out", str(target)])

@@ -11,8 +11,8 @@ These are executable versions of the paper's key claims:
 
 The oracle is deliberately independent of the production code paths:
 it records the raw access trace and applies Figure 5's rules offline
-over the *entire* execution in true order, then runs an off-the-shelf
-SCC computation (networkx) over cross-thread plus program-order edges.
+over the *entire* execution in true order, then computes SCCs over
+cross-thread plus program-order edges (``repro.oracle.serializability``).
 
 Two program generators feed it: generator-bodied programs (driven one
 ``yield`` at a time) and scripted programs, whose bodies the executor
@@ -22,15 +22,13 @@ reads and writes included.
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-import networkx as nx
 
 from repro.core.doublechecker import DoubleChecker
 from repro.core.icd import ICD
 from repro.core.pcd import PCD
 from repro.core.reports import ViolationSummary
-from repro.runtime.events import AccessKind
+from repro.oracle.serializability import TraceRecorder, oracle_cyclic_sccs
 from repro.runtime.executor import Executor
-from repro.runtime.listeners import ExecutionListener
 from repro.runtime.lowering import script_body
 from repro.runtime.ops import Acquire, Compute, Invoke, Read, Release, Write
 from repro.runtime.program import Program
@@ -97,60 +95,6 @@ def materialize(method_specs, thread_scripts):
         program.mark_entry(name)
         program.add_thread(f"T{tid}", name)
     return program
-
-
-# ----------------------------------------------------------------------
-# the independent oracle
-# ----------------------------------------------------------------------
-class TraceRecorder(ExecutionListener):
-    """Records (tx, address, kind, is_sync) in execution order.
-
-    Registered *after* ICD in the pipeline so it can read ICD's
-    transaction assignment for each access (the same assignment PCD
-    analyzes), while remaining independent of ICD's graph machinery.
-    """
-
-    def __init__(self, icd: ICD) -> None:
-        self.icd = icd
-        self.trace = []
-
-    def on_access(self, event):
-        tx = self.icd.tx_manager.current_or_latest(event.thread_name)
-        if tx is not None:
-            self.trace.append((tx, event.address, event.kind, event.is_sync))
-
-
-def oracle_cyclic_sccs(trace, sync_edges=True):
-    """Whole-trace Figure 5 + program order, SCCs via networkx.
-
-    ``sync_edges=False`` drops synchronization pseudo-accesses, so only
-    data conflicts order transactions (the vc backend's default).
-    """
-    graph = nx.DiGraph()
-    last_write = {}
-    last_reads = {}
-    chains = {}
-    for tx, address, kind, is_sync in trace:
-        if is_sync and not sync_edges:
-            continue
-        graph.add_node(tx.tx_id)
-        prev = chains.get(tx.thread_name)
-        if prev is not None and prev is not tx:
-            graph.add_edge(prev.tx_id, tx.tx_id)
-        chains[tx.thread_name] = tx
-
-        writer = last_write.get(address)
-        if writer is not None and writer.thread_name != tx.thread_name:
-            graph.add_edge(writer.tx_id, tx.tx_id)
-        if kind is AccessKind.READ:
-            last_reads.setdefault(address, {})[tx.thread_name] = tx
-        else:
-            for thread_name, reader in last_reads.get(address, {}).items():
-                if thread_name != tx.thread_name:
-                    graph.add_edge(reader.tx_id, tx.tx_id)
-            last_reads[address] = {}
-            last_write[address] = tx
-    return [set(scc) for scc in nx.strongly_connected_components(graph) if len(scc) > 1]
 
 
 #: the oracle properties run each case with collection off and at its
