@@ -173,9 +173,11 @@ class Executor:
         # plain generator bodies.
         self._lowered: Dict[Tuple[str, Tuple[Any, ...]], Optional[LoweredBody]] = {}
         # executor-wide intern tables: one ``(oid, field)`` tuple per
-        # field (shared by every lowered body) and one string per site
-        # of the accesses :meth:`_emit_access` builds
+        # field and one frozen op per hashable control tuple (shared by
+        # every lowered body), and one string per site of the accesses
+        # :meth:`_emit_access` builds
         self._addr_intern: Dict[Tuple[int, str], Tuple[int, str]] = {}
+        self._control_intern: Dict[tuple, Any] = {}
         self._site_strs: Dict[Site, str] = {}
         self._batch_steps = 0
         self._batch_accesses = 0
@@ -252,7 +254,8 @@ class Executor:
         if script_fn is None:
             return None
         return lower_script(
-            script_fn(self._context, *args), method, self._addr_intern
+            script_fn(self._context, *args), method, self._addr_intern,
+            self._control_intern,
         )
 
     def _run_loop(self, tracked: bool = False) -> ExecutionResult:

@@ -44,10 +44,19 @@ parallel columns, each holding exactly what the executor's run loop
 reads at that pc: ``array('b')`` op-codes and value modes,
 ``array('i')`` array indices and destination/value registers, and
 per-pc lists of the live heap object, the field name, the canonical
-:class:`~repro.runtime.events.Site` (shared with the executor's
-generator path via :func:`~repro.runtime.events.intern_site`), its
-string, the interned ``(oid, field)`` address, the value constant, and
-the prebuilt control op.
+:class:`~repro.runtime.events.Site`, its string, the interned
+``(oid, field)`` address, the value constant, and the prebuilt
+control op.
+
+**Shared entries.**  Compiling is one pass that builds nothing per op
+an earlier body already built.  The site and site-string columns are
+slices of a process-wide table per method (entry ``pc`` is
+:func:`~repro.runtime.events.intern_site` ``(method, pc)``, shared with
+the executor's generator path, and its string), bounded by the program
+text like the intern table.  Addresses come from the executor's
+``(oid, field)`` intern table, and control ops from its control table:
+equal hashable control tuples share one frozen op, and a tuple with
+unhashable args gets a fresh one.
 """
 
 from __future__ import annotations
@@ -99,12 +108,37 @@ VAL_CONST = 0
 VAL_INC = 1
 VAL_REG = 2
 
-_ACCESS_CODES = {
-    "read": OP_READ,
-    "write": OP_WRITE,
-    "aread": OP_AREAD,
-    "awrite": OP_AWRITE,
+#: control op name -> its frozen op, built from the script tuple
+_CONTROL_OPS: Dict[str, Callable[[tuple], Any]] = {
+    "acquire": lambda op: Acquire(op[1]),
+    "release": lambda op: Release(op[1]),
+    "notify": lambda op: Notify(op[1], op[2]),
+    "invoke": lambda op: Invoke(op[1], tuple(op[2])),
+    "fork": lambda op: Fork(op[1], op[2], tuple(op[3])),
+    "join": lambda op: Join(op[1]),
 }
+
+#: script op name -> op-code (the access codes of writes are odd)
+_OPCODES = dict(
+    read=OP_READ, write=OP_WRITE, aread=OP_AREAD, awrite=OP_AWRITE,
+    compute=OP_COMPUTE, **dict.fromkeys(_CONTROL_OPS, OP_CONTROL),
+)
+
+#: process-wide, bounded by the program text: method -> its sites and
+#: site strings by pc, and array index -> its "[i]" field name
+_SITE_TABLES: Dict[str, Tuple[List[Site], List[str]]] = {}
+_ARRAY_FIELDS: Dict[int, str] = {}
+
+
+def _site_columns(method: str, length: int) -> Tuple[List[Site], List[str]]:
+    """Site and site-string columns of a ``length``-op body of
+    ``method``: fresh slices of the method's table, grown on demand."""
+    sites, strs = _SITE_TABLES.setdefault(method, ([], []))
+    for pc in range(len(sites), length):
+        site = intern_site(method, pc)
+        sites.append(site)
+        strs.append(str(site))
+    return sites[:length], strs[:length]
 
 
 class LoweredBody:
@@ -133,14 +167,13 @@ class LoweredBody:
         self.method = method
         self.length = length
         self.codes = array("b", bytes(length))
-        self.array_indices = array("i", [-1] * length)
-        self.dst_regs = array("i", [-1] * length)
+        self.array_indices = array("i", [-1]) * length
+        self.dst_regs = array("i", [-1]) * length
         self.val_modes = array("b", bytes(length))
-        self.val_regs = array("i", [-1] * length)
+        self.val_regs = array("i", [-1]) * length
         self.objs: List[Any] = [None] * length
         self.fields: List[Optional[str]] = [None] * length
-        self.sites: List[Site] = [None] * length  # type: ignore[list-item]
-        self.site_strs: List[str] = [None] * length  # type: ignore[list-item]
+        self.sites, self.site_strs = _site_columns(method, length)
         self.addresses: List[Optional[Tuple[int, str]]] = [None] * length
         self.val_consts: List[Any] = [None] * length
         self.control_ops: List[Any] = [None] * length
@@ -151,40 +184,19 @@ def lower_script(
     script: List[tuple],
     method: str,
     addr_intern: Dict[Tuple[int, str], Tuple[int, str]],
+    control_intern: Dict[tuple, Any],
 ) -> LoweredBody:
     """Compile one script activation into a :class:`LoweredBody`.
 
     ``addr_intern`` is the executor-wide ``(oid, field)`` intern table:
     every lowered body of one executor, and every access the executor
     emits from a generator body or a synchronization operation, shares
-    one address tuple per field.
+    one address tuple per field.  ``control_intern`` is the
+    executor-wide control table: one frozen op per distinct hashable
+    control tuple.
     """
     body = LoweredBody(method, len(script))
     regs: Dict[str, int] = {}
-
-    def reg_id(name: str) -> int:
-        rid = regs.get(name)
-        if rid is None:
-            rid = regs[name] = len(regs)
-        return rid
-
-    def set_value(pc: int, vexpr: tuple) -> None:
-        kind = vexpr[0]
-        if kind == "const":
-            body.val_modes[pc] = VAL_CONST
-            body.val_consts[pc] = vexpr[1]
-        elif kind == "inc":
-            body.val_modes[pc] = VAL_INC
-            body.val_regs[pc] = reg_id(vexpr[1])
-            body.val_consts[pc] = vexpr[2]
-        elif kind == "reg":
-            body.val_modes[pc] = VAL_REG
-            body.val_regs[pc] = reg_id(vexpr[1])
-        else:
-            raise ProgramError(
-                f"unknown script value expression {vexpr!r} in {method}"
-            )
-
     # hot compile loop: worker bodies run to tens of thousands of ops,
     # so the per-op column stores all go through locals
     b_codes = body.codes
@@ -193,54 +205,70 @@ def lower_script(
     b_array_indices = body.array_indices
     b_addresses = body.addresses
     b_dst_regs = body.dst_regs
-    b_sites = body.sites
-    b_site_strs = body.site_strs
+    b_val_modes = body.val_modes
+    b_val_regs = body.val_regs
+    b_val_consts = body.val_consts
+    opcodes = _OPCODES
+    array_fields = _ARRAY_FIELDS
     intern_addr = addr_intern.setdefault
-    access_codes = _ACCESS_CODES
+    control_get = control_intern.get
     for pc, op in enumerate(script):
-        code = op[0]
-        b_sites[pc] = intern_site(method, pc)
-        b_site_strs[pc] = f"{method}@{pc}"
-
-        opcode = access_codes.get(code)
-        if opcode is not None:
+        opcode = opcodes.get(op[0], -1)
+        if 0 <= opcode <= OP_AWRITE:
             b_codes[pc] = opcode
             obj = op[1]
             b_objs[pc] = obj
-            if opcode <= OP_WRITE:
+            if opcode < OP_AREAD:
                 fieldname = op[2]
             else:
                 index = op[2]
                 b_array_indices[pc] = index
-                fieldname = f"[{index}]"
+                fieldname = array_fields.get(index)
+                if fieldname is None:
+                    fieldname = array_fields[index] = f"[{index}]"
             b_fields[pc] = fieldname
             address = (obj.oid, fieldname)
             b_addresses[pc] = intern_addr(address, address)
-            if opcode == OP_READ or opcode == OP_AREAD:
-                b_dst_regs[pc] = -1 if op[3] is None else reg_id(op[3])
+            if not opcode & 1:  # a read: its destination register
+                name = op[3]
+                if name is not None:
+                    rid = regs.get(name)
+                    if rid is None:
+                        rid = regs[name] = len(regs)
+                    b_dst_regs[pc] = rid
+                continue
+            vexpr = op[3]
+            kind = vexpr[0]
+            if kind == "const":  # VAL_CONST is the mode column's zero
+                b_val_consts[pc] = vexpr[1]
+                continue
+            if kind == "inc":
+                b_val_modes[pc] = VAL_INC
+                b_val_consts[pc] = vexpr[2]
+            elif kind == "reg":
+                b_val_modes[pc] = VAL_REG
             else:
-                set_value(pc, op[3])
-        elif code == "compute":
-            body.codes[pc] = OP_COMPUTE
-            body.val_consts[pc] = op[1]
-        elif code == "acquire":
-            body.codes[pc] = OP_CONTROL
-            body.control_ops[pc] = Acquire(op[1])
-        elif code == "release":
-            body.codes[pc] = OP_CONTROL
-            body.control_ops[pc] = Release(op[1])
-        elif code == "notify":
-            body.codes[pc] = OP_CONTROL
-            body.control_ops[pc] = Notify(op[1], op[2])
-        elif code == "invoke":
-            body.codes[pc] = OP_CONTROL
-            body.control_ops[pc] = Invoke(op[1], tuple(op[2]))
-        elif code == "fork":
-            body.codes[pc] = OP_CONTROL
-            body.control_ops[pc] = Fork(op[1], op[2], tuple(op[3]))
-        elif code == "join":
-            body.codes[pc] = OP_CONTROL
-            body.control_ops[pc] = Join(op[1])
+                raise ProgramError(
+                    f"unknown script value expression {vexpr!r} in {method}"
+                )
+            name = vexpr[1]
+            rid = regs.get(name)
+            if rid is None:
+                rid = regs[name] = len(regs)
+            b_val_regs[pc] = rid
+        elif opcode == OP_COMPUTE:
+            b_codes[pc] = OP_COMPUTE
+            b_val_consts[pc] = op[1]
+        elif opcode == OP_CONTROL:
+            b_codes[pc] = OP_CONTROL
+            build = _CONTROL_OPS[op[0]]
+            try:
+                control = control_get(op)
+            except TypeError:  # unhashable args: a fresh op, unshared
+                control = build(op)
+            if control is None:
+                control = control_intern[op] = build(op)
+            body.control_ops[pc] = control
         else:
             raise ProgramError(f"unknown script op {op!r} in {method}")
 

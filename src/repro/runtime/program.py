@@ -52,20 +52,27 @@ class BodyContext:
     reach the heap for pre-allocated structures.  All *shared-memory*
     interaction still goes through yielded operations; the context only
     hands out references.
+
+    Globals are plain instance attributes, so ``ctx.<name>`` is a native
+    lookup.  A global named like the context's own attributes (``heap``,
+    ``global_names``) leaves them alone; an unknown name raises an
+    ``AttributeError`` that lists the known globals.
     """
 
     def __init__(self, heap: Heap, globals_: Dict[str, Any]) -> None:
         self._heap = heap
         self._globals = globals_
+        attributes = vars(self)
+        for name, value in globals_.items():
+            if name not in attributes and not hasattr(type(self), name):
+                attributes[name] = value
 
     def __getattr__(self, name: str) -> Any:
-        try:
-            return self._globals[name]
-        except KeyError:
-            raise AttributeError(
-                f"program has no global named {name!r}; "
-                f"known globals: {sorted(self._globals)}"
-            ) from None
+        # reached only for a name that is no attribute, hence no global
+        raise AttributeError(
+            f"program has no global named {name!r}; "
+            f"known globals: {sorted(self._globals)}"
+        )
 
     @property
     def heap(self) -> Heap:

@@ -4,11 +4,15 @@
 :class:`LoweredBody`; ``script_body`` tags a script function as a
 method body for the executor to lower.  These tests pin the column
 layout, the interning contracts (sites via ``intern_site``, addresses
-via the executor-wide intern table), and that a scripted body runs
-only lowered.
+and control ops via the executor-wide tables), and that a scripted
+body runs only lowered.  A property test checks every column of random
+scripts over the whole vocabulary against a per-op reading of the
+module docstring's IR table.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ProgramError
 from repro.runtime.events import intern_site
@@ -22,10 +26,11 @@ from repro.runtime.lowering import (
     OP_WRITE,
     VAL_CONST,
     VAL_INC,
+    VAL_REG,
     lower_script,
     script_body,
 )
-from repro.runtime.ops import Acquire, Invoke, Release
+from repro.runtime.ops import Acquire, Fork, Invoke, Join, Notify, Release
 from repro.runtime.program import Program
 
 
@@ -55,7 +60,7 @@ def test_lower_script_columns(heap):
     objects, arr = heap
     o0, o1 = objects
     script = _script(objects, arr)
-    body = lower_script(script, "m", {})
+    body = lower_script(script, "m", {}, {})
 
     assert body.length == len(script)
     assert list(body.codes) == [
@@ -92,8 +97,8 @@ def test_lower_script_interns_sites_and_addresses(heap):
     objects, arr = heap
     script = _script(objects, arr)
     addr_intern = {}
-    one = lower_script(script, "m", addr_intern)
-    two = lower_script(script, "m", addr_intern)
+    one = lower_script(script, "m", addr_intern, {})
+    two = lower_script(script, "m", addr_intern, {})
 
     # sites come from the process-wide intern table shared with the
     # reference interpreter's event construction
@@ -119,10 +124,10 @@ def test_lower_script_interns_sites_and_addresses(heap):
 def test_lower_script_rejects_unknown_ops(heap):
     objects, _ = heap
     with pytest.raises(ProgramError):
-        lower_script([("jump", 3)], "m", {})
+        lower_script([("jump", 3)], "m", {}, {})
     with pytest.raises(ProgramError):
         lower_script(
-            [("write", objects[0], "f0", ("mul", "v", 2))], "m", {}
+            [("write", objects[0], "f0", ("mul", "v", 2))], "m", {}, {}
         )
 
 
@@ -167,3 +172,166 @@ def test_unhashable_args_are_lowered_without_caching():
     assert executor._batch_frames_generator == 0
     # only the worker's (hashable) activation is cached
     assert list(executor._lowered) == [("worker", ())]
+
+
+# ----------------------------------------------------------------------
+# lower_script against the IR's definition
+# ----------------------------------------------------------------------
+_PROGRAM = Program("lowering-properties")
+OBJECTS = _PROGRAM.add_global_objects("p", 3)
+ARRAYS = [_PROGRAM.add_global_array(f"arr{i}", 4) for i in range(2)]
+
+REGS = st.sampled_from(["r0", "r1", "r2"])
+VEXPRS = st.one_of(
+    st.tuples(st.just("const"), st.integers(-3, 3)),
+    st.tuples(st.just("inc"), REGS, st.integers(-3, 3)),
+    st.tuples(st.just("reg"), REGS),
+)
+DESTS = st.none() | REGS
+FIELDS = st.sampled_from(["f0", "f1", "g"])
+INDICES = st.integers(0, 3)
+OBJS = st.sampled_from(OBJECTS)
+METHODS = st.sampled_from(["m0", "m1"])
+THREADS = st.sampled_from(["T1", "T2"])
+# a hashable args tuple, an args list (an unhashable control tuple whose
+# op is hashable) and a tuple holding a list (both unhashable)
+ARGS = st.one_of(
+    st.tuples(st.integers(0, 2)),
+    st.lists(st.integers(0, 2), max_size=2),
+    st.tuples(st.lists(st.integers(0, 2), max_size=1)),
+)
+OPS = st.one_of(
+    st.tuples(st.just("read"), OBJS, FIELDS, DESTS),
+    st.tuples(st.just("write"), OBJS, FIELDS, VEXPRS),
+    st.tuples(st.just("aread"), st.sampled_from(ARRAYS), INDICES, DESTS),
+    st.tuples(st.just("awrite"), st.sampled_from(ARRAYS), INDICES, VEXPRS),
+    st.tuples(st.just("compute"), st.integers(1, 4)),
+    st.tuples(st.just("acquire"), OBJS),
+    st.tuples(st.just("release"), OBJS),
+    st.tuples(st.just("notify"), OBJS, st.booleans()),
+    st.tuples(st.just("invoke"), METHODS, ARGS),
+    st.tuples(st.just("fork"), THREADS, METHODS, ARGS),
+    st.tuples(st.just("join"), THREADS),
+)
+SCRIPTS = st.lists(OPS, max_size=30)
+
+_ACCESS = {"read": OP_READ, "write": OP_WRITE, "aread": OP_AREAD,
+           "awrite": OP_AWRITE}
+_CONTROL = {
+    "acquire": lambda op: Acquire(op[1]),
+    "release": lambda op: Release(op[1]),
+    "notify": lambda op: Notify(op[1], op[2]),
+    "invoke": lambda op: Invoke(op[1], tuple(op[2])),
+    "fork": lambda op: Fork(op[1], op[2], tuple(op[3])),
+    "join": lambda op: Join(op[1]),
+}
+
+
+def reference_rows(script):
+    """One row per op, read off the IR table: (code, array index,
+    destination register, value mode, value register, object, field,
+    address, value constant, control op)."""
+    regs = {}
+
+    def reg(name):
+        return regs.setdefault(name, len(regs))
+
+    rows = []
+    for op in script:
+        name = op[0]
+        index = dst = val_reg = -1
+        mode = VAL_CONST
+        obj = fieldname = address = const = control = None
+        if name in _ACCESS:
+            obj = op[1]
+            if name in ("read", "write"):
+                fieldname = op[2]
+            else:
+                index = op[2]
+                fieldname = f"[{index}]"
+            address = (obj.oid, fieldname)
+            if name in ("read", "aread"):
+                dst = -1 if op[3] is None else reg(op[3])
+            elif op[3][0] == "const":
+                const = op[3][1]
+            elif op[3][0] == "inc":
+                mode, val_reg, const = VAL_INC, reg(op[3][1]), op[3][2]
+            else:
+                mode, val_reg = VAL_REG, reg(op[3][1])
+            code = _ACCESS[name]
+        elif name == "compute":
+            code, const = OP_COMPUTE, op[1]
+        else:
+            code, control = OP_CONTROL, _CONTROL[name](op)
+        rows.append((code, index, dst, mode, val_reg, obj, fieldname,
+                     address, const, control))
+    return rows, len(regs)
+
+
+def body_rows(body):
+    return list(zip(
+        body.codes, body.array_indices, body.dst_regs, body.val_modes,
+        body.val_regs, body.objs, body.fields, body.addresses,
+        body.val_consts, body.control_ops,
+    ))
+
+
+def _hashable(op):
+    try:
+        hash(op)
+    except TypeError:
+        return False
+    return True
+
+
+@settings(max_examples=200, deadline=None)
+@given(script=SCRIPTS, method=METHODS)
+def test_lower_script_matches_the_ir_definition(script, method):
+    addr_intern, control_intern = {}, {}
+    bodies = [lower_script(script, method, addr_intern, control_intern)
+              for _ in range(2)]
+    rows, nregs = reference_rows(script)
+
+    shared = {}
+    fresh = []
+    for body in bodies:
+        assert (body.method, body.length, body.nregs) == (
+            method, len(script), nregs
+        )
+        assert body_rows(body) == rows
+        assert len(body.sites) == len(body.site_strs) == len(script)
+        for pc, op in enumerate(script):
+            assert body.sites[pc] is intern_site(method, pc)
+            assert body.site_strs[pc] == str(body.sites[pc])
+            address = body.addresses[pc]
+            if address is not None:
+                assert addr_intern[address] is address
+            if body.codes[pc] != OP_CONTROL:
+                continue
+            control = body.control_ops[pc]
+            if _hashable(op):
+                # equal control tuples share one op, across bodies too
+                assert shared.setdefault(op, control) is control
+            else:
+                fresh.append(control)
+    # an unhashable control tuple gets an op of its own every time
+    ids = [id(op) for op in fresh] + [id(op) for op in shared.values()]
+    assert len(set(ids)) == len(ids)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    script=SCRIPTS,
+    bad=st.one_of(
+        st.tuples(st.sampled_from(["jump", "wait", "new"]), OBJS),
+        st.tuples(
+            st.sampled_from(["write", "awrite"]), OBJS, st.just(0),
+            st.tuples(st.sampled_from(["mul", "neg"]), REGS),
+        ),
+    ),
+    data=st.data(),
+)
+def test_lower_script_rejects_what_the_ir_lacks(script, bad, data):
+    at = data.draw(st.integers(0, len(script)))
+    with pytest.raises(ProgramError):
+        lower_script(script[:at] + [bad] + script[at:], "m0", {}, {})

@@ -110,6 +110,22 @@ class TestGlobals:
         program.add_global("a", 2)
         assert program.make_context().global_names() == ["a", "b"]
 
+    def test_global_is_a_plain_attribute(self):
+        program = Program("p")
+        obj = program.add_global_object("cfg")
+        ctx = program.make_context()
+        # found by the native attribute lookup, not by __getattr__
+        assert vars(ctx)["cfg"] is obj
+
+    def test_globals_named_like_context_attributes_leave_them_alone(self):
+        program = Program("p")
+        program.add_global("heap", "not the heap")
+        program.add_global("global_names", "not the method")
+        ctx = program.make_context()
+        assert ctx.heap is program.heap
+        assert isinstance(ctx.heap, Heap)
+        assert ctx.global_names() == ["global_names", "heap"]
+
 
 class TestHeap:
     def test_alloc_assigns_unique_ids(self):
