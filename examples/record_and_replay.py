@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Record once, check many: traces and the offline checker.
+"""Record once, check many: traces replayed through the checkers.
 
 Records one execution of a benchmark to a JSONL trace, then analyzes
 the same trace three ways without re-running the program:
@@ -7,9 +7,9 @@ the same trace three ways without re-running the program:
 1. **Velodrome (replayed)** — the online checker driven by the trace;
    identical results to its live run.
 2. **DoubleChecker's ICD+PCD (replayed)** — same.
-3. **Offline checker** — the Farzan & Parthasarathy-style design point
-   the paper compares against (Section 6): post-mortem detection with
-   streaming summarization and *no synchronization edges*, so cycles
+3. **vc (replayed)** — the vector-clock checker at its default design
+   point, the one the paper's closest related work takes (Farzan &
+   Parthasarathy, Section 6): *no synchronization edges*, so cycles
    formed purely by lock release–acquire order are not reported.
 
 Run with::
@@ -22,7 +22,6 @@ import tempfile
 
 from repro import (
     ICD,
-    OfflineChecker,
     PCD,
     RandomScheduler,
     Trace,
@@ -33,6 +32,7 @@ from repro import (
 )
 from repro.harness.explain import explain_summary
 from repro.harness.runner import initial_spec
+from repro.vc import VcChecker
 from repro.workloads import build
 
 BENCHMARK = "hsqldb6"
@@ -68,12 +68,12 @@ def main() -> None:
     print(f"  ICD filtered {icd.stats.sccs} SCC(s) out of "
           f"{icd.tx_manager.stats.regular_transactions} transactions")
 
-    # ---- the offline comparator -----------------------------------------
-    offline = OfflineChecker(spec).check(loaded)
-    print(f"Offline checker:      "
-          f"{sorted(offline.blamed_methods) or 'clean'} "
-          f"(skipped {offline.stats.sync_accesses_skipped} sync accesses; "
-          f"collected {offline.gc_stats.transactions_collected} summarized txs)")
+    # ---- vc, without synchronization edges -----------------------------
+    vc = VcChecker(spec)
+    replay_trace(loaded, [vc])
+    print(f"vc (replayed):        "
+          f"{sorted(vc.violations.blamed_methods()) or 'clean'} "
+          f"(skipped {vc.stats.sync_accesses_skipped} sync accesses)")
 
     print()
     print(explain_summary(violations))

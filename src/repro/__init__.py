@@ -74,7 +74,6 @@ from repro.runtime import (
     Wait,
     Write,
 )
-from repro.offline import OfflineChecker
 from repro.oracle import HappensBeforeTracker, VectorClock
 from repro.spec import AtomicitySpecification, iterative_refinement
 from repro.trace import Trace, record_execution, replay_trace
@@ -101,7 +100,6 @@ __all__ = [
     "New",
     "NewArray",
     "Notify",
-    "OfflineChecker",
     "OutOfMemoryBudget",
     "PCD",
     "Program",

@@ -30,13 +30,13 @@ Everything else is swept, together with its read/write log.  The rule
 is exercised in ``tests/core/test_gc.py`` and by end-to-end tests that
 compare violation detection with and without collection.
 
-**One mark for every analysis.**  ICD, Velodrome, vc and the offline
-checker all collect through :meth:`TransactionCollector.collect`, which
-marks incrementally.  Re-tracing every root's full forward cone on
-every collection would be the dominant cost on workloads where one
-very long transaction anchors a huge, still-growing history (the
-hubstress warden): the same tens of thousands of nodes would be
-re-marked every 64 transaction ends.  Instead the collector keeps a
+**One mark for every analysis.**  ICD, Velodrome and vc all collect
+through :meth:`TransactionCollector.collect`, which marks
+incrementally.  Re-tracing every root's full forward cone on every
+collection would be the dominant cost on workloads where one very
+long transaction anchors a huge, still-growing history (the hubstress
+warden): the same tens of thousands of nodes would be re-marked every
+64 transaction ends.  Instead the collector keeps a
 *persistent* alive set ``S``:
 
 * ``S`` is the exact forward closure of a set of *cached roots*, all of
@@ -142,10 +142,9 @@ class TransactionCollector:
         Args:
             pinned: transactions kept alive as bare nodes without cone
                 traversal (ICD passes ``lastRdEx`` values and
-                ``gLastRdSh`` — still potential edge sources; the
-                offline checker its metadata references; Velodrome's
-                field metadata is *weak* and deliberately not pinned,
-                per the paper).
+                ``gLastRdSh`` — still potential edge sources;
+                Velodrome's field metadata is *weak* and deliberately
+                not pinned, per the paper).
         """
         manager = self._manager
         roots = manager.live_transactions()

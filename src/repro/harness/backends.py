@@ -7,8 +7,11 @@ vector-clock checker) — over the workload catalog and tabulates its
 verdicts.
 
 ``crosscheck`` runs all of them, plus the vc backend with
-synchronization edges enabled and the offline checker over a recorded
-trace of the same schedule, and validates the agreement contract
+synchronization edges enabled, and three columns independent of the
+online run: the whole-trace oracle (:mod:`repro.oracle.serializability`,
+recorded beside an ICD on the same schedule and judging ICD's
+transactions) with and without synchronization edges, and vc over a
+replay of that recording.  It validates the agreement contract
 between the arms:
 
 * ``velodrome`` and ``single-run ICD+PCD`` are both sound and precise
@@ -19,8 +22,11 @@ between the arms:
 * ``vc`` (default) skips synchronization pseudo-accesses, so its
   violations are a subset of the sync-tracking arm's — a verdict it
   reports must also be reported there;
-* the offline checker shares the default vc arm's design point (no
-  sync edges), so their boolean verdicts must be equal.
+* the oracle with synchronization edges must equal Velodrome, and the
+  data-only oracle (``oracle-data``) must equal ``vc`` — while those
+  cut unary accesses as ICD does, since the oracle judges ICD's
+  transactions (ROADMAP item 1, "Unary demarcation");
+* ``replay``, vc over the replayed trace, must equal live ``vc``.
 
 Violated contracts are rendered in the table *and* returned as
 mismatches, which the CLI turns into a nonzero exit — the agreement
@@ -32,11 +38,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+from repro.core.icd import ICD
 from repro.harness import runner
 from repro.harness.rendering import render_table
 from repro.obs.spans import phase
-from repro.offline.checker import OfflineChecker
+from repro.oracle.serializability import TraceRecorder, oracle_cyclic_sccs
 from repro.trace.recorder import record_execution
+from repro.trace.replay import replay_trace
+from repro.vc.checker import VcChecker
 from repro.workloads import all_names, build
 
 #: selectable online backends (``--backend``)
@@ -108,7 +117,9 @@ class CrosscheckRow:
     velodrome: bool
     vc: bool
     vc_sync: bool
-    offline: bool
+    oracle: bool
+    oracle_data: bool
+    replay: bool
     mismatches: List[str] = field(default_factory=list)
 
     @property
@@ -137,7 +148,9 @@ class CrosscheckResult:
                 "velodrome",
                 "vc",
                 "vc+sync",
-                "offline",
+                "oracle",
+                "oracle-data",
+                "replay",
                 "agreement",
             ),
             [
@@ -147,7 +160,9 @@ class CrosscheckResult:
                     verdict(row.velodrome),
                     verdict(row.vc),
                     verdict(row.vc_sync),
-                    verdict(row.offline),
+                    verdict(row.oracle),
+                    verdict(row.oracle_data),
+                    verdict(row.replay),
                     row.agreement,
                 )
                 for row in self.rows
@@ -170,9 +185,30 @@ def _contract(row: CrosscheckRow) -> List[str]:
         mismatches.append("vc+sync verdict differs from velodrome")
     if row.vc and not row.vc_sync:
         mismatches.append("vc reported a violation vc+sync did not")
-    if row.offline != row.vc:
-        mismatches.append("offline verdict differs from vc")
+    if row.oracle != row.velodrome:
+        mismatches.append("oracle verdict differs from velodrome")
+    if row.oracle_data != row.vc:
+        mismatches.append("data-only oracle verdict differs from vc")
+    if row.replay != row.vc:
+        mismatches.append("replayed vc verdict differs from live vc")
     return mismatches
+
+
+def recorded_verdicts(name: str, spec, seed: int):
+    """The oracle's two verdicts and vc's verdict over a replay, all
+    from one recorded run of the schedule the online arms ran."""
+    icd = ICD(spec, on_scc=None)
+    accesses = TraceRecorder(icd)
+    trace = record_execution(
+        build(name), runner.make_scheduler(seed), [icd, accesses]
+    )
+    replayed = VcChecker(spec)
+    replay_trace(trace, [replayed])
+    return (
+        bool(oracle_cyclic_sccs(accesses.trace)),
+        bool(oracle_cyclic_sccs(accesses.trace, sync_edges=False)),
+        bool(replayed.violations),
+    )
 
 
 def generate_crosscheck(
@@ -189,11 +225,10 @@ def generate_crosscheck(
             vc_sync = bool(
                 runner.run_vc(name, spec, seed, sync_edges=True).violations
             )
-            trace = record_execution(
-                build(name), runner.make_scheduler(seed)
+            row = CrosscheckRow(
+                name, icd, velodrome, vc, vc_sync,
+                *recorded_verdicts(name, spec, seed),
             )
-            offline = bool(OfflineChecker(spec).check(trace).violations)
-            row = CrosscheckRow(name, icd, velodrome, vc, vc_sync, offline)
             row.mismatches.extend(_contract(row))
             rows.append(row)
     return CrosscheckResult(rows)

@@ -24,19 +24,24 @@ from repro.runtime.listeners import ExecutionListener
 class TraceRecorder(ExecutionListener):
     """Records (tx, address, kind, is_sync) in execution order.
 
-    Registered *after* an ICD in the pipeline so it can read ICD's
-    transaction assignment for each access (the same assignment PCD
-    analyzes), while remaining independent of ICD's graph machinery.
-    Not to be confused with :class:`repro.trace.recorder.TraceRecorder`,
-    which records a replayable event trace.
+    Registered *after* a checker (ICD, Velodrome or vc) in the pipeline
+    so it can read that checker's transaction assignment for each
+    access (for ICD, the same assignment PCD analyzes), while remaining
+    independent of the checker's graph machinery.  It skips the array
+    accesses the checker does not instrument, so the oracle sees only
+    the accesses the checker checks.  Not to be confused with
+    :class:`repro.trace.recorder.TraceRecorder`, which records a
+    replayable event trace.
     """
 
-    def __init__(self, icd) -> None:  # type: ignore[no-untyped-def]
-        self.icd = icd
+    def __init__(self, checker) -> None:  # type: ignore[no-untyped-def]
+        self.checker = checker
         self.trace = []
 
     def on_access(self, event):
-        tx = self.icd.tx_manager.current_or_latest(event.thread_name)
+        if event.is_array and not self.checker.instrument_arrays:
+            return
+        tx = self.checker.tx_manager.current_or_latest(event.thread_name)
         if tx is not None:
             self.trace.append((tx, event.address, event.kind, event.is_sync))
 

@@ -1,13 +1,12 @@
 """Execution-trace recording and replay.
 
-DoubleChecker and Velodrome are *online* analyses: they run inside the
-program's execution.  The related work the paper compares against
-(Farzan & Parthasarathy, CAV 2008) detects cycles *offline*, after the
-execution finishes.  This package provides the shared substrate for
-offline work: record an execution's event stream once, persist it,
-and replay it through any :class:`~repro.runtime.listeners.
-ExecutionListener` — including the online checkers themselves, which
-produce identical results on a replayed trace (tested).
+DoubleChecker, Velodrome and vc are *online* analyses: they run inside
+the program's execution.  This package lets them run after it too:
+record an execution's event stream once, persist it, and replay it
+through any :class:`~repro.runtime.listeners.ExecutionListener`.  An
+online checker produces identical results on a replayed trace
+(``tests/trace/test_replay.py``), and ``crosscheck``'s ``replay``
+column holds vc over the replayed schedule to its live verdict.
 """
 
 from repro.errors import TraceFormatError

@@ -12,15 +12,17 @@ access), adds edges eagerly, and runs a cycle check after every new
 edge.
 
 The check probes the per-transaction vector clocks of
-:mod:`repro.core.clocks`, shared with the vc backend; only an edge
-that closes a cycle runs a DFS, which reconstructs it for the report.
+:mod:`repro.core.clocks`; only an edge that closes a cycle runs a DFS,
+which reconstructs it for the report.  The vector-clock checker
+(:class:`repro.vc.checker.VcChecker`) is this class with the probe
+alone as its check; everything else here is shared.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.blame import blamed_nodes
 from repro.core.clocks import TransactionClocks
@@ -35,14 +37,14 @@ from repro.core.transactions import (
 )
 from repro.errors import OutOfMemoryBudget
 from repro.obs.registry import publish_stats, recorder as obs_recorder
-from repro.runtime.events import AccessEvent
+from repro.runtime.events import AccessKind, Site
 from repro.runtime.executor import ExecutionResult, Executor
-from repro.runtime.listeners import ExecutionListener
+from repro.runtime.listeners import AccessBarrier, ExecutionListener
 from repro.runtime.program import Program
 from repro.runtime.scheduler import Scheduler
 from repro.runtime.view import ExecutorView, NullView, RuntimeView
 from repro.spec.specification import AtomicitySpecification
-from repro.velodrome.metadata import MetadataTable
+from repro.velodrome.metadata import FieldMetadata, MetadataTable
 
 
 @dataclass
@@ -53,7 +55,16 @@ class VelodromeStats:
     atomic_operations: int = 0
     memory_fences: int = 0
     metadata_updates: int = 0
+    #: accesses resolved by the barrier's no-op predicate (the field's
+    #: metadata already names this transaction)
+    fastpath_hits: int = 0
     edges: int = 0
+    #: re-observations of an existing edge
+    edges_deduplicated: int = 0
+    #: clock joins that actually grew the destination clock
+    clock_joins: int = 0
+    #: worklist pushes during eager transitive propagation
+    propagations: int = 0
     cycle_checks: int = 0
     cycle_check_visits: int = 0
     #: checks resolved by the transaction clocks alone — the source's
@@ -97,6 +108,11 @@ class VelodromeChecker(ExecutionListener):
         gc_interval: transaction-collector cadence.
     """
 
+    #: names this checker's edges, reports, counters and budget errors
+    detector = "velodrome"
+    #: each instrumented access costs one atomic op and two fences
+    critical_section = True
+
     def __init__(
         self,
         spec: AtomicitySpecification,
@@ -110,6 +126,9 @@ class VelodromeChecker(ExecutionListener):
         gc_interval: Optional[int] = 64,
     ) -> None:
         self.spec = spec
+        #: order transactions through synchronization pseudo-accesses
+        #: (acquire = read, release = write of the monitor pseudo-field)
+        self.sync_edges = True
         self.instrument_arrays = instrument_arrays
         self.array_granularity_object = array_granularity_object
         self.cycle_detection = cycle_detection
@@ -129,6 +148,9 @@ class VelodromeChecker(ExecutionListener):
         )
         self.collector = TransactionCollector(self.tx_manager)
         self._edge_order = 0
+        #: edges the current access added, checked once its metadata
+        #: update is done
+        self._unchecked: List[IdgEdge] = []
         #: creation order of the implicit intra-thread edge into each
         #: transaction (the edge-counter value at transaction start)
         self._intra_order: Dict[int, int] = {}
@@ -162,7 +184,7 @@ class VelodromeChecker(ExecutionListener):
         obs = self._obs
         if not obs.enabled:
             return
-        publish_stats(obs, "velodrome", self.stats)
+        publish_stats(obs, self.detector, self.stats)
         publish_stats(obs, "transactions", self.tx_manager.stats)
         publish_stats(
             obs,
@@ -171,97 +193,146 @@ class VelodromeChecker(ExecutionListener):
             gauges=("peak_live_transactions", "peak_live_log_entries"),
         )
 
-    def on_access(self, event: AccessEvent) -> None:
-        if event.is_array and not self.instrument_arrays:
-            self.stats.array_accesses_skipped += 1
-            return
-        tx = self.tx_manager.transaction_for_access(event)
-        if tx is None:
-            return
-        self.stats.instrumented_accesses += 1
-        address = (
-            event.object_address
-            if (event.is_array and self.array_granularity_object)
-            else event.address
-        )
-        self._enter_critical_section(event, tx, address)
-        try:
-            self._analyze_access(event, tx, address)
-        finally:
-            self._exit_critical_section(event, tx, address)
-
     # ------------------------------------------------------------------
-    # synchronization cost model hooks (overridden by the unsound variant)
+    # the fused barrier: transaction resolution inline, and a fast path
+    # for accesses whose field metadata already names the accessing
+    # transaction (they can neither add an edge nor change metadata);
+    # everything else falls into _analyze
     # ------------------------------------------------------------------
-    def _enter_critical_section(self, event: AccessEvent, tx, address) -> None:
-        """Lock the field's metadata word: one atomic op + fence."""
-        self.stats.atomic_operations += 1
-        self.stats.memory_fences += 1
+    def access_barrier(self) -> AccessBarrier:
+        """Build the fused barrier over the executor's pre-interned
+        access fields; a synchronization access is skipped unless
+        ``sync_edges`` is set."""
+        tx_manager = self.tx_manager
+        tx_for_fields = tx_manager.transaction_for_fields
+        tx_current = tx_manager._current
+        tx_stats = tx_manager.stats
+        stats = self.stats
+        fields_get = self.metadata._fields.get
+        lookup = self.metadata.lookup
+        instrument_arrays = self.instrument_arrays
+        object_granularity = self.array_granularity_object
+        sync_edges = self.sync_edges
+        critical_section = self.critical_section
+        analyze = self._analyze
 
-    def _exit_critical_section(self, event: AccessEvent, tx, address) -> None:
-        """Unlock: a releasing store with a fence."""
-        self.stats.memory_fences += 1
+        def fused_access(
+            seq: int,
+            thread: str,
+            obj: Any,
+            fieldname: str,
+            kind: AccessKind,
+            site: Site,
+            address: Tuple[int, str],
+            site_str: str,
+            is_array: bool,
+            is_sync: bool,
+            *,
+            _READ: AccessKind = AccessKind.READ,
+        ) -> None:
+            if is_array:
+                if not instrument_arrays:
+                    stats.array_accesses_skipped += 1
+                    return
+                if object_granularity:
+                    address = (obj.oid, "*")
+            if is_sync and not sync_edges:
+                stats.sync_accesses_skipped += 1
+                return
+            tx = tx_current.get(thread)
+            if tx is not None and not tx.is_unary:
+                if not tx.monitored:
+                    tx_stats.skipped_accesses += 1
+                    return
+                tx_stats.regular_accesses += 1
+            else:
+                tx = tx_for_fields(thread, site)
+                if tx is None:
+                    return  # not instrumented in this configuration
+            stats.instrumented_accesses += 1
+            if critical_section:
+                stats.atomic_operations += 1
+                stats.memory_fences += 2
+            is_read = kind is _READ
+            meta = fields_get(address)
+            if meta is None:
+                meta = lookup(address)
+            elif is_read:
+                if meta.last_readers.get(thread) is tx:
+                    stats.fastpath_hits += 1
+                    return
+            elif meta.last_writer is tx and not meta.last_readers:
+                stats.fastpath_hits += 1
+                stats.metadata_updates += 1
+                return
+            analyze(tx, meta, is_read)
 
-    def _metadata_update_allowed(self, event: AccessEvent, tx, address) -> bool:
-        """The sound checker never loses an update."""
-        return True
+        return fused_access
 
     # ------------------------------------------------------------------
     # the per-access analysis (Figure 5 rules, applied online)
     # ------------------------------------------------------------------
-    def _analyze_access(
-        self, event: AccessEvent, tx: Transaction, address: Tuple[int, str]
+    def _analyze(
+        self,
+        tx: Transaction,
+        meta: FieldMetadata,
+        is_read: bool,
+        update: bool = True,
     ) -> None:
-        meta = self.metadata.lookup(address)
-        new_edges: List[IdgEdge] = []
-
+        """Add the access's dependence edges, update the field's
+        metadata (unless ``update`` is false: an update the unsound
+        variant lost), then check each new edge for a cycle."""
         writer = meta.last_writer
         if writer is not None and writer.thread_name != tx.thread_name:
-            edge = self._add_edge(writer, tx)
-            if edge is not None:
-                new_edges.append(edge)
+            self._add_edge(writer, tx)
 
-        if event.is_read():
-            if self._metadata_update_allowed(event, tx, address):
-                if meta.last_readers.get(tx.thread_name) is not tx:
+        if is_read:
+            if update:
+                readers = meta.last_readers
+                if readers.get(tx.thread_name) is not tx:
                     self.stats.metadata_updates += 1
-                meta.last_readers[tx.thread_name] = tx
+                    readers[tx.thread_name] = tx
         else:
             # snapshot: adding an edge can end an interrupted unary
             # transaction, whose GC purges weak metadata references
             for thread_name, reader in list(meta.last_readers.items()):
                 if thread_name != tx.thread_name:
-                    edge = self._add_edge(reader, tx)
-                    if edge is not None:
-                        new_edges.append(edge)
-            if self._metadata_update_allowed(event, tx, address):
+                    self._add_edge(reader, tx)
+            if update:
                 self.stats.metadata_updates += 1
                 meta.last_readers.clear()
                 meta.last_writer = tx
 
-        if self.cycle_detection:
-            for edge in new_edges:
+        unchecked = self._unchecked
+        if unchecked:
+            for edge in unchecked:
                 self._check_cycle(edge)
+            unchecked.clear()
 
-    def _add_edge(self, src: Transaction, dst: Transaction) -> Optional[IdgEdge]:
+    def _add_edge(self, src: Transaction, dst: Transaction) -> None:
         if src is dst or src.collected:
-            return None
+            return
+        stats = self.stats
         if any(e.dst is dst for e in src.out_edges):
-            return None  # the edge already exists; do nothing
+            stats.edges_deduplicated += 1
+            return  # already joined; eager propagation keeps it current
         self._edge_order += 1
-        edge = IdgEdge(src, dst, "velodrome", self._edge_order)
+        edge = IdgEdge(src, dst, self.detector, self._edge_order)
         src.out_edges.append(edge)
         dst.in_edges.append(edge)
         src.edge_touched = True
         dst.edge_touched = True
         self.collector.note_link(src, dst)
-        self.stats.edges += 1
+        stats.edges += 1
         if self.clocks is not None:
-            self.clocks.add_edge(src, dst)
+            grown = self.clocks.add_edge(src, dst)
+            if grown:
+                stats.clock_joins += 1
+                stats.propagations += grown - 1
+            self._unchecked.append(edge)
         # eagerly end an interrupted unary transaction on the source
         # side (the destination is the accessor, mid-access)
         self.tx_manager.end_if_interrupted_unary(src)
-        return edge
 
     # ------------------------------------------------------------------
     # cycle detection: DFS for a path dst ⇝ src over cross edges and the
@@ -354,7 +425,7 @@ class VelodromeChecker(ExecutionListener):
                 thread_name=blamed_tx.thread_name,
                 cycle_methods=tuple(tx_by_id[i].method for i in cycle_ids),
                 cycle_tx_ids=cycle_ids,
-                detector="velodrome",
+                detector=self.detector,
             )
         )
 
@@ -388,7 +459,7 @@ class VelodromeChecker(ExecutionListener):
         if self.memory_budget is not None:
             used = len(self.tx_manager.all_transactions)
             if used > self.memory_budget:
-                raise OutOfMemoryBudget("Velodrome", used, self.memory_budget)
+                raise OutOfMemoryBudget(self.detector, used, self.memory_budget)
 
     # ------------------------------------------------------------------
     def bind_view(self, view: RuntimeView) -> None:

@@ -26,11 +26,11 @@ naturally; we model their *effects* mechanically and deterministically:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.errors import ReproError
 from repro.runtime.events import AccessEvent
+from repro.runtime.listeners import AccessBarrier, ExecutionListener
 from repro.velodrome.checker import VelodromeChecker
 
 
@@ -80,26 +80,47 @@ class UnsoundVelodrome(VelodromeChecker):
         self._race_counts: Dict[Tuple[int, str], int] = {}
 
     # ------------------------------------------------------------------
-    # cost: pay for synchronization only when metadata changes
+    # the event path: every access as one AccessEvent, so the race model
+    # sees its sequence number and thread
     # ------------------------------------------------------------------
-    def _enter_critical_section(self, event: AccessEvent, tx, address) -> None:
+    def access_barrier(self) -> AccessBarrier:
+        return ExecutionListener.access_barrier(self)
+
+    def on_access(self, event: AccessEvent) -> None:
+        if event.is_array and not self.instrument_arrays:
+            self.stats.array_accesses_skipped += 1
+            return
+        tx = self.tx_manager.transaction_for_access(event)
+        if tx is None:
+            return
+        self.stats.instrumented_accesses += 1
+        address = (
+            event.object_address
+            if (event.is_array and self.array_granularity_object)
+            else event.address
+        )
         meta = self.metadata.lookup(address)
+        is_read = event.is_read()
+        # cost: pay for synchronization only when metadata changes, and
+        # no releasing fence (the variant runs unsynchronized)
         changes = (
             meta.would_change_on_read(tx)
-            if event.is_read()
+            if is_read
             else meta.would_change_on_write(tx)
         )
         if changes:
             self.stats.atomic_operations += 1
             self.stats.memory_fences += 1
-
-    def _exit_critical_section(self, event: AccessEvent, tx, address) -> None:
-        """No releasing fence: the variant runs unsynchronized."""
+        self._analyze(
+            tx, meta, is_read, self._metadata_update_allowed(event, address)
+        )
 
     # ------------------------------------------------------------------
     # unsoundness: racy updates can be lost, storms crash
     # ------------------------------------------------------------------
-    def _metadata_update_allowed(self, event: AccessEvent, tx, address) -> bool:
+    def _metadata_update_allowed(
+        self, event: AccessEvent, address: Tuple[int, str]
+    ) -> bool:
         last = self._last_update.get(address)
         self._last_update[address] = (event.seq, event.thread_name)
         if last is None:

@@ -16,10 +16,8 @@ from hypothesis import given, settings
 
 from repro.core.doublechecker import DoubleChecker
 from repro.core.gc import TransactionCollector
-from repro.offline.checker import OfflineChecker
 from repro.runtime.scheduler import RandomScheduler
 from repro.spec.specification import AtomicitySpecification
-from repro.trace.recorder import record_execution
 from repro.vc.checker import VcChecker
 from repro.velodrome.checker import VelodromeChecker
 
@@ -62,17 +60,11 @@ def _vc(program, spec, scheduler):
     VcChecker(spec, sync_edges=True, gc_interval=1).run(program, scheduler)
 
 
-def _offline(program, spec, scheduler):
-    trace = record_execution(program, scheduler)
-    OfflineChecker(spec, summarize_interval=1).check(trace)
-
-
 CONFIGS = {
     "icd-single": _single,
     "icd-first": _first,
     "velodrome": _velodrome,
     "vc": _vc,
-    "offline": _offline,
 }
 
 

@@ -60,7 +60,8 @@ class TestCrosscheck:
         out = capsys.readouterr().out
         assert "all backends agree" in out
         assert "vc+sync" in out
-        assert "offline" in out
+        assert "oracle" in out
+        assert "replay" in out
 
 
 class TestPreflights:

@@ -2,9 +2,10 @@
 
 Runs every catalog workload (seed 0) under all three online backends —
 single-run ICD+PCD, Velodrome, and the vector-clock checker — plus the
-vc backend with synchronization edges enabled and the offline checker
-over a recorded trace of the same schedule, and pins the agreement
-contract between the arms:
+vc backend with synchronization edges enabled, the whole-trace oracle
+(with and without synchronization edges) recorded on the same
+schedule, and vc over a replay of that recording, and pins the
+agreement contract between the arms:
 
 * boolean verdicts agree everywhere (and match a committed golden);
 * vc's blamed methods are a subset of Velodrome's, with exact equality
@@ -18,8 +19,9 @@ contract between the arms:
 
 import pytest
 
+from repro.core.doublechecker import DoubleChecker
 from repro.harness import runner
-from repro.offline.checker import OfflineChecker
+from repro.harness.backends import recorded_verdicts
 from repro.runtime.ops import Acquire, Compute, Invoke, Read, Release, Write
 from repro.runtime.program import Program
 from repro.spec.specification import AtomicitySpecification
@@ -57,28 +59,31 @@ def matrix():
         velodrome = runner.run_velodrome(name, spec, SEED)
         vc = runner.run_vc(name, spec, SEED)
         vc_sync = runner.run_vc(name, spec, SEED, sync_edges=True)
-        trace = record_execution(build(name), runner.make_scheduler(SEED))
-        offline = OfflineChecker(spec).check(trace)
+        oracle, oracle_data, replay = recorded_verdicts(name, spec, SEED)
         out[name] = {
             "icd": icd,
             "velodrome": velodrome,
             "vc": vc,
             "vc_sync": vc_sync,
-            "offline": offline,
+            "oracle": oracle,
+            "oracle_data": oracle_data,
+            "replay": replay,
         }
     return out
 
 
 @pytest.mark.parametrize("name", all_names())
 def test_boolean_verdicts_agree(matrix, name):
-    """All five arms return the same verdict, matching the golden."""
+    """All seven arms return the same verdict, matching the golden."""
     arms = matrix[name]
     expected = name in VIOLATING
     assert bool(arms["icd"].violations) == expected
     assert bool(arms["velodrome"].violations) == expected
     assert bool(arms["vc"].violations) == expected
     assert bool(arms["vc_sync"].violations) == expected
-    assert bool(arms["offline"].violations) == expected
+    assert arms["oracle"] == expected
+    assert arms["oracle_data"] == expected
+    assert arms["replay"] == expected
 
 
 @pytest.mark.parametrize("name", all_names())
@@ -151,6 +156,15 @@ class TestSyncEdgeDivergence:
 
     def test_velodrome_reports_the_sync_cycle(self):
         result = self._run(VelodromeChecker)
+        assert "double_critical" in result.blamed_methods
+
+    def test_doublechecker_reports_it(self):
+        """DoubleChecker follows Velodrome: release-acquire edges are
+        dependences."""
+        spec = AtomicitySpecification.initial(_sync_only_program())
+        result = DoubleChecker(spec).run_single(
+            _sync_only_program(), runner.make_scheduler(13)
+        )
         assert "double_critical" in result.blamed_methods
 
     def test_vc_default_skips_it_deliberately(self):

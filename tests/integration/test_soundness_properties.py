@@ -17,9 +17,12 @@ cross-thread plus program-order edges (``repro.oracle.serializability``).
 Two program generators feed it: generator-bodied programs (driven one
 ``yield`` at a time) and scripted programs, whose bodies the executor
 lowers into columns and runs through ICD's fused barrier — array
-reads and writes included.
+reads and writes included.  In both, worker scripts interleave their
+calls with bare reads and writes, so unary transactions join the
+cycles too.
 """
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -46,13 +49,21 @@ op_strategy = st.tuples(
     st.integers(0, 2), st.integers(0, 1), st.integers(0, 1)
 )
 method_strategy = st.lists(op_strategy, min_size=1, max_size=4)
+# a worker step is a call (an int picking the method) or a bare access
+# (kind 0 = read, 1 = write; object index; field index) that runs in a
+# unary transaction, since the worker is an entry point and not atomic
+step_strategy = st.one_of(
+    st.integers(0, 3),
+    st.tuples(st.integers(0, 1), st.integers(0, 1), st.integers(0, 1)),
+)
+script_strategy = st.lists(                              # per-thread scripts
+    st.lists(step_strategy, min_size=1, max_size=6),
+    min_size=2,
+    max_size=3,
+)
 program_strategy = st.tuples(
     st.lists(method_strategy, min_size=1, max_size=4),   # method bodies
-    st.lists(                                            # per-thread call scripts
-        st.lists(st.integers(0, 3), min_size=1, max_size=6),
-        min_size=2,
-        max_size=3,
-    ),
+    script_strategy,
     st.integers(0, 10_000),                              # scheduler seed
 )
 
@@ -85,8 +96,16 @@ def materialize(method_specs, thread_scripts):
     for tid, script in enumerate(thread_scripts):
         def make_worker(script=script):
             def worker(ctx):
-                for call in script:
-                    yield Invoke(f"m{call % method_count}")
+                for step in script:
+                    if isinstance(step, int):
+                        yield Invoke(f"m{step % method_count}")
+                        continue
+                    kind, obj_index, field_index = step
+                    obj = objects[obj_index]
+                    if kind == 0:
+                        yield Read(obj, f"f{field_index}")
+                    else:
+                        yield Write(obj, f"f{field_index}", 1)
 
             return worker
 
@@ -97,17 +116,51 @@ def materialize(method_specs, thread_scripts):
     return program
 
 
+def calls_only(thread_scripts):
+    """Whether every worker step is a call, so that every access runs
+    in an atomic method's transaction.  Method entry and exit demarcate
+    those alike for every checker, so each checker's verdict must then
+    equal the oracle's over ICD's transactions as well as over its own:
+    a referee that also catches a checker driving the shared
+    :class:`~repro.core.transactions.TransactionManager` wrongly."""
+    return all(
+        isinstance(step, int) for script in thread_scripts for step in script
+    )
+
+
 #: the oracle properties run each case with collection off and at its
 #: most aggressive cadence (a collection at every transaction end), so
 #: a verdict is checked while the collector runs too
 GC_INTERVALS = (None, 1)
 
 
+def run_checked(checker, program, seed, sync_edges=True):
+    """Run ``checker`` with the oracle's recorder beside it, and return
+    the oracle's cyclic SCCs over the transactions the checker formed.
+
+    Each checker is refereed over its own transactions, and over ICD's
+    too where :func:`calls_only` holds.  A unary transaction absorbs
+    accesses until a cross-thread edge touches it, and the checkers see
+    different edges (ICD's come from Octet's transitions), so they can
+    demarcate the same schedule's unary accesses differently (see
+    :data:`_SPLIT_UNARY`).
+    """
+    recorder = TraceRecorder(checker)
+    Executor(
+        program, RandomScheduler(seed=seed, switch_prob=0.7),
+        [checker, recorder],
+    ).run()
+    return oracle_cyclic_sccs(recorder.trace, sync_edges)
+
+
 def run_all(method_specs, thread_scripts, seed, sync_edges=True,
             gc_interval=None):
-    """Run DC single-run + oracle on one schedule; Velodrome on the same.
+    """Run DC single-run and Velodrome on one schedule, each beside the
+    oracle's recorder.
 
-    ``sync_edges`` is passed to the oracle only (see
+    Returns ``(violations, components, oracle, velodrome,
+    velodrome_oracle, pcd)``: the oracles judge ICD's and Velodrome's
+    transactions.  ``sync_edges`` is passed to the oracles only (see
     :func:`oracle_cyclic_sccs`); ``gc_interval`` to ICD and Velodrome."""
     program = materialize(method_specs, thread_scripts)
     spec = AtomicitySpecification.initial(program)
@@ -121,25 +174,24 @@ def run_all(method_specs, thread_scripts, seed, sync_edges=True,
         violations.extend(pcd.process(component))
 
     icd = ICD(spec, on_scc=on_scc, gc_interval=gc_interval)
-    recorder = TraceRecorder(icd)
-    Executor(
-        program, RandomScheduler(seed=seed, switch_prob=0.7), [icd, recorder]
-    ).run()
-    oracle = oracle_cyclic_sccs(recorder.trace, sync_edges)
+    oracle = run_checked(icd, program, seed, sync_edges)
 
     program_v = materialize(method_specs, thread_scripts)
     velodrome = VelodromeChecker(
         AtomicitySpecification.initial(program_v), gc_interval=gc_interval
-    ).run(program_v, RandomScheduler(seed=seed, switch_prob=0.7))
+    )
+    velodrome_oracle = run_checked(velodrome, program_v, seed, sync_edges)
 
-    return violations, components, oracle, velodrome, pcd
+    return violations, components, oracle, velodrome, velodrome_oracle, pcd
 
 
 @given(program_strategy)
 @settings(max_examples=60, deadline=None)
 def test_icd_sccs_are_supersets_of_precise_cycles(case):
     for gc_interval in GC_INTERVALS:
-        _, components, oracle, _, _ = run_all(*case, gc_interval=gc_interval)
+        _, components, oracle, _, _, _ = run_all(
+            *case, gc_interval=gc_interval
+        )
         for cycle in oracle:
             assert any(cycle <= component for component in components), (
                 f"precise cycle {cycle} not covered by any ICD SCC "
@@ -165,22 +217,91 @@ _MERGE_REGRESSION_2 = (
 )
 
 
+#: a cycle with a unary member: m0 reads a field twice while another
+#: thread's bare write lands between the reads
+_UNARY_MEMBER = ([[(0, 1, 1), (0, 1, 1)]], [[0], [(1, 1, 1)]], 1179)
+
+
+def test_unary_member_example_closes_through_a_unary_transaction():
+    violations, _, oracle, velodrome, velodrome_oracle, _ = run_all(
+        *_UNARY_MEMBER
+    )
+    assert oracle and velodrome_oracle
+    for records in (violations.records, velodrome.violations.records):
+        assert any("<unary>" in r.cycle_methods for r in records)
+
+
+#: ICD and Velodrome demarcate this schedule's unary accesses
+#: differently: T1's m2 reads f1, T0 writes f0 and then f1 outside any
+#: atomic method, and m2 reads f0.  Octet's transition on m2's read
+#: ends T0's unary transaction before the write of f1, so ICD puts the
+#: two writes in two transactions; Velodrome sees no edge until the
+#: write of f1 itself, which it has already merged into the first.
+_SPLIT_UNARY = (
+    [[(0, 0, 0)], [(0, 0, 0)], [(0, 0, 1), (0, 0, 0)]],
+    [[0, 0, (1, 0, 0), (1, 0, 1)], [2]],
+    999,
+)
+
+
+def test_split_unary_is_serializable_over_icd_transactions():
+    """T0's write of f0, then m2, then T0's write of f1 is a serial
+    order, and DoubleChecker reports nothing: the execution has no
+    precise cycle, which the strict xfail below relies on."""
+    for gc_interval in GC_INTERVALS:
+        violations, _, oracle, _, _, _ = run_all(
+            *_SPLIT_UNARY, gc_interval=gc_interval
+        )
+        assert not oracle and not violations, gc_interval
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason=(
+        "TransactionManager.transaction_for_fields merges an access into "
+        "the current unary transaction before the access's own edges are "
+        "known: Velodrome and vc merge T0's two writes, and m2 closes a "
+        "cycle with the merged transaction that the split writes do not "
+        "(ROADMAP item 1, 'Unary demarcation')"
+    ),
+)
+def test_velodrome_and_vc_are_clean_where_the_icd_oracle_is():
+    """The execution has no precise cycle, so no sound and precise
+    checker may report one, whichever way it cuts T0's unary writes."""
+    method_specs, thread_scripts, seed = _SPLIT_UNARY
+    for gc_interval in GC_INTERVALS:
+        for checker_class in (VelodromeChecker, VcChecker):
+            program = materialize(method_specs, thread_scripts)
+            checker = checker_class(
+                AtomicitySpecification.initial(program),
+                gc_interval=gc_interval,
+            )
+            checker.run(program, RandomScheduler(seed=seed, switch_prob=0.7))
+            assert not checker.violations, (checker_class, gc_interval)
+
+
 @given(program_strategy)
 @example(_MERGE_REGRESSION_1)
 @example(_MERGE_REGRESSION_2)
+@example(_UNARY_MEMBER)
 @settings(max_examples=60, deadline=None)
 def test_single_run_sound_and_precise_vs_oracle(case):
     for gc_interval in GC_INTERVALS:
-        violations, _, oracle, _, _ = run_all(*case, gc_interval=gc_interval)
+        violations, _, oracle, _, _, _ = run_all(
+            *case, gc_interval=gc_interval
+        )
         assert bool(violations) == bool(oracle), gc_interval
 
 
 @given(program_strategy)
 @example(_MERGE_REGRESSION_1)
 @example(_MERGE_REGRESSION_2)
+@example(_UNARY_MEMBER)
 @settings(max_examples=60, deadline=None)
 def test_single_run_agrees_with_velodrome(case):
-    """Both sound+precise checkers agree with the oracle's verdict.
+    """Both sound+precise checkers agree with the oracle's verdict over
+    their own transactions.
 
     Exact cycle *witnesses* can legitimately differ between the two
     checkers on the same schedule: each reports one cycle per closing
@@ -188,16 +309,26 @@ def test_single_run_agrees_with_velodrome(case):
     an SCC's restricted access set (where a transitive ``W→...→R``
     chain may appear as one direct conflict edge), and blame compares
     checker-local edge-creation orders.  What must hold: the verdicts
-    agree, every reported witness lies inside an oracle SCC, and DC's
-    precise cycles lie inside the oracle's SCCs transaction-for-
-    transaction (same transaction numbering).
+    agree with the oracle, every reported witness lies inside an oracle
+    SCC transaction-for-transaction (same transaction numbering), and
+    every oracle SCC over ICD's transactions holds one of DC's precise
+    cycles.  Where every worker step is a call (:func:`calls_only`),
+    Velodrome's verdict must equal the oracle's over ICD's transactions
+    too.
     """
     for gc_interval in GC_INTERVALS:
-        violations, _, oracle, velodrome, _ = run_all(
+        violations, _, oracle, velodrome, velodrome_oracle, _ = run_all(
             *case, gc_interval=gc_interval
         )
         assert bool(violations) == bool(oracle), gc_interval
-        assert bool(velodrome.violations) == bool(oracle), gc_interval
+        assert bool(velodrome.violations) == bool(velodrome_oracle), \
+            gc_interval
+        if calls_only(case[1]):
+            assert bool(velodrome.violations) == bool(oracle), gc_interval
+        for record in velodrome.violations.records:
+            assert any(
+                set(record.cycle_tx_ids) <= scc for scc in velodrome_oracle
+            ), (record.cycle_tx_ids, velodrome_oracle, gc_interval)
 
         for record in violations.records:
             # each precise cycle sits inside one oracle SCC (same tx ids)
@@ -221,34 +352,38 @@ _RELEASE_ACQUIRE_ONLY = ([[(2, 0, 1), (0, 0, 1), (2, 0, 0)]], [[0], [0]], 73)
 
 @given(program_strategy)
 @example(_RELEASE_ACQUIRE_ONLY)
+@example(_UNARY_MEMBER)
+@example(_SPLIT_UNARY)
 @settings(max_examples=40, deadline=None)
 def test_vector_clock_agrees_with_oracle_and_velodrome(case):
     """The vc backend's two arms each track an existing referee: the
     default arm shares the data-only oracle's design point (data-
     conflict edges only, no synchronization edges), and the
     ``sync_edges`` arm builds Velodrome's exact graph — so each must
-    reproduce its referee's boolean verdict, and the sync arm must
-    perform exactly Velodrome's per-edge cycle checks."""
+    reproduce its referee's boolean verdict (the oracle's over vc's own
+    transactions, and over ICD's where :func:`calls_only` holds), and
+    the sync arm must perform exactly Velodrome's per-edge cycle
+    checks."""
     method_specs, thread_scripts, seed = case
 
-    def run_vc(sync_edges, gc_interval):
-        program = materialize(method_specs, thread_scripts)
-        checker = VcChecker(
-            AtomicitySpecification.initial(program),
-            sync_edges=sync_edges,
-            gc_interval=gc_interval,
-        )
-        return checker.run(
-            program, RandomScheduler(seed=seed, switch_prob=0.7)
-        )
-
     for gc_interval in GC_INTERVALS:
-        _, _, oracle, velodrome, _ = run_all(
+        _, _, oracle, velodrome, _, _ = run_all(
             *case, sync_edges=False, gc_interval=gc_interval
         )
-        vc = run_vc(False, gc_interval)
-        vc_sync = run_vc(True, gc_interval)
-        assert bool(vc.violations) == bool(oracle), gc_interval
+        arms = {}
+        for sync_edges in (False, True):
+            program = materialize(method_specs, thread_scripts)
+            vc = VcChecker(
+                AtomicitySpecification.initial(program),
+                sync_edges=sync_edges,
+                gc_interval=gc_interval,
+            )
+            arms[sync_edges] = vc, run_checked(vc, program, seed, sync_edges)
+        vc, vc_oracle = arms[False]
+        vc_sync, _ = arms[True]
+        assert bool(vc.violations) == bool(vc_oracle), gc_interval
+        if calls_only(thread_scripts):
+            assert bool(vc.violations) == bool(oracle), gc_interval
         assert bool(vc_sync.violations) == bool(velodrome.violations), \
             gc_interval
         assert vc_sync.stats.cycle_checks == velodrome.stats.cycle_checks, \
@@ -261,7 +396,7 @@ def test_replay_never_falls_back(case):
     """PCD's topological merge must always be consistent (the edge
     anchors are sufficient; the seq tie-break never contradicts them)."""
     for gc_interval in GC_INTERVALS:
-        _, _, _, _, pcd = run_all(*case, gc_interval=gc_interval)
+        pcd = run_all(*case, gc_interval=gc_interval)[-1]
         assert pcd.stats.order_fallbacks == 0, gc_interval
 
 
@@ -282,11 +417,7 @@ scripted_program_strategy = st.tuples(
         min_size=1,
         max_size=4,
     ),
-    st.lists(                                            # per-thread call scripts
-        st.lists(st.integers(0, 3), min_size=1, max_size=6),
-        min_size=2,
-        max_size=3,
-    ),
+    script_strategy,
     st.integers(0, 10_000),                              # scheduler seed
 )
 
@@ -327,10 +458,20 @@ def materialize_scripted(method_specs, thread_scripts):
     for tid, script in enumerate(thread_scripts):
         def make_worker(script=script):
             def worker(ctx):
-                return [
-                    ("invoke", f"m{call % method_count}", ())
-                    for call in script
-                ]
+                out = []
+                for step in script:
+                    if isinstance(step, int):
+                        out.append(("invoke", f"m{step % method_count}", ()))
+                        continue
+                    kind, obj_index, field_index = step
+                    obj = objects[obj_index]
+                    if kind == 0:
+                        out.append(("read", obj, f"f{field_index}", None))
+                    else:
+                        out.append(
+                            ("write", obj, f"f{field_index}", ("const", 1))
+                        )
+                return out
 
             return worker
 
@@ -349,7 +490,8 @@ def run_scripted(method_specs, thread_scripts, seed):
     comes from a second run of the same program and seed with
     :class:`TraceRecorder` attached (its ICD has the same
     configuration, so it assigns the same transactions); Velodrome
-    checks a third.
+    checks a third, beside a recorder of its own (see
+    :func:`run_checked`).
     """
 
     def schedule():
@@ -383,8 +525,9 @@ def run_scripted(method_specs, thread_scripts, seed):
         AtomicitySpecification.initial(program_v),
         gc_interval=None,
         instrument_arrays=True,
-    ).run(program_v, schedule())
-    return violations, executor, icd, oracle, velodrome
+    )
+    velodrome_oracle = run_checked(velodrome, program_v, seed)
+    return violations, executor, icd, oracle, velodrome, velodrome_oracle
 
 
 #: two threads writing then re-reading a field and an array element
@@ -401,15 +544,17 @@ _FUSED_EXAMPLE = (
 @settings(max_examples=60, deadline=None)
 def test_lowered_single_run_sound_and_precise_vs_oracle(case):
     method_specs, thread_scripts, seed = case
-    violations, executor, icd, oracle, velodrome = run_scripted(
-        method_specs, thread_scripts, seed
+    violations, executor, icd, oracle, velodrome, velodrome_oracle = (
+        run_scripted(method_specs, thread_scripts, seed)
     )
     assert bool(violations) == bool(oracle)
     for record in violations.records:
         assert any(
             set(record.cycle_tx_ids) <= scc for scc in oracle
         ), (record.cycle_tx_ids, oracle)
-    assert bool(velodrome.violations) == bool(oracle)
+    assert bool(velodrome.violations) == bool(velodrome_oracle)
+    if calls_only(thread_scripts):
+        assert bool(velodrome.violations) == bool(oracle)
 
     # every body ran lowered, and with ICD the only listener every
     # same-state barrier was resolved by a fused barrier

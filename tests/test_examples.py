@@ -13,7 +13,7 @@ EXPECTATIONS = {
     "bank_accounts.py": ["buggy bank", "transfer", "fixed bank"],
     "multi_run_workflow.py": ["first runs", "second run", "violations"],
     "iterative_refinement_demo.py": ["converged: True", "non-atomic methods"],
-    "record_and_replay.py": ["recorded", "Velodrome (replayed)", "Offline checker"],
+    "record_and_replay.py": ["recorded", "Velodrome (replayed)", "vc (replayed)"],
     "checker_shootout.py": ["Checker shootout", "DoubleChecker single-run"],
 }
 

@@ -98,3 +98,28 @@ def two_thread_program(body_a, body_b, name: str = "pair") -> Program:
     program.mark_entry("body_a")
     program.mark_entry("body_b")
     return program
+
+
+def rereading_program() -> Program:
+    """Transactions that re-touch fields they already own: the shape
+    the Velodrome/vc barrier's no-op predicate exists for."""
+    program = Program("reread")
+    x = program.add_global_object("x")
+
+    def churn(ctx):
+        total = 0
+        for _ in range(4):
+            total = (yield Read(x, "f")) or 0
+        yield Write(x, "f", total + 1)
+        yield Write(x, "f", total + 2)
+
+    def body(ctx):
+        for _ in range(10):
+            yield Invoke("churn")
+
+    program.method(churn, name="churn")
+    program.method(body, name="body")
+    for name in ("A", "B", "C"):
+        program.add_thread(name, "body")
+    program.mark_entry("body")
+    return program

@@ -9,7 +9,7 @@ from repro.runtime.scheduler import RandomScheduler, ScriptedScheduler
 from repro.vc.checker import VcChecker
 from repro.velodrome.checker import VelodromeChecker
 
-from tests.util import counter_program, spec_for
+from tests.util import counter_program, rereading_program, spec_for
 
 def scheduler(seed=1):
     return RandomScheduler(seed=seed, switch_prob=0.7)
@@ -173,31 +173,6 @@ class TestGcAndBudget:
             checker.run(program, scheduler())
 
 
-def _rereading_program():
-    """Transactions that re-touch fields they already own: the shape
-    the fused barrier's no-op predicate exists for."""
-    program = Program("reread")
-    x = program.add_global_object("x")
-
-    def churn(ctx):
-        total = 0
-        for _ in range(4):
-            total = (yield Read(x, "f")) or 0
-        yield Write(x, "f", total + 1)
-        yield Write(x, "f", total + 2)
-
-    def body(ctx):
-        for _ in range(10):
-            yield Invoke("churn")
-
-    program.method(churn, name="churn")
-    program.method(body, name="body")
-    for name in ("A", "B", "C"):
-        program.add_thread(name, "body")
-    program.mark_entry("body")
-    return program
-
-
 #: per seed: (blamed, edges, cycles_found, cycle_checks, clock_joins,
 #: instrumented_accesses) of the classify-every-access barrier this
 #: checker had before its fused no-op path became the only barrier
@@ -214,7 +189,7 @@ class TestFusedBarrier:
         """The fused closure's no-op fast path must not change any
         analysis-visible output: every counter equals the recorded
         unfused barrier's."""
-        program = _rereading_program()
+        program = rereading_program()
         result = VcChecker(spec_for(program)).run(program, scheduler(seed=seed))
         stats = result.stats
         assert (

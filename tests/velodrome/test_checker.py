@@ -8,7 +8,12 @@ from repro.runtime.program import Program
 from repro.runtime.scheduler import RandomScheduler
 from repro.velodrome.checker import VelodromeChecker
 
-from tests.util import counter_program, spec_for, two_thread_program
+from tests.util import (
+    counter_program,
+    rereading_program,
+    spec_for,
+    two_thread_program,
+)
 
 
 def scheduler(seed=1):
@@ -142,6 +147,37 @@ class TestGcAndBudget:
         )
         with pytest.raises(OutOfMemoryBudget):
             checker.run(program, scheduler())
+
+
+#: per seed: (blamed, edges, cycles_found, cycle_checks,
+#: cycle_check_visits, instrumented_accesses, atomic_operations,
+#: memory_fences, metadata_updates) of the AccessEvent-per-access
+#: barrier this checker had before it shared vc's fused barrier
+_EVENT_BARRIER_REFERENCE = {
+    3: ({"churn"}, 64, 40, 64, 131, 186, 186, 372, 114),
+    11: ({"churn"}, 68, 41, 68, 138, 186, 186, 372, 113),
+    29: ({"churn"}, 79, 52, 79, 161, 186, 186, 372, 120),
+}
+
+
+class TestFusedBarrier:
+    @pytest.mark.parametrize("seed", [3, 11, 29])
+    def test_fused_matches_reference(self, seed):
+        """The fused barrier's no-op fast path must not change any
+        analysis-visible output, the cost model's synchronization and
+        metadata counters included."""
+        program = rereading_program()
+        result = VelodromeChecker(spec_for(program)).run(
+            program, scheduler(seed=seed)
+        )
+        stats = result.stats
+        assert (
+            result.blamed_methods, stats.edges, stats.cycles_found,
+            stats.cycle_checks, stats.cycle_check_visits,
+            stats.instrumented_accesses, stats.atomic_operations,
+            stats.memory_fences, stats.metadata_updates,
+        ) == _EVENT_BARRIER_REFERENCE[seed]
+        assert stats.fastpath_hits > 0
 
 
 class TestAgreementWithDoubleChecker:
