@@ -9,10 +9,8 @@ import pytest
 
 from repro.core.doublechecker import DoubleChecker
 from repro.core.pcd import PCD
-from repro.core.rwlog import ReadWriteLog
 from repro.core.scc import scc_containing
 from repro.core.transactions import IdgEdge, Transaction
-from repro.runtime.events import AccessKind
 from repro.runtime.executor import Executor
 from repro.runtime.scheduler import RandomScheduler
 from repro.velodrome.checker import VelodromeChecker
@@ -83,10 +81,10 @@ def test_pcd_replay_throughput(benchmark):
         b = Transaction(2, "T2", "b", False)
         for tx in (a, b):
             tx.finished = True
-            tx.log = ReadWriteLog()
+            tx.log = []
         for i in range(400):
-            a.log.append_access(AccessKind.WRITE, 1, f"f{i % 50}", 2 * i, "s")
-            b.log.append_access(AccessKind.READ, 1, f"f{i % 50}", 2 * i + 1, "s")
+            a.log.append((2 * i, (1, f"f{i % 50}"), True, "s"))
+            b.log.append((2 * i + 1, (1, f"f{i % 50}"), False, "s"))
         return [a, b]
 
     component = build_component()

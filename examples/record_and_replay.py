@@ -45,12 +45,12 @@ def main() -> None:
     trace = record_execution(
         build(BENCHMARK), RandomScheduler(seed=21, switch_prob=0.6)
     )
-    path = os.path.join(tempfile.gettempdir(), f"{BENCHMARK}.trace.jsonl")
-    trace.save(path)
-    print(f"recorded {len(trace)} events ({trace.access_count()} accesses) "
-          f"-> {path}")
-
-    loaded = Trace.load(path)
+    with tempfile.TemporaryDirectory() as scratch:
+        path = os.path.join(scratch, f"{BENCHMARK}.trace.jsonl")
+        trace.save(path)
+        print(f"recorded {len(trace)} events ({trace.access_count()} "
+              f"accesses) -> {path}")
+        loaded = Trace.load(path)
 
     # ---- Velodrome over the trace --------------------------------------
     velodrome = VelodromeChecker(spec)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.gc import TransactionCollector
-from repro.core.rwlog import AccessEntry, ElisionFilter, ReadWriteLog
+from repro.core.rwlog import ElisionFilter
 from repro.core.scc import is_cyclic_component, scc_containing_counted
 from repro.core.transactions import IdgEdge, Transaction, TransactionManager
 from repro.obs.registry import publish_stats, recorder as obs_recorder
@@ -170,7 +170,7 @@ class ICD(ExecutionListener, OctetListener):
 
         self._elision = ElisionFilter()
         # Interning tables for the logging hot path: one shared
-        # ``(oid, fieldname)`` tuple per field (every AccessEntry and
+        # ``(oid, fieldname)`` tuple per field (every log entry and
         # elision probe for that field reuses it) and one shared site
         # string per static site (``str(event.site)`` would otherwise
         # build a fresh string per logged access).
@@ -237,7 +237,8 @@ class ICD(ExecutionListener, OctetListener):
         Octet state is already compatible (WrEx/RdEx owned by the
         accessing thread, or RdSh read with a current ``rdShCnt``) —
         costs one dict probe and one branch chain and allocates nothing
-        but the log entry: no :meth:`OctetRuntime.observe` call, no
+        but the log entry, a tuple of untracked values (see
+        :mod:`repro.core.rwlog`): no :meth:`OctetRuntime.observe` call, no
         :class:`TransitionRecord` or :class:`AccessEvent`, no listener
         fan-out (same-state transitions never fire Figure 4
         procedures).  Every other access (first access to an object,
@@ -331,7 +332,8 @@ class ICD(ExecutionListener, OctetListener):
                     if logging_enabled:
                         log = tx.log
                         if log is None:
-                            log = tx.log = ReadWriteLog()
+                            log = tx.log = []
+                        is_write = kind is _WRITE
                         # address and site_str are already canonical in
                         # the executor's intern tables; ICD's own tables
                         # (fed by the slow path) only yield value-equal
@@ -345,17 +347,13 @@ class ICD(ExecutionListener, OctetListener):
                             if (
                                 last is not None
                                 and last[0] == ts
-                                and (last[1] is kind or last[1] is _WRITE)
+                                and (last[1] or not is_write)
                             ):
                                 el_stats.elided += 1
                                 return
-                            per_thread[address] = (ts, kind)
+                            per_thread[address] = (ts, is_write)
                             el_stats.logged += 1
-                        log.entries.append(
-                            AccessEntry(
-                                kind, oid, fieldname, seq, site_str, address,
-                            )
-                        )
+                        log.append((seq, address, is_write, site_str))
                         stats.log_entries += 1
                         self._live_log_entries += 1
                         if check_budget:
@@ -471,14 +469,18 @@ class ICD(ExecutionListener, OctetListener):
             window[dst_thread] = window.get(dst_thread, 0) + 1
             # each mark is a log entry, checked against the budget at once
             check_budget = self.memory_budget is not None
-            if src.log is not None:
-                edge.src_log_index = src.log.append_mark(order, True, seq)
+            log = src.log
+            if log is not None:
+                edge.src_log_index = len(log)
+                log.append((seq, order, True))
                 stats.log_marks += 1
                 self._live_log_entries += 1
                 if check_budget:
                     self._check_budget()
-            if dst.log is not None:
-                edge.dst_log_index = dst.log.append_mark(order, False, seq)
+            log = dst.log
+            if log is not None:
+                edge.dst_log_index = len(log)
+                log.append((seq, order, False))
                 stats.log_marks += 1
                 self._live_log_entries += 1
                 if check_budget:
@@ -503,29 +505,28 @@ class ICD(ExecutionListener, OctetListener):
         """Log one access — single pass over the hot-path bookkeeping.
 
         The address tuple is built once and interned (the elision probe,
-        the :class:`AccessEntry`, and every later access to the same
-        field share one tuple), the site string is interned per static
-        site, and the entry count is inline.
+        the log entry, and every later access to the same field share
+        one tuple), the site string is interned per static site, and the
+        entry count is inline.
         """
         log = tx.log
         if log is None:
-            log = tx.log = ReadWriteLog()
+            log = tx.log = []
         if event.is_array and self.array_granularity_object:
             address = event.object_address
         else:
             address = (event.obj.oid, event.fieldname)
         address = self._addr_intern.setdefault(address, address)
+        is_write = event.kind is AccessKind.WRITE
         if self.elide_duplicates and not self._elision.should_log_addr(
-            event.thread_name, address, event.kind
+            event.thread_name, address, is_write
         ):
             return
         site = event.site
         site_str = self._site_intern.get(site)
         if site_str is None:
             site_str = self._site_intern[site] = str(site)
-        log.entries.append(
-            AccessEntry(event.kind, address[0], address[1], event.seq, site_str, address)
-        )
+        log.append((event.seq, address, is_write, site_str))
         self.stats.log_entries += 1
         self._live_log_entries += 1
         if self.memory_budget is not None:
@@ -536,7 +537,7 @@ class ICD(ExecutionListener, OctetListener):
     # ------------------------------------------------------------------
     def _transaction_started(self, tx: Transaction) -> None:
         if self.logging_enabled and tx.monitored:
-            tx.log = ReadWriteLog()
+            tx.log = []
         self._elision.bump(tx.thread_name)
 
     def _transaction_ended(self, tx: Transaction) -> None:

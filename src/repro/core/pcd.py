@@ -63,19 +63,20 @@ import heapq
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import repeat
-from operator import attrgetter
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.blame import blamed_nodes
 from repro.core.pdg import PDG, PdgEdge
 from repro.core.reports import ViolationRecord
-from repro.core.rwlog import AccessEntry, EdgeMark
 from repro.core.transactions import Transaction
 from repro.errors import OutOfMemoryBudget
 from repro.obs.registry import publish_stats, recorder as obs_recorder
-from repro.runtime.events import AccessKind
 
-_entry_seq = attrgetter("seq")
+#: a log entry's seq; an access entry has four fields, an edge mark
+#: three (see :mod:`repro.core.rwlog`)
+_entry_seq = itemgetter(0)
+_ACCESS = 4
 
 #: first-access seq of a member whose log holds no access: it bounds
 #: no cut
@@ -150,14 +151,13 @@ class _ReplayState:
         last_reads = self.last_reads
         chain = self.chain
         seen = self.seen
-        _READ = AccessKind.READ
         edge_count = self.pdg.edge_count
-        while trail and trail[-_RECORD].seq >= cut:
+        while trail and trail[-_RECORD][0] >= cut:
             entry, edge_count, tx, chained, prev, readers = trail[-_RECORD:]
             del trail[-_RECORD:]
-            address = entry.address
+            address = entry[1]
             thread = tx.thread_name
-            if entry.kind is _READ:
+            if not entry[2]:
                 if prev is None:
                     del last_reads[address][thread]
                 else:
@@ -179,9 +179,9 @@ class _ReplayState:
 
 
 def _first_access_seq(tx: Transaction) -> float:
-    for entry in tx.log.entries:
-        if entry.__class__ is AccessEntry:
-            return entry.seq
+    for entry in tx.log:
+        if len(entry) == _ACCESS:
+            return entry[0]
     return _NO_ACCESS
 
 
@@ -256,7 +256,7 @@ class PCD:
         if kept is None or not kept.trail:
             return _ReplayState(), 0
         trail = kept.trail
-        cut = trail[-_RECORD].seq + 1
+        cut = trail[-_RECORD][0] + 1
         old = kept.first_seq
         for tx_id, seq in first_seq.items():
             if seq < cut and tx_id not in old:
@@ -264,7 +264,7 @@ class PCD:
         for tx_id, seq in old.items():
             if seq < cut and tx_id not in first_seq:
                 cut = seq
-        if cut <= trail[0].seq:
+        if cut <= trail[0][0]:
             return _ReplayState(), 0
         kept.rollback(cut)
         return kept, cut
@@ -274,7 +274,7 @@ class PCD:
     # ------------------------------------------------------------------
     def _merge_logs(
         self, members: Sequence[Transaction], cut: int
-    ) -> Tuple[List[Transaction], List[AccessEntry], int, int]:
+    ) -> Tuple[List[Transaction], List[tuple], int, int]:
         """Merge the members' log entries with seq >= ``cut``.
 
         Returns the replay order as parallel lists of transactions and
@@ -286,7 +286,7 @@ class PCD:
         # order: a thread's transactions replay in that order
         active = sorted(
             (tx for tx in members
-             if tx.log.entries and tx.log.entries[-1].seq >= cut),
+             if tx.log and tx.log[-1][0] >= cut),
             key=lambda t: t.tx_id,
         )
         # the marks of edges whose both endpoints are in the component
@@ -297,10 +297,10 @@ class PCD:
         # (out-edges are kept in creation order).
         waiting: Set[int] = set()
         for tx in active:
-            entries = tx.log.entries
+            entries = tx.log
             for edge in reversed(tx.out_edges):
                 index = edge.src_log_index
-                if index is not None and entries[index].seq < cut:
+                if index is not None and entries[index][0] < cut:
                     break
                 if edge.dst.tx_id in member_ids:
                     waiting.add(edge.order)
@@ -317,7 +317,7 @@ class PCD:
             stream: list = []
             owner: List[Transaction] = []
             for tx in txs:
-                entries = tx.log.entries
+                entries = tx.log
                 if cut:
                     entries = entries[bisect_left(entries, cut, key=_entry_seq):]
                 stream += entries
@@ -348,7 +348,7 @@ class PCD:
         parked: Dict[int, List[int]] = {}
         positions = [0] * len(streams)
         merged_txs: List[Transaction] = []
-        merged: List[AccessEntry] = []
+        merged: List[tuple] = []
         heappush = heapq.heappush
         heappop = heapq.heappop
         heapreplace = heapq.heapreplace
@@ -357,32 +357,40 @@ class PCD:
 
         def settle(i: int) -> None:
             # consume marks at the stream head — emit source marks
-            # (settling the streams they release), skip satisfied
-            # sinks, park on a blocked sink — then enter the heap at
-            # the first access entry's seq
-            stream = streams[i]
-            pos = positions[i]
-            length = lengths[i]
-            while pos < length:
-                entry = stream[pos]
-                if entry.__class__ is not EdgeMark:
-                    heappush(heap, (entry.seq, i))
-                    break
-                order = entry.edge_order
-                if entry.is_source:
-                    pos += 1
-                    waiting.discard(order)
-                    released = parked.pop(order, None)
-                    if released:
-                        positions[i] = pos
-                        for j in released:
-                            settle(j)
-                elif order in waiting:
-                    parked.setdefault(order, []).append(i)
-                    break
-                else:
-                    pos += 1
-            positions[i] = pos
+            # (settling the streams they release before going on),
+            # skip satisfied sinks, park on a blocked sink — then enter
+            # the heap at the first access entry's seq.  A stack, not
+            # recursion: a closure that calls itself is a reference
+            # cycle, which would keep the streams alive until CPython's
+            # cyclic collector ran
+            todo = [i]
+            while todo:
+                i = todo.pop()
+                stream = streams[i]
+                pos = positions[i]
+                length = lengths[i]
+                while pos < length:
+                    entry = stream[pos]
+                    if len(entry) == _ACCESS:
+                        heappush(heap, (entry[0], i))
+                        break
+                    order = entry[1]
+                    if entry[2]:
+                        pos += 1
+                        waiting.discard(order)
+                        released = parked.pop(order, None)
+                        if released:
+                            # the released streams in order, then the
+                            # rest of this one
+                            todo.append(i)
+                            todo += reversed(released)
+                            break
+                    elif order in waiting:
+                        parked.setdefault(order, []).append(i)
+                        break
+                    else:
+                        pos += 1
+                positions[i] = pos
 
         for i in range(len(streams)):
             settle(i)
@@ -401,10 +409,10 @@ class PCD:
                 # stream here; settle() handles the others
                 while pos < length:
                     entry = stream[pos]
-                    if entry.__class__ is not EdgeMark:
+                    if len(entry) == _ACCESS:
                         break
-                    order = entry.edge_order
-                    if entry.is_source:
+                    order = entry[1]
+                    if entry[2]:
                         waiting.discard(order)
                         if order in parked:
                             break
@@ -412,9 +420,9 @@ class PCD:
                         break
                     pos += 1
                 positions[index] = pos
-                if pos < length and entry.__class__ is not EdgeMark:
+                if pos < length and len(entry) == _ACCESS:
                     # the next access: one sift instead of two
-                    heapreplace(heap, (entry.seq, index))
+                    heapreplace(heap, (entry[0], index))
                 else:
                     heappop(heap)
                     settle(index)
@@ -423,7 +431,7 @@ class PCD:
             # impossible — fall back to raw sequence order rather than
             # failing the analysis, if an access is still to come
             if not any(
-                entry.__class__ is not EdgeMark
+                len(entry) == _ACCESS
                 for blocked in parked.values()
                 for i in blocked
                 for entry in streams[i][positions[i]:]
@@ -432,7 +440,7 @@ class PCD:
             fallbacks += 1
             index = min(
                 (i for blocked in parked.values() for i in blocked),
-                key=lambda i: (streams[i][positions[i]].seq, i),
+                key=lambda i: (streams[i][positions[i]][0], i),
             )
             for order, blocked in parked.items():
                 if index in blocked:
@@ -451,7 +459,7 @@ class PCD:
         self,
         state: _ReplayState,
         merged_txs: List[Transaction],
-        merged: List[AccessEntry],
+        merged: List[tuple],
     ) -> List[ViolationRecord]:
         last_write = state.last_write
         last_reads = state.last_reads
@@ -464,7 +472,6 @@ class PCD:
         violations: List[ViolationRecord] = []
         stats = self.stats
         visits_before = pdg.nodes_visited
-        _READ = AccessKind.READ
 
         stats.accesses_replayed += len(merged)
         for tx, entry in zip(merged_txs, merged):
@@ -480,7 +487,7 @@ class PCD:
                     # created at tx start; can never close a cycle
                     add_edge(chained.tx_id, tx_id)
                 chain[thread] = tx
-            address = entry.address
+            address = entry[1]
             new_edges: Optional[List[PdgEdge]] = None
 
             writer = last_write.get(address)
@@ -490,7 +497,7 @@ class PCD:
                     new_edges = [edge]
 
             readers = last_reads.get(address)
-            if entry.kind is _READ:
+            if not entry[2]:
                 if readers is None:
                     readers = last_reads[address] = {}
                 trail += (entry, edge_count, tx, chained, readers.get(thread), None)

@@ -45,7 +45,8 @@ class Transaction:
             dependences.
         edge_touched: true once any cross-thread edge has this
             transaction as source or sink; used for unary merging.
-        log: the read/write log (only when logging is enabled).
+        log: the read/write log, a list of entry tuples (only when
+            logging is enabled; see :mod:`repro.core.rwlog`).
         monitored: false for transactions excluded from analysis during
             the second run of multi-run mode.
     """

@@ -15,6 +15,7 @@ needs (Velodrome, single-run, first run, second run, PCD-only, ...).
 
 from __future__ import annotations
 
+import gc
 import time
 from bisect import insort
 from dataclasses import dataclass, field
@@ -55,6 +56,25 @@ DEFAULT_STEP_LIMIT = 5_000_000
 #: this, quanta are still counted (``executor.context_switches``,
 #: ``executor.quantum.truncated``) but no longer individually traced
 QUANTUM_EVENT_LIMIT = 5_000
+
+
+class _CyclicGcProbe:
+    """A ``gc.callbacks`` hook that counts and times CPython's cyclic
+    collections."""
+
+    __slots__ = ("collections", "seconds", "_started")
+
+    def __init__(self) -> None:
+        self.collections = 0
+        self.seconds = 0.0
+        self._started = 0.0
+
+    def __call__(self, phase: str, info: Dict[str, int]) -> None:
+        if phase == "start":
+            self._started = time.perf_counter()
+        else:
+            self.collections += 1
+            self.seconds += time.perf_counter() - self._started
 
 
 @dataclass
@@ -208,11 +228,21 @@ class Executor:
         obs = self._obs
         if not obs.enabled:
             return self._run_loop()
-        with obs.span(
-            "executor.run", category="executor", program=self.program.name
-        ):
-            result = self._run_loop(tracked=True)
-            self._flush_quantum()
+        probe = _CyclicGcProbe()
+        gc.callbacks.append(probe)
+        try:
+            with obs.span(
+                "executor.run", category="executor", program=self.program.name
+            ):
+                result = self._run_loop(tracked=True)
+                self._flush_quantum()
+        finally:
+            gc.callbacks.remove(probe)
+        # how often the collector runs depends on the process's whole
+        # allocation history, not only on this run: histograms, like
+        # every other figure that is not a pure function of the run
+        obs.observe("executor.cyclic_gc.collections", probe.collections)
+        obs.observe("executor.cyclic_gc.seconds", probe.seconds)
         obs.inc("executor.runs")
         obs.inc("executor.steps", result.steps)
         obs.inc("executor.accesses", result.access_count)

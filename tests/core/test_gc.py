@@ -103,12 +103,9 @@ def test_dead_edges_unlinked_from_survivors():
 
 
 def test_logs_freed_on_collection():
-    from repro.core.rwlog import ReadWriteLog
-
     manager = make_manager()
     dead = manager.transaction_for_access(access("T1"))
-    dead.log = ReadWriteLog()
-    dead.log.append_access(AccessKind.READ, 1, "f", 1, "s")
+    dead.log = [(1, (1, "f"), False, "s")]
     dead.edge_touched = True
     manager.transaction_for_access(access("T1"))
     collector = TransactionCollector(manager)

@@ -1,25 +1,32 @@
 """PCD: topological log replay and precise cycle detection."""
 
+import gc
+
 import pytest
 
 from repro.core.pcd import PCD
-from repro.core.rwlog import ReadWriteLog
 from repro.core.transactions import IdgEdge, Transaction
 from repro.errors import OutOfMemoryBudget
-from repro.runtime.events import AccessKind
 
-R, W = AccessKind.READ, AccessKind.WRITE
+#: an access entry's is_write (see repro.core.rwlog)
+R, W = False, True
 
 
 def make_tx(tx_id, thread, method=None):
     tx = Transaction(tx_id, thread, method or f"m{tx_id}", False)
     tx.finished = True
-    tx.log = ReadWriteLog()
+    tx.log = []
     return tx
 
 
-def log(tx, kind, oid, field, seq):
-    tx.log.append_access(kind, oid, field, seq, "site")
+def log(tx, is_write, oid, field, seq):
+    tx.log.append((seq, (oid, field), is_write, "site"))
+
+
+def mark(tx, order, is_source, seq):
+    """Append an edge mark to ``tx``'s log; returns its index."""
+    tx.log.append((seq, order, is_source))
+    return len(tx.log) - 1
 
 
 _order = [0]
@@ -28,8 +35,8 @@ _order = [0]
 def link(src, dst, seq):
     _order[0] += 1
     edge = IdgEdge(src, dst, "test", _order[0])
-    edge.src_log_index = src.log.append_mark(edge.order, True, seq)
-    edge.dst_log_index = dst.log.append_mark(edge.order, False, seq)
+    edge.src_log_index = mark(src, edge.order, True, seq)
+    edge.dst_log_index = mark(dst, edge.order, False, seq)
     src.out_edges.append(edge)
     dst.in_edges.append(edge)
 
@@ -178,6 +185,36 @@ class TestReplayOrdering:
         assert pcd.stats.order_fallbacks == 0
 
 
+class TestMemory:
+    def test_process_leaves_no_reference_cycle(self):
+        """Everything one replay allocates dies by reference counting:
+        with the cyclic collector off, a collection afterwards finds
+        nothing unreachable (it would otherwise hold the merge's
+        streams, entries of logs the transaction collector swept)."""
+        a, b = make_tx(1, "T1"), make_tx(2, "T2")
+        log(a, W, 1, "f", 1)
+        link(a, b, 2)
+        log(b, R, 1, "f", 3)
+        log(b, W, 1, "f", 4)
+        log(a, R, 1, "f", 5)
+        pcd = PCD()
+        gc.collect()
+        enabled, flags, saved = gc.isenabled(), gc.get_debug(), len(gc.garbage)
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            records = pcd.process([a, b])
+            unreachable = gc.collect()
+            garbage = gc.garbage[saved:]
+        finally:
+            gc.set_debug(flags)
+            del gc.garbage[saved:]
+            if enabled:
+                gc.enable()
+        assert len(records) == 1
+        assert unreachable == 0, garbage
+
+
 class TestInputHandling:
     def test_components_smaller_than_two_skipped(self):
         a = make_tx(1, "T1")
@@ -310,10 +347,10 @@ class TestResumption:
         # head waits on a source mark behind the other's
         e1 = IdgEdge(a, b, "x", 1)
         e2 = IdgEdge(b, a, "x", 2)
-        a.log.append_mark(2, False, 1)
-        a.log.append_mark(1, True, 2)
-        b.log.append_mark(1, False, 3)
-        b.log.append_mark(2, True, 4)
+        mark(a, 2, False, 1)
+        mark(a, 1, True, 2)
+        mark(b, 1, False, 3)
+        mark(b, 2, True, 4)
         a.out_edges.append(e1)
         b.in_edges.append(e1)
         b.out_edges.append(e2)

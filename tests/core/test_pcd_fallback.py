@@ -7,18 +7,25 @@ input shapes.
 """
 
 from repro.core.pcd import PCD
-from repro.core.rwlog import ReadWriteLog
 from repro.core.transactions import IdgEdge, Transaction
-from repro.runtime.events import AccessKind
 
-R, W = AccessKind.READ, AccessKind.WRITE
+#: an access entry's is_write (see repro.core.rwlog)
+R, W = False, True
 
 
 def make_tx(tx_id, thread):
     tx = Transaction(tx_id, thread, f"m{tx_id}", False)
     tx.finished = True
-    tx.log = ReadWriteLog()
+    tx.log = []
     return tx
+
+
+def access(tx, is_write, oid, field, seq):
+    tx.log.append((seq, (oid, field), is_write, "s"))
+
+
+def mark(tx, order, is_source, seq):
+    tx.log.append((seq, order, is_source))
 
 
 def test_contradictory_anchors_fall_back_to_sequence_order():
@@ -30,16 +37,16 @@ def test_contradictory_anchors_fall_back_to_sequence_order():
     # but interleave the marks so each stream's front waits on the other
     e1 = IdgEdge(a, b, "x", 1)
     e2 = IdgEdge(b, a, "x", 2)
-    a.log.append_mark(2, False, 1)   # a waits for e2's source...
-    a.log.append_mark(1, True, 2)
-    b.log.append_mark(1, False, 3)   # ...b waits for e1's source
-    b.log.append_mark(2, True, 4)
+    mark(a, 2, False, 1)   # a waits for e2's source...
+    mark(a, 1, True, 2)
+    mark(b, 1, False, 3)   # ...b waits for e1's source
+    mark(b, 2, True, 4)
     a.out_edges.append(e1)
     b.in_edges.append(e1)
     b.out_edges.append(e2)
     a.in_edges.append(e2)
-    a.log.append_access(W, 1, "f", 5, "s")
-    b.log.append_access(R, 1, "f", 6, "s")
+    access(a, W, 1, "f", 5)
+    access(b, R, 1, "f", 6)
 
     pcd = PCD()
     pcd.process([a, b])
@@ -55,8 +62,8 @@ def test_empty_logs_component():
 def test_single_thread_component_is_trivially_serializable():
     a1 = make_tx(1, "T1")
     a2 = make_tx(2, "T1")
-    a1.log.append_access(W, 1, "f", 1, "s")
-    a2.log.append_access(W, 1, "f", 2, "s")
+    access(a1, W, 1, "f", 1)
+    access(a2, W, 1, "f", 2)
     assert PCD().process([a1, a2]) == []
 
 
@@ -67,11 +74,11 @@ def test_unary_only_cycle_blames_unary_identity():
     b = Transaction(2, "T2", "<unary>", True)
     for tx in (a, b):
         tx.finished = True
-        tx.log = ReadWriteLog()
-    a.log.append_access(W, 1, "f", 1, "s")
-    b.log.append_access(R, 1, "f", 2, "s")
-    b.log.append_access(W, 1, "f", 3, "s")
-    a.log.append_access(R, 1, "f", 4, "s")
+        tx.log = []
+    access(a, W, 1, "f", 1)
+    access(b, R, 1, "f", 2)
+    access(b, W, 1, "f", 3)
+    access(a, R, 1, "f", 4)
     violations = PCD().process([a, b])
     assert len(violations) == 1
     assert violations[0].blamed_method == "<unary>"
@@ -82,14 +89,14 @@ def test_mixed_unary_regular_cycle_blames_regular():
     b = Transaction(2, "T2", "<unary>", True)
     for tx in (a, b):
         tx.finished = True
-        tx.log = ReadWriteLog()
+        tx.log = []
     # make the unary tx the cycle completer (blame-rule target), yet the
     # regular member should still be preferred if it also qualifies;
     # here only b completes the cycle, so blame falls where it must
-    a.log.append_access(W, 1, "f", 1, "s")
-    b.log.append_access(R, 1, "f", 2, "s")
-    b.log.append_access(W, 1, "g", 3, "s")
-    a.log.append_access(R, 1, "g", 4, "s")
+    access(a, W, 1, "f", 1)
+    access(b, R, 1, "f", 2)
+    access(b, W, 1, "g", 3)
+    access(a, R, 1, "g", 4)
     violations = PCD().process([a, b])
     assert len(violations) == 1
     # the blame rule picks the transaction whose outgoing edge is older:

@@ -1,51 +1,118 @@
 """Read/write logs and duplicate elision."""
 
-from repro.core.rwlog import (
-    AccessEntry,
-    EdgeMark,
-    ElisionFilter,
-    ReadWriteLog,
-)
-from repro.runtime.events import AccessKind
+import gc
 
-R, W = AccessKind.READ, AccessKind.WRITE
+from repro.core.icd import ICD
+from repro.core.pcd import PCD
+from repro.core.rwlog import ElisionFilter
+from repro.runtime.executor import Executor
+from repro.runtime.scheduler import RandomScheduler
+
+from tests.util import counter_program, spec_for
+
+#: an access entry's is_write
+R, W = False, True
+
+
+def single_run(gc_interval=None):
+    """ICD and PCD over a contended counter (single-run mode); with
+    ``gc_interval`` None every transaction and its log survive."""
+    program = counter_program(threads=2, iterations=6)
+    pcd = PCD()
+    icd = ICD(spec_for(program), gc_interval=gc_interval, on_scc=pcd.process)
+    executor = Executor(program, RandomScheduler(seed=3, switch_prob=0.7), [icd])
+    executor.run()
+    logs = [tx.log for tx in icd.tx_manager.all_transactions if tx.log]
+    return icd, executor, logs
+
+
+def is_access(entry):
+    return len(entry) == 4
+
+
+def accesses(logs):
+    return [entry for log in logs for entry in log if is_access(entry)]
 
 
 class TestReadWriteLog:
-    def test_append_access_returns_index(self):
-        log = ReadWriteLog()
-        assert log.append_access(R, 1, "f", 10, "m@0") == 0
-        assert log.append_access(W, 1, "f", 11, "m@1") == 1
-        assert len(log) == 2
-        assert log.access_count() == 2
+    """A transaction's log is a plain list of tuples (see
+    :mod:`repro.core.rwlog`), appended by ICD."""
+
+    def test_edge_log_indexes_point_at_their_marks(self):
+        icd, _, _ = single_run()
+        edges = [
+            edge for tx in icd.tx_manager.all_transactions
+            for edge in tx.out_edges
+        ]
+        assert edges
+        for edge in edges:
+            seq, order, is_source = edge.src.log[edge.src_log_index]
+            assert (order, is_source) == (edge.order, True)
+            assert edge.dst.log[edge.dst_log_index] == (seq, edge.order, False)
 
     def test_edge_marks_interleave(self):
-        log = ReadWriteLog()
-        log.append_access(R, 1, "f", 10, "m@0")
-        index = log.append_mark(7, True, 11)
-        assert index == 1
-        assert isinstance(log.entries[1], EdgeMark)
-        assert log.access_count() == 1
+        """Marks sit between a transaction's accesses; only the
+        four-field entries are accesses, and the counters agree."""
+        icd, _, logs = single_run()
+        marks = [entry for log in logs for entry in log if not is_access(entry)]
+        assert len(marks) == icd.stats.log_marks > 0
+        assert len(accesses(logs)) == icd.stats.log_entries > 0
+        assert any(
+            not is_access(entry)
+            and any(map(is_access, log[:i]))
+            and any(map(is_access, log[i + 1:]))
+            for log in logs
+            for i, entry in enumerate(log)
+        )
+        for seq, order, is_source in marks:
+            assert type(seq) is int and type(order) is int
+            assert type(is_source) is bool
 
     def test_entry_address(self):
-        entry = AccessEntry(R, 3, "g", 5, "m@0")
-        assert entry.address == (3, "g")
+        """An access is ``(seq, address, is_write, site)``."""
+        _, _, logs = single_run()
+        for seq, (oid, fieldname), is_write, site in accesses(logs):
+            assert type(seq) is int and seq > 0
+            assert type(oid) is int and type(fieldname) is str
+            assert type(is_write) is bool and type(site) is str
+        fields = {entry[1][1]: entry[3] for entry in accesses(logs)}
+        assert fields["value"].startswith("rmw@")
 
     def test_entry_address_precomputed_not_a_property(self):
-        """The address is stored at construction (one tuple per entry,
-        or zero when the caller passes an interned one) — PCD reads it
-        for every replayed entry."""
-        interned = (3, "g")
-        entry = AccessEntry(R, 3, "g", 5, "m@0", interned)
-        assert entry.address is interned
-        # same instance every read; a property allocated a fresh tuple
-        assert entry.address is entry.address
+        """No entry builds its own address: each holds the tuple the
+        executor or ICD interned for its field."""
+        icd, executor, logs = single_run()
+        for entry in accesses(logs):
+            address = entry[1]
+            assert (
+                executor._addr_intern.get(address) is address
+                or icd._addr_intern.get(address) is address
+            )
 
     def test_append_access_passes_interned_address_through(self):
-        log = ReadWriteLog()
-        interned = (1, "f")
-        log.append_access(R, 1, "f", 10, "m@0", interned)
-        assert log.entries[0].address is interned
+        """The fused barrier logs the executor's interned address."""
+        _, executor, logs = single_run()
+        assert any(
+            executor._addr_intern.get(entry[1]) is entry[1]
+            for entry in accesses(logs)
+        )
+
+    def test_no_entry_is_tracked_by_the_cyclic_collector(self):
+        """Every entry holds only values CPython does not track, so the
+        collector stops tracking all of them, address tuples too.  A
+        collection untracks a tuple only when its items are untracked
+        already, and it may visit an entry before that entry's address,
+        so the address goes in one collection and the entry in the
+        next."""
+        _, _, logs = single_run(gc_interval=64)
+        assert accesses(logs)
+        gc.collect()
+        gc.collect()
+        for log in logs:
+            for entry in log:
+                assert not gc.is_tracked(entry), entry
+                if is_access(entry):
+                    assert not gc.is_tracked(entry[1]), entry
 
 
 class TestElision:

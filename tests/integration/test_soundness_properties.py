@@ -637,9 +637,9 @@ def test_resumed_replay_equals_from_scratch_replay(monkeypatch):
 def _assert_logs_nondecreasing(icd):
     for tx in icd.tx_manager.all_transactions:
         if tx.log is not None:
-            seqs = [entry.seq for entry in tx.log.entries]
-            assert seqs == sorted(seqs), (tx, tx.log.entries)
-            assert not seqs or seqs[0] > 0, (tx, tx.log.entries)
+            seqs = [entry[0] for entry in tx.log]
+            assert seqs == sorted(seqs), (tx, tx.log)
+            assert not seqs or seqs[0] > 0, (tx, tx.log)
 
 
 @given(program_strategy)

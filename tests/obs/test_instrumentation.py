@@ -2,16 +2,22 @@
 legacy ``*Stats`` dataclasses after a checker run."""
 
 import dataclasses
+import gc
 
 import pytest
 
 from repro.harness import runner
 from repro.obs.registry import (
     MetricsRegistry,
+    MODE_COUNTERS,
     MODE_FULL,
     recorder,
     use_registry,
 )
+from repro.runtime.executor import Executor
+from repro.runtime.listeners import ExecutionListener
+
+from tests.util import counter_program
 
 WORKLOAD = "hedc"
 
@@ -94,3 +100,55 @@ def test_disabled_mode_records_nothing():
     result = runner.run_single(WORKLOAD, spec, seed=0)
     assert result.execution.steps > 0
     assert recorder().snapshot()["counters"] == {}
+
+
+class CollectingListener(ExecutionListener):
+    """Runs a cyclic collection at every thread start, noting the
+    ``gc.callbacks`` the run sees; raises there if ``fail``."""
+
+    def __init__(self, fail=False):
+        self.fail = fail
+        self.seen = None
+
+    def on_thread_start(self, thread_name):
+        self.seen = list(gc.callbacks)
+        gc.collect()
+        if self.fail:
+            raise RuntimeError("listener failed")
+
+
+def collecting_run(fail=False):
+    listener = CollectingListener(fail)
+    Executor(counter_program(threads=2, iterations=2), None, [listener]).run()
+    return listener
+
+
+@pytest.mark.parametrize("mode", [MODE_COUNTERS, MODE_FULL])
+def test_cyclic_gc_probe_covers_the_run_only(mode):
+    before = list(gc.callbacks)
+    use_registry(MetricsRegistry(mode))
+    listener = collecting_run()
+    assert gc.callbacks == before
+    assert len(listener.seen) == len(before) + 1
+    histograms = recorder().histograms
+    collections = histograms["executor.cyclic_gc.collections"]
+    seconds = histograms["executor.cyclic_gc.seconds"]
+    assert collections.count == seconds.count == 1
+    assert collections.total >= 2  # one per thread start
+    assert seconds.total > 0
+
+
+def test_cyclic_gc_probe_is_removed_when_the_run_raises():
+    before = list(gc.callbacks)
+    use_registry(MetricsRegistry(MODE_COUNTERS))
+    with pytest.raises(RuntimeError, match="listener failed"):
+        collecting_run(fail=True)
+    assert gc.callbacks == before
+
+
+def test_cyclic_gc_probe_is_not_installed_with_telemetry_off():
+    before = list(gc.callbacks)
+    use_registry(None)
+    listener = collecting_run()
+    assert listener.seen == before
+    assert gc.callbacks == before

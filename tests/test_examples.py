@@ -18,12 +18,13 @@ EXPECTATIONS = {
 }
 
 
-def run_example(name, *args):
+def run_example(name, *args, env=None):
     return subprocess.run(
         [sys.executable, os.path.join(EXAMPLES_DIR, name), *args],
         capture_output=True,
         text=True,
         timeout=180,
+        env=env,
     )
 
 
@@ -46,3 +47,12 @@ def test_shootout_rejects_unknown_benchmark():
     result = run_example("checker_shootout.py", "not-a-benchmark")
     assert result.returncode != 0
     assert "unknown benchmark" in result.stderr
+
+
+def test_record_and_replay_leaves_no_file_behind(tmp_path):
+    """The recorded trace lives in a temporary directory of its own."""
+    result = run_example(
+        "record_and_replay.py", env={**os.environ, "TMPDIR": str(tmp_path)}
+    )
+    assert result.returncode == 0, result.stderr
+    assert list(tmp_path.iterdir()) == []
