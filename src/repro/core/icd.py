@@ -27,7 +27,7 @@ ICD's imprecision is inherited from Octet and is intentional
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.gc import TransactionCollector
 from repro.core.rwlog import ElisionFilter
@@ -35,7 +35,7 @@ from repro.core.scc import is_cyclic_component, scc_containing_counted
 from repro.core.transactions import IdgEdge, Transaction, TransactionManager
 from repro.obs.registry import publish_stats, recorder as obs_recorder
 from repro.errors import OutOfMemoryBudget
-from repro.octet.runtime import OctetListener, OctetRuntime, TransitionRecord
+from repro.octet.runtime import OctetListener, OctetRuntime
 from repro.octet.states import StateKind
 from repro.runtime.events import AccessEvent, AccessKind, Site
 from repro.runtime.listeners import AccessBarrier, ExecutionListener
@@ -169,13 +169,6 @@ class ICD(ExecutionListener, OctetListener):
         self._g_last_rdsh: Optional[Transaction] = None
 
         self._elision = ElisionFilter()
-        # Interning tables for the logging hot path: one shared
-        # ``(oid, fieldname)`` tuple per field (every log entry and
-        # elision probe for that field reuses it) and one shared site
-        # string per static site (``str(event.site)`` would otherwise
-        # build a fresh string per logged access).
-        self._addr_intern: Dict[Tuple[int, str], Tuple[int, str]] = {}
-        self._site_intern: Dict[Site, str] = {}
         self._edge_order = 0
         #: the transaction of the access currently in the barrier
         self._req_tx: Optional[Transaction] = None
@@ -239,14 +232,15 @@ class ICD(ExecutionListener, OctetListener):
         costs one dict probe and one branch chain and allocates nothing
         but the log entry, a tuple of untracked values (see
         :mod:`repro.core.rwlog`): no :meth:`OctetRuntime.observe` call, no
-        :class:`TransitionRecord` or :class:`AccessEvent`, no listener
-        fan-out (same-state transitions never fire Figure 4
-        procedures).  Every other access (first access to an object,
-        any Octet state transition) builds its :class:`AccessEvent`,
-        ``is_sync`` included, for the :meth:`on_access` slow path: one
-        pass through Octet's ``observe``, which fires the Figure 4
-        procedure of the transition's kind, if it has one.  The fast
-        path only skips work the slow path would find to be a no-op.
+        :class:`AccessEvent`, no listener fan-out (same-state
+        transitions never fire Figure 4 procedures).  Every other
+        access (first access to an object, any Octet state transition)
+        builds its :class:`AccessEvent`, ``is_sync``, the interned
+        address and the site string included, for the :meth:`on_access`
+        slow path: one pass through Octet's ``observe``, which calls
+        the Figure 4 procedure of the transition's kind, if it has one,
+        with plain arguments.  The fast path only skips work the slow
+        path would find to be a no-op.
 
         Configurations whose per-access work the fused path does not
         replicate (unary site tracking, object-granularity arrays) get
@@ -334,24 +328,17 @@ class ICD(ExecutionListener, OctetListener):
                         if log is None:
                             log = tx.log = []
                         is_write = kind is _WRITE
-                        # address and site_str are already canonical in
-                        # the executor's intern tables; ICD's own tables
-                        # (fed by the slow path) only yield value-equal
-                        # duplicates, so no folding needed
                         if elide_duplicates:
+                            # the last logged access to the field, as
+                            # 2 * window + is_write (see ElisionFilter)
                             per_thread = el_last.get(thread)
                             if per_thread is None:
                                 per_thread = el_last[thread] = {}
-                            last = per_thread.get(address)
-                            ts = el_ts.get(thread, 0)
-                            if (
-                                last is not None
-                                and last[0] == ts
-                                and (last[1] or not is_write)
-                            ):
+                            key = 2 * el_ts.get(thread, 0) + is_write
+                            if per_thread.get(address, -1) >= key:
                                 el_stats.elided += 1
                                 return
-                            per_thread[address] = (ts, is_write)
+                            per_thread[address] = key
                             el_stats.logged += 1
                         log.append((seq, address, is_write, site_str))
                         stats.log_entries += 1
@@ -361,7 +348,8 @@ class ICD(ExecutionListener, OctetListener):
                     return
             slow_path(
                 AccessEvent(
-                    seq, thread, obj, fieldname, kind, is_sync, is_array, site
+                    seq, thread, obj, fieldname, kind, is_sync, is_array,
+                    site, address, site_str,
                 )
             )
 
@@ -391,45 +379,42 @@ class ICD(ExecutionListener, OctetListener):
         publish_stats(obs, "elision", self._elision.stats)
 
     # ------------------------------------------------------------------
-    # OctetListener — the Figure 4 procedures.  ICD inherits the no-op
-    # hooks of initial and RdExT -> WrExT transitions, which Octet then
-    # never calls: any dependence an upgrade to WrEx creates is already
-    # captured by existing intra- and cross-thread edges.
+    # OctetListener — the Figure 4 procedures.  Initial and RdExT ->
+    # WrExT transitions have no hook: any dependence an upgrade to WrEx
+    # creates is already captured by existing intra- and cross-thread
+    # edges.
     # ------------------------------------------------------------------
-    def on_conflicting(self, record: TransitionRecord) -> None:
+    def on_conflicting(
+        self, thread: str, responders: Sequence[str], is_read: bool
+    ) -> None:
         """handleConflictingTransition: edge from each responder's
         current (else latest) transaction to the requester's current
         transaction."""
         req_tx = self._req_tx
-        assert req_tx is not None and record.coordination is not None
         current = self._tx_current
         latest = self._tx_latest
-        for responder in record.coordination.responders:
+        for name in responders:
             # a responder between transactions: the intra-thread chain
             # makes an edge from its latest transaction sound
-            name = responder.thread_name
             resp_tx = current.get(name) or latest.get(name)
             self._add_edge(resp_tx, req_tx, "conflicting")
-        if record.new_state.kind is _RD_EX:
-            self._last_rdex[req_tx.thread_name] = req_tx
+        if is_read:
+            self._last_rdex[thread] = req_tx
 
-    def on_upgrading_rd_sh(self, record: TransitionRecord) -> None:
+    def on_upgrading_rd_sh(
+        self, thread: str, prior_owner: str, counter: int
+    ) -> None:
         """handleUpgradingTransition: edges from the previous RdEx
         owner's last-RdEx transaction and from gLastRdSh; then update
         gLastRdSh to the current transaction."""
         req_tx = self._req_tx
-        assert req_tx is not None
-        prior_owner = record.prior_owner
-        if prior_owner is not None:
-            self._add_edge(self._last_rdex.get(prior_owner), req_tx, "upgrading")
+        self._add_edge(self._last_rdex.get(prior_owner), req_tx, "upgrading")
         self._add_edge(self._g_last_rdsh, req_tx, "rdsh-order")
         self._g_last_rdsh = req_tx
 
-    def on_fence(self, record: TransitionRecord) -> None:
+    def on_fence(self, thread: str, counter: int) -> None:
         """handleFenceTransition: edge from gLastRdSh."""
-        req_tx = self._req_tx
-        assert req_tx is not None
-        self._add_edge(self._g_last_rdsh, req_tx, "fence")
+        self._add_edge(self._g_last_rdsh, self._req_tx, "fence")
 
     # ------------------------------------------------------------------
     # IDG construction
@@ -502,31 +487,27 @@ class ICD(ExecutionListener, OctetListener):
     # logging
     # ------------------------------------------------------------------
     def _log_access(self, tx: Transaction, event: AccessEvent) -> None:
-        """Log one access — single pass over the hot-path bookkeeping.
+        """Log one access of the slow path.
 
-        The address tuple is built once and interned (the elision probe,
-        the log entry, and every later access to the same field share
-        one tuple), the site string is interned per static site, and the
-        entry count is inline.
+        The entry holds the address and site string the event carries,
+        the executor's interned ones when a barrier built the event (an
+        object-granularity array access logs the array's own
+        ``(oid, "*")``), so one field is one tuple object in every log
+        and elision table.
         """
         log = tx.log
         if log is None:
             log = tx.log = []
         if event.is_array and self.array_granularity_object:
-            address = event.object_address
+            address = event.obj.object_address
         else:
-            address = (event.obj.oid, event.fieldname)
-        address = self._addr_intern.setdefault(address, address)
+            address = event.address
         is_write = event.kind is AccessKind.WRITE
         if self.elide_duplicates and not self._elision.should_log_addr(
             event.thread_name, address, is_write
         ):
             return
-        site = event.site
-        site_str = self._site_intern.get(site)
-        if site_str is None:
-            site_str = self._site_intern[site] = str(site)
-        log.append((event.seq, address, is_write, site_str))
+        log.append((event.seq, address, is_write, event.site_str))
         self.stats.log_entries += 1
         self._live_log_entries += 1
         if self.memory_budget is not None:

@@ -10,15 +10,22 @@ precise cross-thread edges to a PDG and checking for cycles after
 every new edge.  A detected cycle is a precise atomicity violation;
 blame assignment identifies the transaction that completed it.
 
-**Replay order.**  ICD provides cross-thread ordering through the edge
-marks embedded in the logs: the source mark of every IDG edge must be
-replayed before its sink mark.  PCD performs a topological merge of
-the component's logs under (a) per-thread program order and (b) those
-mark constraints.  Octet's happens-before guarantees make any
-linearization of that partial order agree on the relative order of
-conflicting accesses; our merge breaks ties with the executor's global
-sequence number, which is one such linearization (and lets a property
-test verify the agreement claim against the true execution order).
+**Replay order.**  ICD anchors every IDG edge in both logs: the source
+mark of an edge must be replayed before its sink mark.  PCD replays the
+component's accesses in seq order, the executor's global sequence
+number: it takes each member's log suffix from the cut (below), keeps
+the access entries and sorts them by seq together with their owners.
+Each log is nondecreasing in seq and access seqs are unique, so seq
+order satisfies an anchor exactly when the source mark's seq is no
+later than the sink mark's.  ICD gives both marks the seq of the
+access that created the edge (see :mod:`repro.core.rwlog`), so the
+check, one comparison per anchor through the edge's log indexes,
+always holds on ICD's logs; a broken anchor counts in
+``order_fallbacks`` and the replay still runs in seq order.  Octet's
+happens-before guarantees make any linearization of the anchors agree
+on the relative order of conflicting accesses; seq order is one such
+linearization, the true execution order (which lets a property test
+verify the agreement claim).
 
 **Resumption.**  ICD hands PCD every cyclic SCC whose member set is
 new, and SCCs grow by absorbing members, so consecutive components
@@ -35,22 +42,21 @@ at a *cut* sequence number: the smallest of
 
 Records at or past the cut are undone newest-first and the PDG is
 truncated to its size at the cut; then only the log entries from the
-cut on are merged and replayed.
+cut on are collected and replayed.
 
 The resumed replay is exact — it reports what a from-scratch replay
-reports, call by call.  Without a fallback, accesses leave the merge
-in true seq order (see :meth:`PCD._merge_logs`).  Below the cut both
-components hold the same accesses (those of shared members), so both
-replays make the same table updates and add the same PDG edges in the
-same order.  The newest-edge truncation then restores exactly that
+reports, call by call.  Accesses replay in seq order, and below the
+cut both components hold the same accesses (those of shared members),
+so both replays make the same table updates and add the same PDG
+edges in the same order.  The newest-edge truncation then restores exactly that
 prefix, and re-added edges get the ``order`` they would get from
 scratch, so blame does not change.  Every cycle the prefix closes was
 already reported and is suppressed as a duplicate either way.  A
 source mark and its sink carry the same seq (the edge's creation
 time), so a cut never separates them; each log is nondecreasing in seq
 (see :mod:`repro.core.rwlog`), so the entries from the cut on are a
-suffix found by bisection.  A component whose merge needed the order
-fallback does not replay in seq order, so its state is not kept.
+suffix found by bisection.  A component with a broken anchor is not
+replayed in an order its anchors allow, so its state is not kept.
 
 Only one state is kept: almost every grown component extends the one
 processed just before it, and one state per lineage would hold every
@@ -59,10 +65,8 @@ lineage's trail in memory.
 
 from __future__ import annotations
 
-import heapq
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import repeat
 from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -77,6 +81,11 @@ from repro.obs.registry import publish_stats, recorder as obs_recorder
 #: three (see :mod:`repro.core.rwlog`)
 _entry_seq = itemgetter(0)
 _ACCESS = 4
+
+
+def _pair_seq(pair: Tuple[tuple, Transaction]) -> int:
+    """The seq of an ``(access, transaction)`` replay pair."""
+    return pair[0][0]
 
 #: first-access seq of a member whose log holds no access: it bounds
 #: no cut
@@ -102,7 +111,7 @@ class PCDStats:
 
     components_processed: int = 0
     transactions_processed: int = 0
-    #: log entries (accesses and marks) fed to the merge
+    #: log entries (accesses and marks) from the cut on
     entries_replayed: int = 0
     #: log entries before a resumed replay's cut, which the kept state
     #: already covered; with ``entries_replayed`` they add up to the
@@ -113,6 +122,8 @@ class PCDStats:
     cycle_checks: int = 0
     cycle_check_visits: int = 0
     cycles_found: int = 0
+    #: anchors between members whose source mark has a later seq than
+    #: their sink mark: seq order breaks them (never on ICD's logs)
     order_fallbacks: int = 0
 
 
@@ -233,12 +244,12 @@ class PCD:
 
         first_seq = {tx.tx_id: _first_access_seq(tx) for tx in members}
         state, cut = self._resume(first_seq)
-        merged_txs, merged, replayed, fallbacks = self._merge_logs(members, cut)
+        pairs, replayed, broken = self._merge_logs(members, cut)
         stats.entries_replayed += replayed
         stats.entries_resumed += total_entries - replayed
-        violations = self._replay(state, merged_txs, merged)
-        if fallbacks:
-            stats.order_fallbacks += fallbacks
+        violations = self._replay(state, pairs)
+        if broken:
+            stats.order_fallbacks += broken
             self._kept = None
         else:
             state.first_seq = first_seq
@@ -270,196 +281,47 @@ class PCD:
         return kept, cut
 
     # ------------------------------------------------------------------
-    # topological merge
+    # seq-order collection
     # ------------------------------------------------------------------
     def _merge_logs(
         self, members: Sequence[Transaction], cut: int
-    ) -> Tuple[List[Transaction], List[tuple], int, int]:
-        """Merge the members' log entries with seq >= ``cut``.
+    ) -> Tuple[List[Tuple[tuple, Transaction]], int, int]:
+        """Collect the members' accesses with seq >= ``cut`` in seq order.
 
-        Returns the replay order as parallel lists of transactions and
-        their accesses, the number of entries merged, and the number of
-        order fallbacks taken.
+        Returns the replay order as ``(access, transaction)`` pairs, the
+        number of log entries from the cut on, and the number of anchors
+        between members that seq order breaks.
         """
         member_ids = {tx.tx_id for tx in members}
-        # the members with log entries from the cut on, in creation
-        # order: a thread's transactions replay in that order
-        active = sorted(
-            (tx for tx in members
-             if tx.log and tx.log[-1][0] >= cut),
-            key=lambda t: t.tx_id,
-        )
-        # the marks of edges whose both endpoints are in the component
-        # constrain the merge (marks of other edges are inert): an edge
-        # waits here until its source mark is merged.  Both marks of an
-        # edge carry its creation seq, so an out-edge created before the
-        # cut has no mark in the merge, and neither has any older one
-        # (out-edges are kept in creation order).
-        waiting: Set[int] = set()
-        for tx in active:
-            entries = tx.log
+        pairs: List[Tuple[tuple, Transaction]] = []
+        entries = 0
+        broken = 0
+        for tx in members:
+            log = tx.log
+            if not log or log[-1][0] < cut:
+                continue
+            # each log is nondecreasing in seq, so the entries from the
+            # cut on are a suffix
+            suffix = log[bisect_left(log, cut, key=_entry_seq):] if cut else log
+            entries += len(suffix)
+            pairs += [(entry, tx) for entry in suffix if len(entry) == _ACCESS]
+            # the anchors created from the cut on: out-edges are kept in
+            # creation order, and a mark carries its edge's creation seq
             for edge in reversed(tx.out_edges):
-                index = edge.src_log_index
-                if index is not None and entries[index][0] < cut:
+                seq = log[edge.src_log_index][0]
+                if seq < cut:
                     break
-                if edge.dst.tx_id in member_ids:
-                    waiting.add(edge.order)
-
-        # per-thread streams; each log is ordered (and nondecreasing in
-        # seq, so the entries from the cut on are a suffix).  A stream
-        # is its entries plus a parallel list of their transactions.
-        by_thread: Dict[str, List[Transaction]] = {}
-        for tx in active:
-            by_thread.setdefault(tx.thread_name, []).append(tx)
-        streams: List[list] = []
-        owners: List[List[Transaction]] = []
-        for txs in by_thread.values():
-            stream: list = []
-            owner: List[Transaction] = []
-            for tx in txs:
-                entries = tx.log
-                if cut:
-                    entries = entries[bisect_left(entries, cut, key=_entry_seq):]
-                stream += entries
-                owner += repeat(tx, len(entries))
-            streams.append(stream)
-            owners.append(owner)
-        lengths = [len(stream) for stream in streams]
-
-        # K-way merge on a heap of (seq, stream index): every stream is
-        # in exactly one place — the heap when its head entry is an
-        # access ready to emit, ``parked[order]`` when its head is a
-        # sink mark still waiting for that edge's source mark, nowhere
-        # once exhausted.  Marks never enter the heap: a mark's seq is
-        # the *edge creation* time, which can sit far from the accesses
-        # around it in the log — a source mark placed after its
-        # transaction ended (or, for edges ICD attributes to a thread's
-        # *next* transaction, before the source log's first access)
-        # would otherwise hold its whole stream at a bogus heap
-        # priority and let genuinely later accesses overtake parked
-        # earlier ones, deriving dependence edges against the execution
-        # order.  Accesses preceding a source mark in its own log
-        # always have seq below the creation seq, and accesses
-        # following the sink mark always have seq above it, so emitting
-        # source marks the moment they reach a stream head preserves
-        # every mark constraint while keeping accesses in true seq
-        # order.
-        heap: List[Tuple[int, int]] = []
-        parked: Dict[int, List[int]] = {}
-        positions = [0] * len(streams)
-        merged_txs: List[Transaction] = []
-        merged: List[tuple] = []
-        heappush = heapq.heappush
-        heappop = heapq.heappop
-        heapreplace = heapq.heapreplace
-        emit_tx = merged_txs.append
-        emit = merged.append
-
-        def settle(i: int) -> None:
-            # consume marks at the stream head — emit source marks
-            # (settling the streams they release before going on),
-            # skip satisfied sinks, park on a blocked sink — then enter
-            # the heap at the first access entry's seq.  A stack, not
-            # recursion: a closure that calls itself is a reference
-            # cycle, which would keep the streams alive until CPython's
-            # cyclic collector ran
-            todo = [i]
-            while todo:
-                i = todo.pop()
-                stream = streams[i]
-                pos = positions[i]
-                length = lengths[i]
-                while pos < length:
-                    entry = stream[pos]
-                    if len(entry) == _ACCESS:
-                        heappush(heap, (entry[0], i))
-                        break
-                    order = entry[1]
-                    if entry[2]:
-                        pos += 1
-                        waiting.discard(order)
-                        released = parked.pop(order, None)
-                        if released:
-                            # the released streams in order, then the
-                            # rest of this one
-                            todo.append(i)
-                            todo += reversed(released)
-                            break
-                    elif order in waiting:
-                        parked.setdefault(order, []).append(i)
-                        break
-                    else:
-                        pos += 1
-                positions[i] = pos
-
-        for i in range(len(streams)):
-            settle(i)
-
-        fallbacks = 0
-        while True:
-            while heap:
-                index = heap[0][1]
-                stream = streams[index]
-                pos = positions[index]
-                emit(stream[pos])
-                emit_tx(owners[index][pos])
-                pos += 1
-                length = lengths[index]
-                # pass the marks that neither release nor block a
-                # stream here; settle() handles the others
-                while pos < length:
-                    entry = stream[pos]
-                    if len(entry) == _ACCESS:
-                        break
-                    order = entry[1]
-                    if entry[2]:
-                        waiting.discard(order)
-                        if order in parked:
-                            break
-                    elif order in waiting:
-                        break
-                    pos += 1
-                positions[index] = pos
-                if pos < length and len(entry) == _ACCESS:
-                    # the next access: one sift instead of two
-                    heapreplace(heap, (entry[0], index))
-                else:
-                    heappop(heap)
-                    settle(index)
-            # every remaining stream is parked on a sink whose source
-            # mark is unreachable; inconsistent anchors should be
-            # impossible — fall back to raw sequence order rather than
-            # failing the analysis, if an access is still to come
-            if not any(
-                len(entry) == _ACCESS
-                for blocked in parked.values()
-                for i in blocked
-                for entry in streams[i][positions[i]:]
-            ):
-                break
-            fallbacks += 1
-            index = min(
-                (i for blocked in parked.values() for i in blocked),
-                key=lambda i: (streams[i][positions[i]][0], i),
-            )
-            for order, blocked in parked.items():
-                if index in blocked:
-                    blocked.remove(index)
-                    if not blocked:
-                        del parked[order]
-                    break
-            positions[index] += 1  # skip the blocked sink mark
-            settle(index)
-        return merged_txs, merged, sum(lengths), fallbacks
+                dst = edge.dst
+                if dst.tx_id in member_ids and dst.log[edge.dst_log_index][0] < seq:
+                    broken += 1
+        pairs.sort(key=_pair_seq)
+        return pairs, entries, broken
 
     # ------------------------------------------------------------------
     # Figure 5 replay
     # ------------------------------------------------------------------
     def _replay(
-        self,
-        state: _ReplayState,
-        merged_txs: List[Transaction],
-        merged: List[tuple],
+        self, state: _ReplayState, pairs: List[Tuple[tuple, Transaction]]
     ) -> List[ViolationRecord]:
         last_write = state.last_write
         last_reads = state.last_reads
@@ -473,8 +335,8 @@ class PCD:
         stats = self.stats
         visits_before = pdg.nodes_visited
 
-        stats.accesses_replayed += len(merged)
-        for tx, entry in zip(merged_txs, merged):
+        stats.accesses_replayed += len(pairs)
+        for entry, tx in pairs:
             thread = tx.thread_name
             tx_id = tx.tx_id
             edge_count = len(pdg_edges)

@@ -4,14 +4,17 @@ In single-run mode (and the second run of multi-run mode), ICD records
 a read/write log for every transaction: the exact memory accesses the
 transaction performed, in order, interleaved with special entries that
 anchor the source and sink of each cross-thread IDG edge.  PCD later
-replays the logs of an SCC's transactions in an order consistent with
-those anchors.
+replays the accesses of an SCC's transactions in seq order, which
+satisfies those anchors.
 
 **Layout.**  A transaction's ``log`` is a plain ``list`` of tuples:
 
 * an access is ``(seq, address, is_write, site)``: the executor's
-  global sequence number, the interned ``(oid, fieldname)`` field
-  address, whether the access wrote, and the interned site string;
+  global sequence number, the executor's interned ``(oid, fieldname)``
+  field address, whether the access wrote, and the executor's interned
+  site string.  The fused barrier and the slow path log the values the
+  barrier was called with, so one field is one tuple object in every
+  log (an object-granularity array logs its own ``(oid, "*")``);
 * an edge mark is ``(seq, edge_order, is_source)``: the seq of the
   access whose barrier created the edge, the edge's ``order``, and
   whether this is the edge's source side (else its sink).
@@ -31,18 +34,19 @@ Every log is nondecreasing in ``seq``.  Entries are only appended, and
 each carries the seq of the access executing when it is appended: an
 access entry its own, an edge mark that of the access whose barrier
 created the edge (so a sink mark shares its seq with the access entry
-that follows it).  PCD uses seq as a tie-break consistent with the
-edge-anchor partial order, and bisects logs on it to resume a replay
-(see :mod:`repro.core.pcd`).
+that follows it).  Both marks of an edge thus carry the same seq, so
+replaying accesses in seq order satisfies every anchor; PCD replays in
+that order and bisects logs on seq to resume a replay (see
+:mod:`repro.core.pcd`).
 
 Duplicate-entry elision (Section 4, "Instrumenting program accesses"):
 logs are ordered, but duplicate entries with no incoming or outgoing
 edges between them can be elided.  ICD tracks, per field, a per-thread
-timestamp of the last access and its kind; the thread's timestamp is
-incremented whenever a new transaction starts or the current
-transaction gains an edge, so an access is elided only when an earlier
-access to the same field with the same (or stronger) kind already
-appears in the same edge-free window.
+timestamp of the last access and its kind, packed into one int; the
+thread's timestamp is incremented whenever a new transaction starts or
+the current transaction gains an edge, so an access is elided only
+when an earlier access to the same field with the same (or stronger)
+kind already appears in the same edge-free window.
 """
 
 from __future__ import annotations
@@ -64,13 +68,19 @@ class ElisionFilter:
 
     The last-access table is a per-thread dict keyed by the field
     address, so the hot check (:meth:`should_log_addr`) is two dict
-    probes on an interned address — no per-access key-tuple allocation.
+    probes on an interned address.  It stores one int per field,
+    ``2 * timestamp + is_write`` of the last logged access, so a
+    logged access allocates nothing here.  A thread's timestamp never
+    decreases, so an access is elided exactly when the stored int is
+    at least ``2 * timestamp + is_write``: the same window, and a write
+    there already or a read now.
     """
 
     def __init__(self) -> None:
         self._thread_ts: Dict[str, int] = {}
-        #: thread -> {(oid, field) -> (timestamp, is_write of last logged access)}
-        self._last_by_thread: Dict[str, Dict[Tuple[int, str], Tuple[int, bool]]] = {}
+        #: thread -> {(oid, field) -> 2 * timestamp + is_write of the
+        #: last logged access}
+        self._last_by_thread: Dict[str, Dict[Tuple[int, str], int]] = {}
         self.stats = ElisionStats()
 
     def bump(self, thread: str) -> None:
@@ -95,11 +105,10 @@ class ElisionFilter:
         per_thread = self._last_by_thread.get(thread)
         if per_thread is None:
             per_thread = self._last_by_thread[thread] = {}
-        ts = self._thread_ts.get(thread, 0)
-        last = per_thread.get(address)
-        if last is not None and last[0] == ts and (last[1] or not is_write):
+        key = 2 * self._thread_ts.get(thread, 0) + is_write
+        if per_thread.get(address, -1) >= key:
             self.stats.elided += 1
             return False
-        per_thread[address] = (ts, is_write)
+        per_thread[address] = key
         self.stats.logged += 1
         return True

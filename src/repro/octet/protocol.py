@@ -19,47 +19,17 @@ one thread at a time changes its state; then, per responder:
 In the serialized simulator a thread is never *between* a barrier and
 its access when another thread runs, so every scheduler interleaving
 point is a safe point, and explicit-protocol responses happen
-instantly.  What the protocol model preserves — and what ICD consumes —
-is (a) which thread responds, (b) which protocol is used, and (c) which
-thread invokes ICD's edge-creation procedure (respT for explicit, reqT
-under a hold for implicit).
+instantly.  What the protocol model preserves is (a) which threads
+respond, which ICD consumes (``OctetListener.on_conflicting`` gets
+their names), and (b) which protocol each one uses, which the counters
+and the cost model consume: an implicit response is one atomic
+operation and one hold, under which reqT invokes ICD's edge-creation
+procedure on respT's behalf.
 """
 
 from __future__ import annotations
 
-import enum
-from typing import Callable, Dict, List, NamedTuple
-
-
-class ProtocolKind(enum.Enum):
-    """Which coordination protocol a responder used."""
-
-    EXPLICIT = "explicit"
-    IMPLICIT = "implicit"
-
-
-class ResponderRecord(NamedTuple):
-    """One responder's participation in a coordination round."""
-
-    thread_name: str
-    protocol: ProtocolKind
-
-    @property
-    def invoked_by_requester(self) -> bool:
-        """True when reqT invokes ICD's procedure (implicit protocol)."""
-        return self.protocol is ProtocolKind.IMPLICIT
-
-
-class CoordinationRound(NamedTuple):
-    """A complete coordination round for one conflicting transition.
-
-    The per-protocol responder counts are tallied while coordinating.
-    """
-
-    requester: str
-    responders: List[ResponderRecord]
-    explicit_count: int
-    implicit_count: int
+from typing import Callable, Dict, Iterable
 
 
 class CoordinationProtocol:
@@ -80,24 +50,22 @@ class CoordinationProtocol:
         self.implicit_responses = 0
         self.holds_placed = 0
 
-    def coordinate(self, requester: str, responders: List[str]) -> CoordinationRound:
-        """Run one coordination round against ``responders``."""
+    def coordinate(self, requester: str, responders: Iterable[str]) -> int:
+        """Run one coordination round against ``responders`` (never the
+        requester itself); returns how many responded implicitly."""
         self.rounds += 1
-        records: List[ResponderRecord] = []
-        implicit = 0
+        explicit = implicit = 0
         for name in responders:
             if name == requester:
                 continue
             if self._is_blocked(name):
-                records.append(ResponderRecord(name, ProtocolKind.IMPLICIT))
                 implicit += 1
             else:
-                records.append(ResponderRecord(name, ProtocolKind.EXPLICIT))
-        explicit = len(records) - implicit
+                explicit += 1
         self.explicit_responses += explicit
         self.implicit_responses += implicit
         self.holds_placed += implicit
-        return CoordinationRound(requester, records, explicit, implicit)
+        return implicit
 
     def stats(self) -> Dict[str, int]:
         """Protocol statistics for cost accounting."""

@@ -6,8 +6,11 @@ one pass per access: a single decision tree over the object's state
 kind, its owner, the access kind and the thread's ``rdShCnt`` picks
 Table 1's transition and commits it on the spot — the state change,
 the counters, the coordination round of a conflicting transition —
-then fires the :class:`OctetListener` callbacks ICD's Figure 4
-procedures attach to.  :func:`~repro.octet.transitions.classify`
+then calls the :class:`OctetListener` hook ICD's Figure 4 procedure
+of that kind attaches to, with plain arguments (the thread, the
+responders, the prior owner, a counter), and returns the
+:class:`~repro.octet.transitions.TransitionKind`.  Nothing is built
+per transition to describe it.  :func:`~repro.octet.transitions.classify`
 stays the pure reference form of Table 1 that the tests pin
 ``observe`` against; the barrier never calls it.
 
@@ -19,17 +22,16 @@ independently published mechanism that ICD extends.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, NamedTuple, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.obs.registry import publish_stats
-from repro.octet.protocol import (
-    CoordinationProtocol, CoordinationRound, ProtocolKind, ResponderRecord,
-)
+from repro.octet.protocol import CoordinationProtocol
 from repro.octet.states import (
     OctetState, StateKind, rd_ex, rd_ex_int, rd_sh, wr_ex, wr_ex_int,
 )
 from repro.octet.transitions import TransitionKind
 from repro.runtime.events import AccessEvent, AccessKind
+
 
 @dataclass
 class OctetStats:
@@ -69,49 +71,37 @@ class OctetStats:
         target.inc(f"{prefix}.slow_path", self.slow_path())
 
 
-class TransitionRecord(NamedTuple):
-    """Everything a listener may need to know about one transition.
-
-    A ``NamedTuple``, not a frozen dataclass: one is built for every
-    barrier that leaves the fast path.
-    """
-
-    event: AccessEvent
-    kind: TransitionKind
-    old_state: Optional[OctetState]
-    new_state: Optional[OctetState]
-    #: exclusive owner losing the object (conflicting WrEx/RdEx sources)
-    prior_owner: Optional[str]
-    #: coordination round for conflicting transitions (else None)
-    coordination: Optional[CoordinationRound]
-    #: counter value of the RdSh state entered by an upgrading transition
-    rdsh_counter: Optional[int] = None
-
-
 class OctetListener:
-    """Hooks fired on state transitions; ICD implements these."""
+    """Hooks fired on the transitions that may carry a cross-thread
+    dependence (Table 1); ICD's Figure 4 procedures implement them.
+    Each gets plain arguments: the accessing thread first."""
 
-    def on_conflicting(self, record: TransitionRecord) -> None:
-        """A conflicting transition completed its coordination round."""
+    def on_conflicting(
+        self, thread: str, responders: Sequence[str], is_read: bool
+    ) -> None:
+        """A conflicting transition completed its coordination round
+        with ``responders``; the object is now RdEx(``thread``) if
+        ``is_read``, else WrEx(``thread``)."""
 
-    def on_upgrading_rd_sh(self, record: TransitionRecord) -> None:
-        """A RdExT1 → RdShc transition (read by another thread)."""
+    def on_upgrading_rd_sh(
+        self, thread: str, prior_owner: str, counter: int
+    ) -> None:
+        """``thread``'s read moved a RdEx(``prior_owner``) object to
+        RdSh(``counter``)."""
 
-    def on_upgrading_wr_ex(self, record: TransitionRecord) -> None:
-        """A RdExT → WrExT transition (ICD safely ignores these)."""
+    def on_fence(self, thread: str, counter: int) -> None:
+        """A fence transition: ``thread``'s stale ``rdShCnt`` caught up
+        to the RdSh object's ``counter``."""
 
-    def on_fence(self, record: TransitionRecord) -> None:
-        """A fence transition (stale rdShCnt read of a RdSh object)."""
 
-    def on_initial(self, record: TransitionRecord) -> None:
-        """First access installed an exclusive state (no dependence)."""
+#: the hooks :meth:`OctetRuntime.add_listener` binds
+_HOOKS = ("on_conflicting", "on_upgrading_rd_sh", "on_fence")
 
 
 # Bound once: each ``Enum`` class-attribute lookup goes through the
 # metaclass, and ``.value`` is a Python-level property.
 _READ = AccessKind.READ
 _WR_EX, _RD_EX, _RD_SH = StateKind.WR_EX, StateKind.RD_EX, StateKind.RD_SH
-_EXPLICIT, _IMPLICIT = ProtocolKind.EXPLICIT, ProtocolKind.IMPLICIT
 _SAME_STATE = TransitionKind.SAME_STATE
 _INITIAL = TransitionKind.INITIAL
 _UPGRADING_WR_EX = TransitionKind.UPGRADING_WR_EX
@@ -149,10 +139,7 @@ class OctetRuntime:
         self.protocol = CoordinationProtocol(self._is_blocked)
         self._live_threads = live_threads or (lambda: [])
         #: hook name -> the listeners' bound hooks, filled by add_listener
-        self._hooks: Dict[str, List[Callable]] = {
-            "on_initial": [], "on_upgrading_wr_ex": [],
-            "on_upgrading_rd_sh": [], "on_fence": [], "on_conflicting": [],
-        }
+        self._hooks: Dict[str, List[Callable]] = {name: [] for name in _HOOKS}
         self._stats = OctetStats()
         # Hot-counter batching: the two counters every barrier bumps
         # live in plain attributes and are folded into ``_stats`` only
@@ -198,10 +185,10 @@ class OctetRuntime:
         :class:`OctetListener` is a no-op and is left out.  A hook
         replaced on the listener's class after this call is not seen.
         """
-        for name, table in self._hooks.items():
+        for name in _HOOKS:
             hook = getattr(listener, name)
             if getattr(hook, "__func__", None) is not getattr(OctetListener, name):
-                table.append(hook)
+                self._hooks[name].append(hook)
 
     def state_of(self, oid: int) -> Optional[OctetState]:
         """Current state of object ``oid`` (None = untouched)."""
@@ -212,8 +199,8 @@ class OctetRuntime:
         return self._thread_rdsh.get(thread, 0)
 
     # ------------------------------------------------------------------
-    def observe(self, event: AccessEvent) -> TransitionRecord:
-        """Run the barrier for one access; returns the transition record.
+    def observe(self, event: AccessEvent) -> TransitionKind:
+        """Run the barrier for one access; returns Table 1's transition.
 
         The client must call this *before* the access logically takes
         effect (it is the read/write barrier).
@@ -223,10 +210,10 @@ class OctetRuntime:
         Table 1's outcome and commits it where it is found, with no
         :func:`~repro.octet.transitions.classify` call and no second
         dispatch on the transition kind.  A same-state access (the
-        paper's unsynchronized fast path) returns at once and fires no
-        hook.  A conflicting transition coordinates with the exclusive
-        owner as its one responder, or, from RdSh, with every other
-        live thread.  The hooks of the transition's kind fire last,
+        paper's unsynchronized fast path) returns at once.  A
+        conflicting transition coordinates with the exclusive owner as
+        its one responder, or, from RdSh, with every other live thread.
+        The hooks of the transition's kind, if it has any, fire last,
         once the new state and every counter are committed.
         """
         oid = event.obj.oid
@@ -234,47 +221,48 @@ class OctetRuntime:
         is_read = event.kind is _READ
         states = self._states
         stats = self._stats
-        old_state = states.get(oid)
+        state = states.get(oid)
         self._barriers_pending += 1
-        prior_owner = coordination = counter = conflict = None
-        if old_state is None:
+        if state is None:
             # first access: install an exclusive state, no coordination
             stats.initial += 1
-            transition, hooks = _INITIAL, self._hooks["on_initial"]
-            new_state = states[oid] = rd_ex(thread) if is_read else wr_ex(thread)
-        elif old_state.kind is _RD_SH:
-            if not is_read:
-                conflict = _SH_WR
-            elif self._thread_rdsh.get(thread, 0) >= old_state.counter:
-                self._fastpath_pending += 1
-                return TransitionRecord(
-                    event, _SAME_STATE, old_state, old_state, None, None
-                )
-            else:
+            states[oid] = rd_ex(thread) if is_read else wr_ex(thread)
+            return _INITIAL
+        kind = state.kind
+        if kind is _RD_SH:
+            counter = state.counter
+            if is_read:
+                if self._thread_rdsh.get(thread, 0) >= counter:
+                    self._fastpath_pending += 1
+                    return _SAME_STATE
                 # a stale rdShCnt: a fence brings the thread's counter
                 # up to date and leaves the object's state as it is
                 stats.fences += 1
                 stats.memory_fences_issued += 1
-                self._thread_rdsh[thread] = old_state.counter
-                transition, hooks = _FENCE, self._hooks["on_fence"]
-                new_state = old_state
+                self._thread_rdsh[thread] = counter
+                for hook in self._hooks["on_fence"]:
+                    hook(thread, counter)
+                return _FENCE
+            # RdSh -> WrEx: readers are not tracked individually, so
+            # every other thread responds
+            transition, key = _SH_WR
+            responders: Sequence[str] = [
+                t for t in self._live_threads() if t != thread
+            ]
         else:
             # exclusive: the barrier never leaves an intermediate state
-            kind = old_state.kind
-            prior_owner = old_state.owner
-            assert kind is _WR_EX or kind is _RD_EX, old_state
-            if prior_owner == thread:
+            owner = state.owner
+            assert kind is _WR_EX or kind is _RD_EX, state
+            if owner == thread:
                 if is_read or kind is _WR_EX:
                     self._fastpath_pending += 1
-                    return TransitionRecord(
-                        event, _SAME_STATE, old_state, old_state, None, None
-                    )
+                    return _SAME_STATE
                 # RdExT -> WrExT: one atomic operation, no coordination
                 stats.upgrading_wr_ex += 1
                 stats.atomic_operations += 1
-                transition, hooks = _UPGRADING_WR_EX, self._hooks["on_upgrading_wr_ex"]
-                new_state = states[oid] = wr_ex(thread)
-            elif is_read and kind is _RD_EX:
+                states[oid] = wr_ex(thread)
+                return _UPGRADING_WR_EX
+            if is_read and kind is _RD_EX:
                 # RdExT1 -> RdShc: gRdShCnt is incremented atomically,
                 # globally ordering all transitions to RdSh (Section
                 # 3.2.1); the upgrading thread's counter becomes current
@@ -282,56 +270,32 @@ class OctetRuntime:
                 stats.atomic_operations += 1
                 counter = self.g_rdsh_counter = self.g_rdsh_counter + 1
                 self._thread_rdsh[thread] = counter
-                transition, hooks = _UPGRADING_RD_SH, self._hooks["on_upgrading_rd_sh"]
-                new_state = states[oid] = rd_sh(counter)
-            else:
-                conflict = _WR_RD if is_read else (
-                    _WR_WR if kind is _WR_EX else _RD_WR
-                )
+                states[oid] = rd_sh(counter)
+                for hook in self._hooks["on_upgrading_rd_sh"]:
+                    hook(thread, owner, counter)
+                return _UPGRADING_RD_SH
+            # the exclusive owner is the one responder
+            transition, key = _WR_RD if is_read else (
+                _WR_WR if kind is _WR_EX else _RD_WR
+            )
+            responders = (owner,)
 
-        if conflict is not None:
-            # one atomic operation claims the object for the requester
-            # by entering the intermediate state
-            transition, key = conflict
-            stats.conflicting += 1
-            by_kind = stats.conflicting_by_kind
-            by_kind[key] = by_kind.get(key, 0) + 1
-            stats.atomic_operations += 1
-            self.intermediate_entries += 1
-            states[oid] = rd_ex_int(thread) if is_read else wr_ex_int(thread)
-            if prior_owner is None:
-                # RdSh -> WrEx: readers are not tracked individually, so
-                # every other thread responds
-                coordination = self.protocol.coordinate(
-                    thread, [t for t in self._live_threads() if t != thread]
-                )
-            else:
-                # the exclusive owner is the one responder; a blocked one
-                # answers implicitly, under a hold the requester places
-                implicit = 1 if self._is_blocked(prior_owner) else 0
-                protocol = self.protocol
-                protocol.rounds += 1
-                protocol.explicit_responses += 1 - implicit
-                protocol.implicit_responses += implicit
-                protocol.holds_placed += implicit
-                responder = ResponderRecord(
-                    prior_owner, _IMPLICIT if implicit else _EXPLICIT
-                )
-                coordination = CoordinationRound(
-                    thread, [responder], 1 - implicit, implicit
-                )
-            # each implicit response sets a flag atomically
-            stats.atomic_operations += coordination.implicit_count
-            hooks = self._hooks["on_conflicting"]
-            new_state = states[oid] = rd_ex(thread) if is_read else wr_ex(thread)
-
-        record = TransitionRecord(
-            event, transition, old_state, new_state, prior_owner,
-            coordination, counter,
+        # conflicting: one atomic operation claims the object for the
+        # requester by entering the intermediate state, and each
+        # implicit response (to a blocked responder) sets a flag
+        # atomically
+        stats.conflicting += 1
+        by_kind = stats.conflicting_by_kind
+        by_kind[key] = by_kind.get(key, 0) + 1
+        self.intermediate_entries += 1
+        states[oid] = rd_ex_int(thread) if is_read else wr_ex_int(thread)
+        stats.atomic_operations += 1 + self.protocol.coordinate(
+            thread, responders
         )
-        for hook in hooks:
-            hook(record)
-        return record
+        states[oid] = rd_ex(thread) if is_read else wr_ex(thread)
+        for hook in self._hooks["on_conflicting"]:
+            hook(thread, responders, is_read)
+        return transition
 
     # ------------------------------------------------------------------
     def snapshot_states(self) -> Dict[int, OctetState]:

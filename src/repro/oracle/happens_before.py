@@ -28,10 +28,9 @@ alone impose enough ordering to cover every cross-thread dependence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from repro.octet.runtime import OctetListener, TransitionRecord
-from repro.octet.states import StateKind
+from repro.octet.runtime import OctetListener
 from repro.oracle.vector_clock import VectorClock
 from repro.runtime.events import AccessEvent, AccessKind
 from repro.runtime.listeners import ExecutionListener
@@ -92,38 +91,34 @@ class HappensBeforeTracker(OctetListener, ExecutionListener):
     # ------------------------------------------------------------------
     # OctetListener: the only sources of cross-thread ordering
     # ------------------------------------------------------------------
-    def on_conflicting(self, record: TransitionRecord) -> None:
-        requester = record.event.thread_name
-        assert record.coordination is not None
-        clock = self._clock(requester)
-        for responder in record.coordination.responders:
-            resp_clock = self._clock(responder.thread_name)
-            resp_clock.tick(responder.thread_name)  # the response point
-            clock.join(resp_clock)
-        if record.new_state.kind is StateKind.RD_EX:
-            self._last_rdex_clocks[requester] = clock.copy()
-
-    def on_upgrading_rd_sh(self, record: TransitionRecord) -> None:
-        thread = record.event.thread_name
+    def on_conflicting(
+        self, thread: str, responders: Sequence[str], is_read: bool
+    ) -> None:
         clock = self._clock(thread)
-        if record.prior_owner is not None:
-            prior = self._last_rdex_clocks.get(record.prior_owner)
-            if prior is not None:
-                clock.join(prior)
-            # the owner's exclusive reads happened before this upgrade:
-            # its current point is ordered too (the atomic state change)
-            clock.join(self._clock(record.prior_owner))
-        assert record.rdsh_counter is not None
-        previous = self._rdsh_clocks.get(record.rdsh_counter - 1)
+        for name in responders:
+            resp_clock = self._clock(name)
+            resp_clock.tick(name)  # the response point
+            clock.join(resp_clock)
+        if is_read:
+            self._last_rdex_clocks[thread] = clock.copy()
+
+    def on_upgrading_rd_sh(
+        self, thread: str, prior_owner: str, counter: int
+    ) -> None:
+        clock = self._clock(thread)
+        prior = self._last_rdex_clocks.get(prior_owner)
+        if prior is not None:
+            clock.join(prior)
+        # the owner's exclusive reads happened before this upgrade:
+        # its current point is ordered too (the atomic state change)
+        clock.join(self._clock(prior_owner))
+        previous = self._rdsh_clocks.get(counter - 1)
         if previous is not None:
             clock.join(previous)
-        self._rdsh_clocks[record.rdsh_counter] = clock.copy()
+        self._rdsh_clocks[counter] = clock.copy()
 
-    def on_fence(self, record: TransitionRecord) -> None:
-        thread = record.event.thread_name
-        state = record.old_state
-        assert state is not None and state.counter is not None
-        target = self._rdsh_clocks.get(state.counter)
+    def on_fence(self, thread: str, counter: int) -> None:
+        target = self._rdsh_clocks.get(counter)
         if target is not None:
             self._clock(thread).join(target)
 

@@ -117,6 +117,11 @@ class AccessEvent:
         is_sync: true for synchronization pseudo-accesses.
         is_array: true for array element accesses.
         site: static location of the access.
+        address: field-granularity address, ``(obj.oid, fieldname)``.
+            A barrier passes the executor's interned tuple, so every
+            access to one field carries the same tuple object.
+        site_str: ``str(site)``, likewise the executor's interned
+            string when a barrier passes it.
     """
 
     __slots__ = (
@@ -128,6 +133,8 @@ class AccessEvent:
         "is_sync",
         "is_array",
         "site",
+        "address",
+        "site_str",
     )
 
     def __init__(
@@ -140,6 +147,8 @@ class AccessEvent:
         is_sync: bool,
         is_array: bool,
         site: Site,
+        address: Optional[Tuple[int, str]] = None,
+        site_str: Optional[str] = None,
     ) -> None:
         self.seq = seq
         self.thread_name = thread_name
@@ -149,6 +158,8 @@ class AccessEvent:
         self.is_sync = is_sync
         self.is_array = is_array
         self.site = site
+        self.address = (obj.oid, fieldname) if address is None else address
+        self.site_str = str(site) if site_str is None else site_str
 
     def _key(self) -> Tuple[Any, ...]:
         return (
@@ -177,7 +188,7 @@ class AccessEvent:
         )
 
     def __getstate__(self) -> Tuple[Any, ...]:
-        return self._key()
+        return self._key() + (self.address, self.site_str)
 
     def __setstate__(self, state: Tuple[Any, ...]) -> None:
         (
@@ -189,12 +200,9 @@ class AccessEvent:
             self.is_sync,
             self.is_array,
             self.site,
+            self.address,
+            self.site_str,
         ) = state
-
-    @property
-    def address(self) -> Tuple[int, str]:
-        """Field-granularity address: (object id, field name)."""
-        return (self.obj.oid, self.fieldname)
 
     @property
     def object_address(self) -> Tuple[int, str]:

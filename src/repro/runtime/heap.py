@@ -40,14 +40,19 @@ class SharedObject:
 
 
 class SharedArray:
-    """A heap array; elements are addressed by integer index."""
+    """A heap array; elements are addressed by integer index.
 
-    __slots__ = ("oid", "label", "elements")
+    ``object_address`` is the array's one ``(oid, "*")`` address for
+    analyses that conflate its elements (array-granularity metadata).
+    """
+
+    __slots__ = ("oid", "label", "elements", "object_address")
 
     def __init__(self, oid: int, label: str, length: int, fill: Any = 0) -> None:
         self.oid = oid
         self.label = label
         self.elements: List[Any] = [fill] * length
+        self.object_address = (oid, "*")
 
     def __len__(self) -> int:
         return len(self.elements)

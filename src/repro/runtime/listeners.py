@@ -43,7 +43,8 @@ class ExecutionListener:
         address, site_str, is_array, is_sync)``, where ``address`` is
         the interned ``(oid, fieldname)`` tuple and ``site_str`` the
         interned ``str(site)``.  The default builds the
-        :class:`AccessEvent` those fields describe and passes it to
+        :class:`AccessEvent` those fields describe, the interned
+        address and site string included, and passes it to
         :meth:`on_access`, bound when the barrier is built.  A listener
         that fuses its per-access steps into one closure (ICD fuses the
         Octet state check with its logging; vc its metadata no-op
@@ -56,7 +57,7 @@ class ExecutionListener:
                     site_str, is_array, is_sync, _event=AccessEvent):
             on_access(
                 _event(seq, thread_name, obj, fieldname, kind, is_sync,
-                       is_array, site)
+                       is_array, site, address, site_str)
             )
 
         return barrier

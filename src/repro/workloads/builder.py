@@ -168,13 +168,18 @@ _VIOLATION_FACTORIES = (
 )
 
 
+#: the padding's fields, in turn
+_PAD_FIELDS = ("pad0", "pad1", "pad2")
+
+
 def _pad_script(ctx, lane: int, pad: int) -> List[tuple]:
     """The thread-local fast-path padding prefix, as script ops."""
     pad_obj = ctx.private[lane % len(ctx.private)]
     out = []
     for i in range(pad):
-        out.append(("read", pad_obj, f"pad{i % 3}", "_pad"))
-        out.append(("write", pad_obj, f"pad{i % 3}", ("inc", "_pad", 1)))
+        fieldname = _PAD_FIELDS[i % 3]
+        out.append(("read", pad_obj, fieldname, "_pad"))
+        out.append(("write", pad_obj, fieldname, ("inc", "_pad", 1)))
     return out
 
 
@@ -206,8 +211,9 @@ def _padded(inner, pad: int, takes_lane: bool):
     def body(ctx, lane):
         pad_obj = ctx.private[lane % len(ctx.private)]
         for i in range(pad):
-            value = yield Read(pad_obj, f"pad{i % 3}")
-            yield Write(pad_obj, f"pad{i % 3}", (value or 0) + 1)
+            fieldname = _PAD_FIELDS[i % 3]
+            value = yield Read(pad_obj, fieldname)
+            yield Write(pad_obj, fieldname, (value or 0) + 1)
         if takes_lane:
             yield from inner(ctx, lane)
         else:
@@ -513,15 +519,22 @@ def _make_worker(
         # so the worker is a script: one lowered frame covers the
         # invokes, the unary padding, and the array traffic
         script: List[tuple] = []
+        append = script.append
+        # fixed per thread: whether a unary op may touch shared state,
+        # and each unary op's shared and private target and field
+        may_share = not spec.disjoint and not (hub_mode and not producer[tid])
+        period = spec.unary_shared_period
+        unary = [
+            (u, ctx.shared[(tid + u) % len(ctx.shared)], f"u{u % 2}")
+            for u in range(spec.unary_ops)
+        ]
+        private = ctx.private[tid % len(ctx.private)]
+        private_field = f"u{tid}"
+        grid, length = ctx.grid, spec.array_length
         for it, (method, args) in enumerate(schedules[tid]):
-            script.append(("invoke", method, args))
-            for u in range(spec.unary_ops):
-                shared_turn = (
-                    not spec.disjoint
-                    and (it + u) % spec.unary_shared_period == 0
-                    and not (hub_mode and not producer[tid])
-                )
-                if shared_turn:
+            append(("invoke", method, args))
+            for u, shared_target, shared_field in unary:
+                if may_share and (it + u) % period == 0:
                     if hub_mode:
                         # producers only, write-only: pure writes keep
                         # the anchor object's access chain acyclic
@@ -530,21 +543,19 @@ def _make_worker(
                         # grows without drowning both detectors in
                         # mutual-RMW cycles — and ``u0`` is the chain
                         # the hub's anchor read hangs off
-                        script.append(
-                            ("write", ctx.shared[0], f"u{u % 2}", ("const", it))
+                        append(
+                            ("write", ctx.shared[0], shared_field, ("const", it))
                         )
                         continue
-                    target = ctx.shared[(tid + u) % len(ctx.shared)]
-                    fieldname = f"u{u % 2}"
+                    target, fieldname = shared_target, shared_field
                 else:
-                    target = ctx.private[tid % len(ctx.private)]
-                    fieldname = f"u{tid}"
-                script.append(("read", target, fieldname, "v"))
-                script.append(("write", target, fieldname, ("inc", "v", 1)))
+                    target, fieldname = private, private_field
+                append(("read", target, fieldname, "v"))
+                append(("write", target, fieldname, ("inc", "v", 1)))
             for a in range(spec.array_ops):
-                index = (tid * 3 + it + a) % spec.array_length
-                script.append(("aread", ctx.grid, index, "e"))
-                script.append(("awrite", ctx.grid, index, ("inc", "e", 1)))
+                index = (tid * 3 + it + a) % length
+                append(("aread", grid, index, "e"))
+                append(("awrite", grid, index, ("inc", "e", 1)))
         return script
 
     program.add_global_array("grid", spec.array_length)

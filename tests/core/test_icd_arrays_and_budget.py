@@ -69,6 +69,32 @@ class TestArrayInstrumentation:
         result = checker.run_single(array_program(), scheduler())
         assert result.icd_stats.sccs == 0
 
+    def test_array_granularity_logs_one_address_per_array(self):
+        """Every logged access to the conflated array holds the array's
+        one ``(oid, "*")`` tuple."""
+        from repro.core.icd import ICD
+        from repro.runtime.executor import Executor
+        from repro.spec.specification import AtomicitySpecification
+
+        program = array_program()
+        icd = ICD(
+            AtomicitySpecification.initial(program),
+            instrument_arrays=True,
+            array_granularity_object=True,
+            cycle_detection=False,
+            gc_interval=None,
+        )
+        Executor(program, scheduler(), [icd]).run()
+        arr = program.make_context().arr
+        addresses = [
+            entry[1] for tx in icd.tx_manager.all_transactions
+            for entry in tx.log or ()
+            if len(entry) == 4 and entry[1][0] == arr.oid
+        ]
+        assert addresses
+        assert all(address is arr.object_address for address in addresses)
+        assert arr.object_address == (arr.oid, "*")
+
     def test_uninstrumented_arrays_cost_nothing(self):
         from repro.spec.specification import AtomicitySpecification
 

@@ -1,4 +1,4 @@
-"""PCD: topological log replay and precise cycle detection."""
+"""PCD: seq-order log replay and precise cycle detection."""
 
 import gc
 
@@ -153,14 +153,13 @@ class TestReplayOrdering:
         assert pcd.stats.pdg_edges == 1
 
     def test_late_created_marks_never_reorder_accesses(self):
-        """Edge marks created long after the source transaction's
+        """Edge marks created long after their source transaction's
         accesses (or attributed by ICD to a thread's *next* transaction,
-        whose log starts later) must not hold their stream in the heap
-        at the creation seq: a trailing source mark with a large seq
-        used to block its whole stream — including a second source mark
-        another stream was parked on — letting a third stream's later
-        accesses overtake the parked earlier ones, deriving a phantom
-        backwards dependence and a false-positive cycle."""
+        whose log starts later) carry their creation seq, far from the
+        accesses around them.  The replay still takes the accesses in
+        seq order: a merge that once ordered a thread's log by such a
+        mark let a later write overtake an earlier one here, deriving a
+        phantom backwards dependence and a false-positive cycle."""
         x1 = make_tx(1, "TX")  # writes f early
         x2 = make_tx(2, "TX")  # ICD attributes a later edge to it
         y = make_tx(3, "TY")   # reads then writes f in the middle
@@ -168,15 +167,13 @@ class TestReplayOrdering:
         log(x1, W, 1, "f", 10)
         log(y, R, 1, "f", 20)
         # an edge attributed to TX's *next* transaction: its source
-        # mark opens x2's (still empty) log, its sink parks TY's
-        # stream before the seq-28 write
+        # mark opens x2's (still empty) log, its sink sits in TY's log
+        # before the seq-28 write
         link(x2, y, 27)
         log(y, W, 1, "f", 28)
         log(z, W, 1, "f", 45)
-        # a late edge anchored at the END of x1's log with seq 51: the
-        # TX stream must emit it before reaching x2's source mark, so
-        # the old heap held TX at priority 51 while TZ's seq-45 write
-        # overtook TY's parked seq-28 write
+        # a late edge anchored at the end of x1's log with seq 51,
+        # after TZ's seq-45 write
         link(x1, z, 51)
         pcd = PCD()
         violations = pcd.process([x1, x2, y, z])
@@ -343,14 +340,14 @@ class TestResumption:
 
     def test_state_after_order_fallback_is_not_kept(self):
         a, b = make_tx(1, "T1"), make_tx(2, "T2")
-        # contradictory anchors (see test_pcd_fallback): each stream's
-        # head waits on a source mark behind the other's
+        # contradictory anchors (see test_pcd_fallback): e2's source
+        # mark (seq 4) is later than its sink mark (seq 1)
         e1 = IdgEdge(a, b, "x", 1)
         e2 = IdgEdge(b, a, "x", 2)
-        mark(a, 2, False, 1)
-        mark(a, 1, True, 2)
-        mark(b, 1, False, 3)
-        mark(b, 2, True, 4)
+        e2.dst_log_index = mark(a, 2, False, 1)
+        e1.src_log_index = mark(a, 1, True, 2)
+        e1.dst_log_index = mark(b, 1, False, 3)
+        e2.src_log_index = mark(b, 2, True, 4)
         a.out_edges.append(e1)
         b.in_edges.append(e1)
         b.out_edges.append(e2)

@@ -1,9 +1,8 @@
 """PCD's defensive order fallback and other edge paths.
 
-The topological merge should never need its fallback on well-formed
-input (property-tested elsewhere); these tests exercise the defensive
-path directly with deliberately inconsistent anchors, plus other rare
-input shapes.
+Seq order satisfies every anchor of well-formed input (property-tested
+elsewhere); these tests exercise the defensive path directly with
+deliberately inconsistent anchors, plus other rare input shapes.
 """
 
 from repro.core.pcd import PCD
@@ -25,22 +24,24 @@ def access(tx, is_write, oid, field, seq):
 
 
 def mark(tx, order, is_source, seq):
+    """Append an edge mark to ``tx``'s log; returns its index."""
     tx.log.append((seq, order, is_source))
+    return len(tx.log) - 1
 
 
 def test_contradictory_anchors_fall_back_to_sequence_order():
-    """Two edges anchored in opposite directions deadlock the merge;
-    PCD must degrade to sequence order rather than fail."""
+    """Two edges anchored in opposite directions: no order satisfies
+    both, so PCD replays in sequence order rather than fail."""
     a = make_tx(1, "T1")
     b = make_tx(2, "T2")
     # edge 1: a-source before b-sink; edge 2: b-source before a-sink —
-    # but interleave the marks so each stream's front waits on the other
+    # but interleave the marks so each log's front waits on the other
     e1 = IdgEdge(a, b, "x", 1)
     e2 = IdgEdge(b, a, "x", 2)
-    mark(a, 2, False, 1)   # a waits for e2's source...
-    mark(a, 1, True, 2)
-    mark(b, 1, False, 3)   # ...b waits for e1's source
-    mark(b, 2, True, 4)
+    e2.dst_log_index = mark(a, 2, False, 1)   # a waits for e2's source...
+    e1.src_log_index = mark(a, 1, True, 2)
+    e1.dst_log_index = mark(b, 1, False, 3)   # ...b waits for e1's source
+    e2.src_log_index = mark(b, 2, True, 4)
     a.out_edges.append(e1)
     b.in_edges.append(e1)
     b.out_edges.append(e2)

@@ -80,14 +80,25 @@ class TestReadWriteLog:
 
     def test_entry_address_precomputed_not_a_property(self):
         """No entry builds its own address: each holds the tuple the
-        executor or ICD interned for its field."""
-        icd, executor, logs = single_run()
+        executor interned for its field, slow-path entries included."""
+        _, executor, logs = single_run()
         for entry in accesses(logs):
             address = entry[1]
-            assert (
-                executor._addr_intern.get(address) is address
-                or icd._addr_intern.get(address) is address
-            )
+            assert executor._addr_intern.get(address) is address
+
+    def test_each_field_is_one_tuple(self):
+        """The fused barrier and the slow path both log the address the
+        barrier was called with, so each logged field is held by one
+        tuple object in every log entry and elision key."""
+        icd, _, logs = single_run()
+        objects = {}
+        for entry in accesses(logs):
+            objects.setdefault(entry[1], set()).add(id(entry[1]))
+        for table in icd._elision._last_by_thread.values():
+            for address in table:
+                objects.setdefault(address, set()).add(id(address))
+        assert len(objects) == 3
+        assert all(len(ids) == 1 for ids in objects.values()), objects
 
     def test_append_access_passes_interned_address_through(self):
         """The fused barrier logs the executor's interned address."""

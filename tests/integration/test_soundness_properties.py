@@ -393,8 +393,8 @@ def test_vector_clock_agrees_with_oracle_and_velodrome(case):
 @given(program_strategy)
 @settings(max_examples=40, deadline=None)
 def test_replay_never_falls_back(case):
-    """PCD's topological merge must always be consistent (the edge
-    anchors are sufficient; the seq tie-break never contradicts them)."""
+    """Seq order never breaks an edge anchor: both marks of an edge
+    carry its creation seq (see repro.core.rwlog)."""
     for gc_interval in GC_INTERVALS:
         pcd = run_all(*case, gc_interval=gc_interval)[-1]
         assert pcd.stats.order_fallbacks == 0, gc_interval
@@ -632,6 +632,77 @@ def test_resumed_replay_equals_from_scratch_replay(monkeypatch):
     generated()
     scripted()
     assert resumed_calls
+
+
+def test_replay_order_is_seq_order_and_satisfies_every_anchor(monkeypatch):
+    """Every replay order PCD builds in single-run mode is exactly its
+    component's accesses from the cut on, in seq order, each with the
+    transaction that logged it; and for every anchor between members,
+    every access before the source mark replays before every access
+    after the sink mark.  No anchor is counted as broken."""
+    merge = PCD._merge_logs
+    orders = []
+
+    def checked_merge(pcd, members, cut):
+        pairs, entries, broken = merge(pcd, members, cut)
+        expected = sorted(
+            (
+                (entry, tx) for tx in members for entry in tx.log
+                if len(entry) == 4 and entry[0] >= cut
+            ),
+            key=lambda pair: pair[0][0],
+        )
+        assert len(pairs) == len(expected)
+        for (entry, tx), (want, owner) in zip(pairs, expected):
+            assert entry is want and tx is owner
+        position = {entry[0]: i for i, (entry, _) in enumerate(pairs)}
+        ids = {tx.tx_id for tx in members}
+
+        def replayed(log):
+            return [position[e[0]] for e in log if len(e) == 4 and e[0] >= cut]
+
+        for tx in members:
+            for edge in tx.out_edges:
+                if edge.dst.tx_id not in ids:
+                    continue
+                before = replayed(tx.log[:edge.src_log_index])
+                after = replayed(edge.dst.log[edge.dst_log_index + 1:])
+                if before and after:
+                    assert max(before) < min(after), (edge, cut)
+        assert broken == 0
+        orders.append(len(pairs))
+        return pairs, entries, broken
+
+    monkeypatch.setattr(PCD, "_merge_logs", checked_merge)
+
+    @given(program_strategy)
+    @settings(max_examples=40, deadline=None)
+    def generated(case):
+        method_specs, thread_scripts, seed = case
+        for gc_interval in GC_INTERVALS:
+            program = materialize(method_specs, thread_scripts)
+            result = DoubleChecker(
+                AtomicitySpecification.initial(program),
+                gc_interval=gc_interval,
+            ).run_single(program, _schedule(seed))
+            assert result.pcd_stats.order_fallbacks == 0
+
+    @given(scripted_program_strategy)
+    @settings(max_examples=40, deadline=None)
+    def scripted(case):
+        method_specs, thread_scripts, seed = case
+        for gc_interval in GC_INTERVALS:
+            program = materialize_scripted(method_specs, thread_scripts)
+            result = DoubleChecker(
+                AtomicitySpecification.initial(program),
+                gc_interval=gc_interval,
+                instrument_arrays=True,
+            ).run_single(program, _schedule(seed))
+            assert result.pcd_stats.order_fallbacks == 0
+
+    generated()
+    scripted()
+    assert any(orders)
 
 
 def _assert_logs_nondecreasing(icd):

@@ -5,7 +5,7 @@ decision tree; ``classify`` is Table 1's pure reference form.  The
 property drives random access sequences through ``observe`` and,
 after every access, compares it with a reference model that asks
 ``classify`` for the transition and applies Octet's rules for the
-commit: the record, the coordination round, the hook that fired, the
+commit: the returned kind, the hook that fired and its arguments, the
 object's state, the thread's ``rdShCnt`` and every counter.
 """
 
@@ -16,25 +16,12 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.octet.protocol import ProtocolKind
 from repro.octet.runtime import OctetListener, OctetRuntime, OctetStats
 from repro.octet.transitions import TransitionKind, classify
 from repro.runtime.events import AccessEvent, AccessKind, Site
 from repro.runtime.heap import Heap
 
 _seq = itertools.count(1)
-
-HOOK_OF = {
-    TransitionKind.SAME_STATE: None,
-    TransitionKind.INITIAL: "on_initial",
-    TransitionKind.UPGRADING_WR_EX: "on_upgrading_wr_ex",
-    TransitionKind.UPGRADING_RD_SH: "on_upgrading_rd_sh",
-    TransitionKind.FENCE: "on_fence",
-    TransitionKind.CONFLICTING_WR_WR: "on_conflicting",
-    TransitionKind.CONFLICTING_WR_RD: "on_conflicting",
-    TransitionKind.CONFLICTING_RD_WR: "on_conflicting",
-    TransitionKind.CONFLICTING_SH_WR: "on_conflicting",
-}
 
 
 def make_event(obj, thread, kind):
@@ -45,25 +32,19 @@ def make_event(obj, thread, kind):
 
 
 class Recorder(OctetListener):
-    """Records every hook call as (hook name, record)."""
+    """Records every hook call as (hook name, arguments)."""
 
     def __init__(self):
         self.calls = []
 
-    def on_initial(self, record):
-        self.calls.append(("on_initial", record))
+    def on_upgrading_rd_sh(self, thread, prior_owner, counter):
+        self.calls.append(("on_upgrading_rd_sh", (thread, prior_owner, counter)))
 
-    def on_upgrading_wr_ex(self, record):
-        self.calls.append(("on_upgrading_wr_ex", record))
+    def on_fence(self, thread, counter):
+        self.calls.append(("on_fence", (thread, counter)))
 
-    def on_upgrading_rd_sh(self, record):
-        self.calls.append(("on_upgrading_rd_sh", record))
-
-    def on_fence(self, record):
-        self.calls.append(("on_fence", record))
-
-    def on_conflicting(self, record):
-        self.calls.append(("on_conflicting", record))
+    def on_conflicting(self, thread, responders, is_read):
+        self.calls.append(("on_conflicting", (thread, list(responders), is_read)))
 
 
 class Reference:
@@ -84,8 +65,8 @@ class Reference:
         self.intermediate = 0
 
     def access(self, oid, thread, access, blocked):
-        """Commit one access; returns (kind, old, new, prior_owner,
-        rdsh_counter, responders)."""
+        """Commit one access; returns (kind, new state, the hook calls
+        it makes)."""
         old = self.states.get(oid)
         verdict = classify(
             old, access, thread, self.rdsh.get(thread, 0), self.g_rdsh + 1
@@ -93,7 +74,7 @@ class Reference:
         kind = verdict.kind
         stats = self.stats
         stats.barriers += 1
-        new, prior_owner, counter, responders = old, None, None, None
+        new, calls = old, []
         if kind is TransitionKind.SAME_STATE:
             stats.fast_path += 1
         elif kind is TransitionKind.INITIAL:
@@ -102,18 +83,19 @@ class Reference:
         elif kind is TransitionKind.UPGRADING_WR_EX:
             stats.upgrading_wr_ex += 1
             stats.atomic_operations += 1
-            new, prior_owner = verdict.new_state, old.owner
+            new = verdict.new_state
         elif kind is TransitionKind.UPGRADING_RD_SH:
             stats.upgrading_rd_sh += 1
             stats.atomic_operations += 1
             self.g_rdsh += 1
-            counter = self.g_rdsh
-            self.rdsh[thread] = counter
-            new, prior_owner = verdict.new_state, old.owner
+            self.rdsh[thread] = self.g_rdsh
+            new = verdict.new_state
+            calls = [("on_upgrading_rd_sh", (thread, old.owner, self.g_rdsh))]
         elif kind is TransitionKind.FENCE:
             stats.fences += 1
             stats.memory_fences_issued += 1
             self.rdsh[thread] = verdict.thread_counter_update
+            calls = [("on_fence", (thread, verdict.thread_counter_update))]
         else:
             assert kind.is_conflicting()
             stats.conflicting += 1
@@ -126,20 +108,16 @@ class Reference:
                 names = [t for t in self.threads if t != thread]
             else:
                 names = [old.owner]
-                prior_owner = old.owner
-            responders = [
-                (name, ProtocolKind.IMPLICIT if blocked(name)
-                 else ProtocolKind.EXPLICIT)
-                for name in names
-            ]
-            implicit = sum(p is ProtocolKind.IMPLICIT for _, p in responders)
+            implicit = sum(1 for name in names if blocked(name))
             stats.atomic_operations += implicit
             self.protocol["rounds"] += 1
-            self.protocol["explicit_responses"] += len(responders) - implicit
+            self.protocol["explicit_responses"] += len(names) - implicit
             self.protocol["implicit_responses"] += implicit
             self.protocol["holds_placed"] += implicit
+            calls = [("on_conflicting",
+                      (thread, names, access is AccessKind.READ))]
         self.states[oid] = new
-        return kind, old, new, prior_owner, counter, responders
+        return kind, new, calls
 
 
 steps = st.lists(
@@ -173,33 +151,12 @@ def test_observe_commits_what_table1_says(n_threads, script):
         access = AccessKind.WRITE if is_write else AccessKind.READ
         blocked.clear()
         blocked.update(threads[b] for b in blocked_now if b < n_threads)
-        kind, old, new, prior_owner, counter, responders = reference.access(
+        kind, new, calls = reference.access(
             obj.oid, thread, access, blocked.__contains__
         )
         recorder.calls.clear()
-        record = runtime.observe(make_event(obj, thread, access))
-
-        assert record.kind is kind
-        assert record.old_state == old
-        assert record.new_state == new
-        assert record.prior_owner == prior_owner
-        assert record.rdsh_counter == counter
-        if responders is None:
-            assert record.coordination is None
-        else:
-            round_ = record.coordination
-            assert round_.requester == thread
-            assert [
-                (r.thread_name, r.protocol) for r in round_.responders
-            ] == responders
-            assert round_.implicit_count == sum(
-                p is ProtocolKind.IMPLICIT for _, p in responders
-            )
-            assert round_.explicit_count == (
-                len(responders) - round_.implicit_count
-            )
-        hook = HOOK_OF[kind]
-        assert recorder.calls == ([] if hook is None else [(hook, record)])
+        assert runtime.observe(make_event(obj, thread, access)) is kind
+        assert recorder.calls == calls
         assert runtime.state_of(obj.oid) == new
         for name in threads:
             assert runtime.thread_counter(name) == reference.rdsh.get(name, 0)
@@ -218,15 +175,15 @@ def test_no_op_hooks_are_left_out_of_the_tables():
         def __init__(self):
             self.fences = 0
 
-        def on_fence(self, record):
+        def on_fence(self, thread, counter):
             self.fences += 1
 
     runtime = OctetRuntime(live_threads=lambda: ["T1", "T2", "T3"])
     listener = OnlyFences()
     runtime.add_listener(listener)
     assert runtime._hooks == {
-        "on_initial": [], "on_upgrading_wr_ex": [], "on_upgrading_rd_sh": [],
-        "on_fence": [listener.on_fence], "on_conflicting": [],
+        "on_conflicting": [], "on_upgrading_rd_sh": [],
+        "on_fence": [listener.on_fence],
     }
     obj = Heap().alloc("o")
     for thread in ("T1", "T2", "T3"):  # initial, ->RdSh, fence

@@ -1,11 +1,9 @@
 """Property-based tests of the Octet state machine (hypothesis)."""
 
-import itertools
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.octet.runtime import OctetRuntime
+from repro.octet.runtime import OctetListener, OctetRuntime
 from repro.octet.states import StateKind
 from repro.octet.transitions import TransitionKind
 from repro.runtime.events import AccessEvent, AccessKind, Site
@@ -25,24 +23,46 @@ scripts = st.lists(
 )
 
 
+class Hooks(OctetListener):
+    def __init__(self):
+        self.calls = []
+
+    def on_conflicting(self, thread, responders, is_read):
+        self.calls.append(("conflicting", thread, list(responders)))
+
+    def on_upgrading_rd_sh(self, thread, prior_owner, counter):
+        self.calls.append(("up_rdsh", thread, counter))
+
+    def on_fence(self, thread, counter):
+        self.calls.append(("fence", thread, counter))
+
+
 def run_script(script):
+    """Run ``script``; per access, the transition kind, the object's
+    state before and after, and the hook calls it made."""
     heap = Heap()
     objects = [heap.alloc(f"o{i}") for i in range(3)]
     runtime = OctetRuntime(live_threads=lambda: list(THREADS))
-    records = []
+    hooks = Hooks()
+    runtime.add_listener(hooks)
+    steps = []
     for seq, (t, o, is_write) in enumerate(script, start=1):
+        obj = objects[o]
         event = AccessEvent(
             seq=seq,
             thread_name=THREADS[t],
-            obj=objects[o],
+            obj=obj,
             fieldname="f",
             kind=AccessKind.WRITE if is_write else AccessKind.READ,
             is_sync=False,
             is_array=False,
             site=Site("m", 0),
         )
-        records.append(runtime.observe(event))
-    return runtime, objects, records
+        old = runtime.state_of(obj.oid)
+        hooks.calls.clear()
+        kind = runtime.observe(event)
+        steps.append((kind, old, runtime.state_of(obj.oid), list(hooks.calls)))
+    return runtime, objects, steps
 
 
 @given(scripts)
@@ -56,18 +76,14 @@ def test_states_never_left_intermediate(script):
 @given(scripts)
 @settings(max_examples=150, deadline=None)
 def test_write_always_ends_in_wrex_for_writer(script):
-    runtime, objects, records = run_script(script)
-    # replay: after each write by T, the object's state must be WrEx(T)
-    states = {}
-    for (t, o, is_write), record in zip(script, records):
+    _, _, steps = run_script(script)
+    # after each write by T, the object's state must be WrEx(T)
+    for (t, o, is_write), (kind, old, new, _) in zip(script, steps):
         if is_write:
-            assert record.new_state is None or (
-                record.new_state.kind is StateKind.WR_EX
-                and record.new_state.owner == THREADS[t]
-            )
-            if record.new_state is None:  # same-state fast path
-                assert record.old_state.kind is StateKind.WR_EX
-                assert record.old_state.owner == THREADS[t]
+            assert new.kind is StateKind.WR_EX
+            assert new.owner == THREADS[t]
+            if kind is TransitionKind.SAME_STATE:
+                assert new is old
 
 
 @given(scripts)
@@ -76,41 +92,42 @@ def test_read_fast_path_only_when_safe(script):
     """A read takes the fast path only if the thread owns the object or
     its rdShCnt is current — the conditions of the read barrier."""
     counters = {t: 0 for t in THREADS}
-    for (t, o, is_write), record in zip(script, run_script(script)[2]):
+    for (t, o, is_write), (kind, old, new, _) in zip(
+        script, run_script(script)[2]
+    ):
         thread = THREADS[t]
-        if not is_write and record.kind is TransitionKind.SAME_STATE:
-            state = record.old_state
-            if state.kind is StateKind.RD_SH:
-                assert counters[thread] >= state.counter
+        if not is_write and kind is TransitionKind.SAME_STATE:
+            if old.kind is StateKind.RD_SH:
+                assert counters[thread] >= old.counter
             else:
-                assert state.owner == thread
-        if record.kind is TransitionKind.FENCE:
-            counters[thread] = record.old_state.counter
-        if record.kind is TransitionKind.UPGRADING_RD_SH:
-            counters[thread] = record.new_state.counter
+                assert old.owner == thread
+        if kind is TransitionKind.FENCE:
+            counters[thread] = old.counter
+        if kind is TransitionKind.UPGRADING_RD_SH:
+            counters[thread] = new.counter
 
 
 @given(scripts)
 @settings(max_examples=150, deadline=None)
 def test_global_counter_increments_only_on_rdsh_upgrades(script):
-    runtime, _, records = run_script(script)
-    upgrades = sum(
-        1 for r in records if r.kind is TransitionKind.UPGRADING_RD_SH
-    )
-    assert runtime.g_rdsh_counter == upgrades
-    # RdSh counters are unique per upgrade and at most the global counter
+    runtime, _, steps = run_script(script)
+    upgrades = [step for step in steps
+                if step[0] is TransitionKind.UPGRADING_RD_SH]
+    assert runtime.g_rdsh_counter == len(upgrades)
+    # RdSh counters are unique per upgrade and at most the global
+    # counter; the hook gets the counter the object's state holds
     seen = set()
-    for record in records:
-        if record.kind is TransitionKind.UPGRADING_RD_SH:
-            assert record.rdsh_counter not in seen
-            seen.add(record.rdsh_counter)
-            assert record.rdsh_counter <= runtime.g_rdsh_counter
+    for kind, old, new, calls in upgrades:
+        assert calls == [("up_rdsh", calls[0][1], new.counter)]
+        assert new.counter not in seen
+        seen.add(new.counter)
+        assert new.counter <= runtime.g_rdsh_counter
 
 
 @given(scripts)
 @settings(max_examples=150, deadline=None)
 def test_barrier_counts_are_consistent(script):
-    runtime, _, records = run_script(script)
+    runtime, _, _ = run_script(script)
     stats = runtime.stats
     assert stats.barriers == len(script)
     assert stats.barriers == (
@@ -126,12 +143,13 @@ def test_barrier_counts_are_consistent(script):
 @given(scripts)
 @settings(max_examples=100, deadline=None)
 def test_conflicting_transitions_always_coordinate(script):
-    _, _, records = run_script(script)
-    for record in records:
-        if record.kind.is_conflicting():
-            assert record.coordination is not None
-            assert record.coordination.responders
-            names = {r.thread_name for r in record.coordination.responders}
-            assert record.event.thread_name not in names
+    _, _, steps = run_script(script)
+    for (t, _, _), (kind, _, _, calls) in zip(script, steps):
+        conflicting = [call for call in calls if call[0] == "conflicting"]
+        if kind.is_conflicting():
+            [(_, thread, responders)] = conflicting
+            assert thread == THREADS[t]
+            assert responders
+            assert thread not in responders
         else:
-            assert record.coordination is None
+            assert conflicting == []

@@ -1,34 +1,33 @@
 """The coordination protocol model."""
 
-from repro.octet.protocol import CoordinationProtocol, ProtocolKind
+from repro.octet.protocol import CoordinationProtocol
 
 
 def test_explicit_for_running_threads():
     protocol = CoordinationProtocol()
-    round_ = protocol.coordinate("T1", ["T2", "T3"])
-    assert round_.explicit_count == 2
-    assert round_.implicit_count == 0
-    assert all(
-        r.protocol is ProtocolKind.EXPLICIT for r in round_.responders
-    )
+    assert protocol.coordinate("T1", ["T2", "T3"]) == 0
+    stats = protocol.stats()
+    assert stats["explicit_responses"] == 2
+    assert stats["implicit_responses"] == stats["holds_placed"] == 0
 
 
 def test_implicit_for_blocked_threads():
     blocked = {"T2"}
     protocol = CoordinationProtocol(lambda t: t in blocked)
-    round_ = protocol.coordinate("T1", ["T2", "T3"])
-    assert round_.implicit_count == 1
-    assert round_.explicit_count == 1
-    by_name = {r.thread_name: r for r in round_.responders}
-    assert by_name["T2"].protocol is ProtocolKind.IMPLICIT
-    assert by_name["T2"].invoked_by_requester
-    assert not by_name["T3"].invoked_by_requester
+    # T2 is blocked: it responds implicitly, under a hold
+    assert protocol.coordinate("T1", ["T2", "T3"]) == 1
+    stats = protocol.stats()
+    assert stats["implicit_responses"] == stats["holds_placed"] == 1
+    assert stats["explicit_responses"] == 1
 
 
 def test_requester_never_responds_to_itself():
-    protocol = CoordinationProtocol()
-    round_ = protocol.coordinate("T1", ["T1", "T2"])
-    assert [r.thread_name for r in round_.responders] == ["T2"]
+    blocked = {"T1"}
+    protocol = CoordinationProtocol(lambda t: t in blocked)
+    assert protocol.coordinate("T1", ["T1", "T2"]) == 0
+    stats = protocol.stats()
+    assert stats["explicit_responses"] == 1
+    assert stats["implicit_responses"] == 0
 
 
 def test_stats_accumulate():
@@ -45,6 +44,8 @@ def test_stats_accumulate():
 
 def test_empty_responder_list():
     protocol = CoordinationProtocol()
-    round_ = protocol.coordinate("T1", [])
-    assert round_.responders == []
-    assert protocol.stats()["rounds"] == 1
+    assert protocol.coordinate("T1", []) == 0
+    assert protocol.stats() == {
+        "rounds": 1, "explicit_responses": 0, "implicit_responses": 0,
+        "holds_placed": 0,
+    }

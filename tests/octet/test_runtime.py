@@ -30,20 +30,14 @@ class Hooks(OctetListener):
     def __init__(self):
         self.calls = []
 
-    def on_conflicting(self, record):
-        self.calls.append(("conflicting", record))
+    def on_conflicting(self, thread, responders, is_read):
+        self.calls.append(("conflicting", thread, list(responders), is_read))
 
-    def on_upgrading_rd_sh(self, record):
-        self.calls.append(("up_rdsh", record))
+    def on_upgrading_rd_sh(self, thread, prior_owner, counter):
+        self.calls.append(("up_rdsh", thread, prior_owner, counter))
 
-    def on_upgrading_wr_ex(self, record):
-        self.calls.append(("up_wrex", record))
-
-    def on_fence(self, record):
-        self.calls.append(("fence", record))
-
-    def on_initial(self, record):
-        self.calls.append(("initial", record))
+    def on_fence(self, thread, counter):
+        self.calls.append(("fence", thread, counter))
 
 
 @pytest.fixture
@@ -70,29 +64,28 @@ def write(runtime, obj, thread):
 
 def test_first_write_installs_wrex(runtime_and_hooks, obj):
     runtime, hooks = runtime_and_hooks
-    record = write(runtime, obj, "T1")
-    assert record.kind is TransitionKind.INITIAL
+    assert write(runtime, obj, "T1") is TransitionKind.INITIAL
     assert runtime.state_of(obj.oid) == wr_ex("T1")
-    assert hooks.calls[0][0] == "initial"
+    # an initial transition carries no dependence: no hook fires
+    assert hooks.calls == []
 
 
 def test_owner_accesses_take_fast_path(runtime_and_hooks, obj):
-    runtime, _ = runtime_and_hooks
+    runtime, hooks = runtime_and_hooks
     write(runtime, obj, "T1")
     for _ in range(5):
-        record = read(runtime, obj, "T1")
-        assert record.kind is TransitionKind.SAME_STATE
+        assert read(runtime, obj, "T1") is TransitionKind.SAME_STATE
     assert runtime.stats.fast_path == 5
     assert runtime.stats.barriers == 6
+    assert hooks.calls == []
 
 
 def test_conflicting_read_moves_ownership(runtime_and_hooks, obj):
     runtime, hooks = runtime_and_hooks
     write(runtime, obj, "T1")
-    record = read(runtime, obj, "T2")
-    assert record.kind is TransitionKind.CONFLICTING_WR_RD
-    assert record.prior_owner == "T1"
-    assert record.coordination.responders[0].thread_name == "T1"
+    assert read(runtime, obj, "T2") is TransitionKind.CONFLICTING_WR_RD
+    # the prior owner is the one responder
+    assert hooks.calls == [("conflicting", "T2", ["T1"], True)]
     assert runtime.state_of(obj.oid).owner == "T2"
     assert runtime.state_of(obj.oid).kind is StateKind.RD_EX
 
@@ -100,8 +93,8 @@ def test_conflicting_read_moves_ownership(runtime_and_hooks, obj):
 def test_upgrade_to_rdsh_increments_global_counter(runtime_and_hooks, obj):
     runtime, hooks = runtime_and_hooks
     read(runtime, obj, "T1")          # RdEx(T1)
-    record = read(runtime, obj, "T2")  # RdSh(1)
-    assert record.kind is TransitionKind.UPGRADING_RD_SH
+    assert read(runtime, obj, "T2") is TransitionKind.UPGRADING_RD_SH
+    assert hooks.calls == [("up_rdsh", "T2", "T1", 1)]
     assert runtime.g_rdsh_counter == 1
     assert runtime.state_of(obj.oid) == rd_sh(1)
     # the upgrading thread's counter is brought current
@@ -124,12 +117,13 @@ def test_fence_for_stale_reader(runtime_and_hooks, obj):
     runtime, hooks = runtime_and_hooks
     read(runtime, obj, "T1")
     read(runtime, obj, "T2")  # RdSh(1)
-    record = read(runtime, obj, "T3")  # T3.rdShCnt = 0 < 1 -> fence
-    assert record.kind is TransitionKind.FENCE
+    # T3.rdShCnt = 0 < 1 -> fence
+    assert read(runtime, obj, "T3") is TransitionKind.FENCE
+    assert hooks.calls[-1] == ("fence", "T3", 1)
     assert runtime.thread_counter("T3") == 1
     assert runtime.stats.memory_fences_issued == 1
     # second read takes the fast path
-    assert read(runtime, obj, "T3").kind is TransitionKind.SAME_STATE
+    assert read(runtime, obj, "T3") is TransitionKind.SAME_STATE
 
 
 def test_no_fence_when_counter_current(runtime_and_hooks):
@@ -141,26 +135,26 @@ def test_no_fence_when_counter_current(runtime_and_hooks):
     read(runtime, o, "T2")    # o -> RdSh(1)
     read(runtime, p, "T1")
     read(runtime, p, "T3")    # p -> RdSh(2); T3.rdShCnt = 2
-    record = read(runtime, o, "T3")  # 2 >= 1: no fence
-    assert record.kind is TransitionKind.SAME_STATE
+    # 2 >= 1: no fence
+    assert read(runtime, o, "T3") is TransitionKind.SAME_STATE
 
 
 def test_rdsh_write_coordinates_with_all_other_threads(runtime_and_hooks, obj):
     runtime, hooks = runtime_and_hooks
     read(runtime, obj, "T1")
     read(runtime, obj, "T2")  # RdSh
-    record = write(runtime, obj, "T3")
-    assert record.kind is TransitionKind.CONFLICTING_SH_WR
-    responders = {r.thread_name for r in record.coordination.responders}
-    assert responders == {"T1", "T2"}
+    assert write(runtime, obj, "T3") is TransitionKind.CONFLICTING_SH_WR
+    name, thread, responders, is_read = hooks.calls[-1]
+    assert (name, thread, is_read) == ("conflicting", "T3", False)
+    assert set(responders) == {"T1", "T2"}
 
 
 def test_upgrade_wrex_needs_no_coordination(runtime_and_hooks, obj):
     runtime, hooks = runtime_and_hooks
     read(runtime, obj, "T1")
-    record = write(runtime, obj, "T1")
-    assert record.kind is TransitionKind.UPGRADING_WR_EX
-    assert record.coordination is None
+    assert write(runtime, obj, "T1") is TransitionKind.UPGRADING_WR_EX
+    assert runtime.protocol.stats()["rounds"] == 0
+    assert hooks.calls == []
     assert runtime.state_of(obj.oid) == wr_ex("T1")
 
 
@@ -170,20 +164,26 @@ def test_implicit_protocol_for_blocked_responder(obj):
         is_thread_blocked=lambda t: t in blocked,
         live_threads=lambda: ["T1", "T2"],
     )
+    hooks = Hooks()
+    runtime.add_listener(hooks)
     write(runtime, obj, "T1")
-    record = write(runtime, obj, "T2")
-    responder = record.coordination.responders[0]
-    assert responder.protocol.value == "implicit"
-    assert responder.invoked_by_requester
-    assert runtime.protocol.stats()["holds_placed"] == 1
+    write(runtime, obj, "T2")
+    assert hooks.calls == [("conflicting", "T2", ["T1"], False)]
+    stats = runtime.protocol.stats()
+    assert stats["implicit_responses"] == stats["holds_placed"] == 1
+    assert stats["explicit_responses"] == 0
+    # the claim of the object plus the responder's flag
+    assert runtime.stats.atomic_operations == 2
 
 
 def test_explicit_protocol_for_running_responder(runtime_and_hooks, obj):
     runtime, _ = runtime_and_hooks
     write(runtime, obj, "T1")
-    record = write(runtime, obj, "T2")
-    assert record.coordination.responders[0].protocol.value == "explicit"
-    assert runtime.protocol.stats()["explicit_responses"] == 1
+    write(runtime, obj, "T2")
+    stats = runtime.protocol.stats()
+    assert stats["explicit_responses"] == 1
+    assert stats["implicit_responses"] == stats["holds_placed"] == 0
+    assert runtime.stats.atomic_operations == 1
 
 
 def test_intermediate_states_entered_on_conflicts(runtime_and_hooks, obj):

@@ -26,11 +26,12 @@ def test_sync_accesses_drive_states_like_data_accesses():
     lock = Heap().alloc("lock")
     runtime.observe(event(lock, "T1", AccessKind.READ, is_sync=True))   # acq
     runtime.observe(event(lock, "T1", AccessKind.WRITE, is_sync=True))  # rel
-    record = runtime.observe(
+    assert runtime.state_of(lock.oid).owner == "T1"
+    kind = runtime.observe(
         event(lock, "T2", AccessKind.READ, is_sync=True)                # acq
     )
-    assert record.kind is TransitionKind.CONFLICTING_WR_RD
-    assert record.prior_owner == "T1"
+    assert kind is TransitionKind.CONFLICTING_WR_RD
+    assert runtime.state_of(lock.oid).owner == "T2"
 
 
 def test_ownership_round_trip_returns_to_original_thread():
@@ -38,8 +39,8 @@ def test_ownership_round_trip_returns_to_original_thread():
     obj = Heap().alloc("o")
     runtime.observe(event(obj, "T1", AccessKind.WRITE))
     runtime.observe(event(obj, "T2", AccessKind.WRITE))
-    record = runtime.observe(event(obj, "T1", AccessKind.WRITE))
-    assert record.kind is TransitionKind.CONFLICTING_WR_WR
+    kind = runtime.observe(event(obj, "T1", AccessKind.WRITE))
+    assert kind is TransitionKind.CONFLICTING_WR_WR
     state = runtime.state_of(obj.oid)
     assert state.kind is StateKind.WR_EX and state.owner == "T1"
 
@@ -51,8 +52,8 @@ def test_rdsh_object_can_return_to_exclusive_and_share_again():
     runtime.observe(event(obj, "T2", AccessKind.READ))   # RdSh(1)
     runtime.observe(event(obj, "T3", AccessKind.WRITE))  # WrEx(T3)
     runtime.observe(event(obj, "T1", AccessKind.READ))   # RdEx(T1)
-    record = runtime.observe(event(obj, "T2", AccessKind.READ))  # RdSh(2)
-    assert record.kind is TransitionKind.UPGRADING_RD_SH
+    kind = runtime.observe(event(obj, "T2", AccessKind.READ))  # RdSh(2)
+    assert kind is TransitionKind.UPGRADING_RD_SH
     assert runtime.state_of(obj.oid).counter == 2
 
 
