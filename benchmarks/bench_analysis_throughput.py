@@ -1,8 +1,9 @@
 """Analysis-phase throughput benchmark: the cycle-detection clients.
 
 Times the Velodrome per-edge checker, whose checks the transaction
-clocks certify (``repro.core.clocks``), ICD's transaction-end Tarjan
-pass (``repro.core.scc``), and the vector-clock backend, on the
+clocks certify (``repro.core.clocks``), ICD's transaction-end SCC
+pass (``repro.core.scc``: a forward and a backward sweep from the
+ending transaction), and the vector-clock backend, on the
 ``hubstress`` workload built for exactly this: one long *hub*
 transaction per round anchors itself into a producer group's
 ever-growing write chain, then periodically probes old write-once seed
@@ -11,7 +12,9 @@ exhaust the hub's whole reachable region to *refute* a cycle, while
 the source's clock answers with one dict probe.
 The retired arms' last numbers are kept as ``LEGACY_*`` constants:
 Velodrome's visit counts are checked against its whole-graph arm, and
-ICD's Tarjan schedule must reproduce its recorded visit count exactly.
+ICD's transaction-end schedule must reproduce its recorded visit
+count exactly (its result key is still ``tarjan``, the pass's name
+when the count was recorded).
 
 Records steps/sec and the deterministic visit counters into
 ``results/BENCH_analysis.json`` so future work has a committed
@@ -189,10 +192,10 @@ def test_analysis_throughput(tmp_path):
     The visit counters are deterministic — Velodrome's clocks must
     certify the overwhelming majority of probe checks and cut visits
     by far more than the 2x the acceptance bar asks for, against the
-    recorded whole-graph arm, and ICD's Tarjan schedule must visit
-    exactly what the recorded engine-off arm visited.  Steps/sec is
-    noisy, so the wall-clock assertions only require each arm not to
-    be meaningfully slower than the recorded arms.
+    recorded whole-graph arm, and ICD's transaction-end SCC schedule
+    must visit exactly what the recorded engine-off arm visited.
+    Steps/sec is noisy, so the wall-clock assertions only require each
+    arm not to be meaningfully slower than the recorded arms.
     """
     report = write_report(str(tmp_path / "BENCH_analysis.json"))
     rows = report["workloads"]["hubstress"]

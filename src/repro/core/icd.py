@@ -44,8 +44,6 @@ from repro.spec.specification import AtomicitySpecification
 
 SccCallback = Callable[[List[Transaction]], None]
 
-_RD_EX = StateKind.RD_EX
-
 
 @dataclass
 class ICDStats:
@@ -59,7 +57,7 @@ class ICDStats:
     largest_scc: int = 0
     scc_computations: int = 0
     scc_skipped_no_edges: int = 0
-    #: transactions indexed by the Tarjan passes, summed over passes
+    #: transactions the SCC passes' forward sweeps marked, summed
     scc_visits: int = 0
     cycle_detection_calls: int = 0
     log_entries: int = 0
@@ -233,7 +231,11 @@ class ICD(ExecutionListener, OctetListener):
         but the log entry, a tuple of untracked values (see
         :mod:`repro.core.rwlog`): no :meth:`OctetRuntime.observe` call, no
         :class:`AccessEvent`, no listener fan-out (same-state
-        transitions never fire Figure 4 procedures).  Every other
+        transitions never fire Figure 4 procedures).  A regular
+        transaction, or a unary one the manager would merge the access
+        into, is resolved inline; it bumps one Octet counter,
+        ``_fused_pending``; its constants are closure cells, as
+        keyword-only defaults slow every call.  Every other
         access (first access to an object, any Octet state transition)
         builds its :class:`AccessEvent`, ``is_sync``, the interned
         address and the site string included, for the :meth:`on_access`
@@ -255,12 +257,15 @@ class ICD(ExecutionListener, OctetListener):
         thread_rdsh = octet._thread_rdsh
         tx_manager = self.tx_manager
         tx_for_fields = tx_manager.transaction_for_fields
-        # the regular-transaction fast path of transaction_for_fields
+        # the regular and merged-unary paths of transaction_for_fields
+        # (the latter only where no unary-site filter could intervene)
         # and the elision window probe are inlined below (both dicts
         # are created once in their owners' __init__ and only mutated
-        # in place, so binding them here is safe); the slow calls
-        # remain for the unary / first-access cases
+        # in place, so binding them here is safe); the slow call
+        # remains for the other cases
         tx_current = tx_manager._current
+        merge_unary = (tx_manager._merge_unary and tx_manager._monitor_unary
+                       and tx_manager._monitor_unary_site is None)
         tx_stats = tx_manager.stats
         stats = self.stats
         elision = self._elision
@@ -272,6 +277,8 @@ class ICD(ExecutionListener, OctetListener):
         elide_duplicates = self.elide_duplicates
         slow_path = self.on_access
         check_budget = self.memory_budget is not None
+        READ, WRITE = AccessKind.READ, AccessKind.WRITE
+        WR_EX, RD_EX, RD_SH = StateKind.WR_EX, StateKind.RD_EX, StateKind.RD_SH
 
         def fused_access(
             seq: int,
@@ -284,12 +291,6 @@ class ICD(ExecutionListener, OctetListener):
             site_str: str,
             is_array: bool,
             is_sync: bool,
-            *,
-            _READ: AccessKind = AccessKind.READ,
-            _WRITE: AccessKind = AccessKind.WRITE,
-            _WR_EX: StateKind = StateKind.WR_EX,
-            _RD_EX: StateKind = StateKind.RD_EX,
-            _RD_SH: StateKind = StateKind.RD_SH,
         ) -> None:
             if is_array and not instrument_arrays:
                 stats.array_accesses_skipped += 1
@@ -301,12 +302,12 @@ class ICD(ExecutionListener, OctetListener):
                 if (
                     state.owner == thread
                     and (
-                        skind is _WR_EX
-                        or (skind is _RD_EX and kind is _READ)
+                        skind is WR_EX
+                        or (skind is RD_EX and kind is READ)
                     )
                 ) or (
-                    skind is _RD_SH
-                    and kind is _READ
+                    skind is RD_SH
+                    and kind is READ
                     and thread_rdsh.get(thread, 0) >= state.counter
                 ):
                     tx = tx_current.get(thread)
@@ -315,19 +316,19 @@ class ICD(ExecutionListener, OctetListener):
                             tx_stats.skipped_accesses += 1
                             return
                         tx_stats.regular_accesses += 1
+                    elif tx is not None and merge_unary and not tx.edge_touched:
+                        tx_stats.unary_accesses += 1
                     else:
                         tx = tx_for_fields(thread, site)
                         if tx is None:
                             return  # not instrumented in this configuration
                     stats.instrumented_accesses += 1
-                    octet._barriers_pending += 1
-                    octet._fastpath_pending += 1
                     octet._fused_pending += 1
                     if logging_enabled:
                         log = tx.log
                         if log is None:
                             log = tx.log = []
-                        is_write = kind is _WRITE
+                        is_write = kind is WRITE
                         if elide_duplicates:
                             # the last logged access to the field, as
                             # 2 * window + is_write (see ElisionFilter)
@@ -538,8 +539,8 @@ class ICD(ExecutionListener, OctetListener):
         self._maybe_collect()
 
     def _detect_from(self, tx: Transaction) -> None:
-        """Section 3.2.3's pass: Tarjan from the transaction that just
-        ended, over the finished, uncollected transactions."""
+        """Section 3.2.3's pass (:mod:`repro.core.scc`) from the
+        transaction that just ended, over the finished, uncollected ones."""
         self.stats.scc_computations += 1
         component, visits = scc_containing_counted(tx)
         self.stats.scc_visits += visits

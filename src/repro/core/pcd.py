@@ -82,11 +82,6 @@ from repro.obs.registry import publish_stats, recorder as obs_recorder
 _entry_seq = itemgetter(0)
 _ACCESS = 4
 
-
-def _pair_seq(pair: Tuple[tuple, Transaction]) -> int:
-    """The seq of an ``(access, transaction)`` replay pair."""
-    return pair[0][0]
-
 #: first-access seq of a member whose log holds no access: it bounds
 #: no cut
 _NO_ACCESS = float("inf")
@@ -244,10 +239,12 @@ class PCD:
 
         first_seq = {tx.tx_id: _first_access_seq(tx) for tx in members}
         state, cut = self._resume(first_seq)
-        pairs, replayed, broken = self._merge_logs(members, cut)
+        order, accesses, owners, replayed, broken = self._merge_logs(
+            members, cut
+        )
         stats.entries_replayed += replayed
         stats.entries_resumed += total_entries - replayed
-        violations = self._replay(state, pairs)
+        violations = self._replay(state, order, accesses, owners)
         if broken:
             stats.order_fallbacks += broken
             self._kept = None
@@ -285,15 +282,17 @@ class PCD:
     # ------------------------------------------------------------------
     def _merge_logs(
         self, members: Sequence[Transaction], cut: int
-    ) -> Tuple[List[Tuple[tuple, Transaction]], int, int]:
+    ) -> Tuple[List[int], List[tuple], List[Transaction], int, int]:
         """Collect the members' accesses with seq >= ``cut`` in seq order.
 
-        Returns the replay order as ``(access, transaction)`` pairs, the
-        number of log entries from the cut on, and the number of anchors
-        between members that seq order breaks.
+        Returns the order as indexes into the accesses and into the
+        transactions that logged them (no object per access), those two
+        lists, the number of log entries from the cut on, and the number
+        of anchors between members that seq order breaks.
         """
         member_ids = {tx.tx_id for tx in members}
-        pairs: List[Tuple[tuple, Transaction]] = []
+        accesses: List[tuple] = []
+        owners: List[Transaction] = []
         entries = 0
         broken = 0
         for tx in members:
@@ -304,7 +303,9 @@ class PCD:
             # cut on are a suffix
             suffix = log[bisect_left(log, cut, key=_entry_seq):] if cut else log
             entries += len(suffix)
-            pairs += [(entry, tx) for entry in suffix if len(entry) == _ACCESS]
+            logged = [entry for entry in suffix if len(entry) == _ACCESS]
+            accesses += logged
+            owners += [tx] * len(logged)
             # the anchors created from the cut on: out-edges are kept in
             # creation order, and a mark carries its edge's creation seq
             for edge in reversed(tx.out_edges):
@@ -314,14 +315,16 @@ class PCD:
                 dst = edge.dst
                 if dst.tx_id in member_ids and dst.log[edge.dst_log_index][0] < seq:
                     broken += 1
-        pairs.sort(key=_pair_seq)
-        return pairs, entries, broken
+        seqs = list(map(_entry_seq, accesses))
+        order = sorted(range(len(seqs)), key=seqs.__getitem__)
+        return order, accesses, owners, entries, broken
 
     # ------------------------------------------------------------------
     # Figure 5 replay
     # ------------------------------------------------------------------
     def _replay(
-        self, state: _ReplayState, pairs: List[Tuple[tuple, Transaction]]
+        self, state: _ReplayState, order: List[int], accesses: List[tuple],
+        owners: List[Transaction],
     ) -> List[ViolationRecord]:
         last_write = state.last_write
         last_reads = state.last_reads
@@ -335,8 +338,10 @@ class PCD:
         stats = self.stats
         visits_before = pdg.nodes_visited
 
-        stats.accesses_replayed += len(pairs)
-        for entry, tx in pairs:
+        stats.accesses_replayed += len(order)
+        for i in order:
+            entry = accesses[i]
+            tx = owners[i]
             thread = tx.thread_name
             tx_id = tx.tx_id
             edge_count = len(pdg_edges)

@@ -7,18 +7,22 @@ is sound (if a transaction is involved in cycles, an SCC computation
 launched when its last-finishing member ends will detect them) and
 avoids racing with threads still updating their current transaction.
 
-The implementation is an iterative Tarjan restricted to finished,
-uncollected transactions, returning the SCC that contains the root.
-Successors are consumed straight off ``out_edges`` and ``intra_next``
-with the filter applied inline, so no per-node successor list is
-allocated.  The traversal state is keyed by ``tx_id`` and indexed by
-discovery order: an ``int`` hashes in C, where ``Transaction`` would
-call its Python-level ``__hash__`` on every probe.
+The pass computes the root's SCC from its definition, in two sweeps
+over finished, uncollected transactions.  A forward sweep over
+``out_edges`` and ``intra_next`` marks what the root reaches; a
+backward sweep over ``in_edges`` and ``intra_prev``, restricted to
+those marks, keeps what reaches the root.  The backward sweep relies on
+each uncollected transaction's ``in_edges`` and ``intra_prev``
+mirroring the out-edges and ``intra_next`` links that point to it,
+which ICD's edge insertion and the collector's unlinking maintain
+(``tests/core/test_gc_properties.py`` checks it).  The marks are keyed
+by ``tx_id``: an ``int`` hashes in C, where ``Transaction`` would call
+its Python-level ``__hash__`` on every probe.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.core.transactions import Transaction
 
@@ -35,78 +39,59 @@ def scc_containing(root: Transaction) -> List[Transaction]:
 def scc_containing_counted(root: Transaction) -> Tuple[List[Transaction], int]:
     """Like :func:`scc_containing`, also returning the visit count.
 
-    The count is the number of transactions Tarjan actually indexed —
-    the traversal cost ICD reports as ``scc_visits``.
+    The count is the number of transactions the forward sweep marks
+    (the root and what it reaches) — the traversal cost ICD reports as
+    ``scc_visits``.
     """
     if not root.finished:
         return [root], 1
-
-    # discovery index by tx_id; node, lowlink and on-stack flag by index
-    index_of: Dict[int, int] = {root.tx_id: 0}
-    nodes: List[Transaction] = [root]
-    lowlink: List[int] = [0]
-    on_stack: List[bool] = [True]
-    stack: List[int] = [0]
-    result: Optional[List[Transaction]] = None
-
-    # iterative Tarjan.  Work items are (node index, next edge index):
-    # edge indices < len(out_edges) address cross-thread edges, index
-    # == len(out_edges) addresses the intra-thread successor, so
-    # successors stream off the transaction without a filtered copy.
-    # The frame below a finished node is always its parent's.
-    work: List[Tuple[int, int]] = [(0, 0)]
-    while work:
-        node_index, i = work.pop()
-        node = nodes[node_index]
-        low = lowlink[node_index]
-        out = node.out_edges
-        n_out = len(out)
-        child = None
-        while i <= n_out:
-            if i < n_out:
-                succ = out[i].dst
-            else:
-                succ = node.intra_next
-                if succ is None:
-                    break
-            i += 1
-            if not succ.finished or succ.collected:
-                continue
-            succ_index = index_of.get(succ.tx_id)
-            if succ_index is None:
-                child = succ
-                break
-            if succ_index < low and on_stack[succ_index]:
-                low = succ_index
-        lowlink[node_index] = low
-        if child is not None:
-            child_index = len(nodes)
-            index_of[child.tx_id] = child_index
-            nodes.append(child)
-            lowlink.append(child_index)
-            on_stack.append(True)
-            stack.append(child_index)
-            work.append((node_index, i))
-            work.append((child_index, 0))
-            continue
-        # node finished: pop its SCC if it is a root
-        if low == node_index:
-            component: List[Transaction] = []
-            while True:
-                member = stack.pop()
-                on_stack[member] = False
-                component.append(nodes[member])
-                if member == node_index:
-                    break
-            if node_index == 0:
-                result = component
-        elif work:
-            parent_index = work[-1][0]
-            if low < lowlink[parent_index]:
-                lowlink[parent_index] = low
-
-    assert result is not None, "root must belong to some SCC"
-    return result, len(nodes)
+    # most passes end here: a root with no finished, uncollected
+    # successor is its own SCC
+    for edge in root.out_edges:
+        succ = edge.dst
+        if succ.finished and not succ.collected:
+            break
+    else:
+        succ = root.intra_next
+        if succ is None or not succ.finished or succ.collected:
+            return [root], 1
+    # forward sweep: the finished, uncollected transactions the root
+    # reaches, by tx_id
+    reached: Dict[int, Transaction] = {root.tx_id: root}
+    frontier = [root]
+    while frontier:
+        node = frontier.pop()
+        for edge in node.out_edges:
+            succ = edge.dst
+            if succ.finished and not succ.collected and succ.tx_id not in reached:
+                reached[succ.tx_id] = succ
+                frontier.append(succ)
+        succ = node.intra_next
+        if (
+            succ is not None and succ.finished and not succ.collected
+            and succ.tx_id not in reached
+        ):
+            reached[succ.tx_id] = succ
+            frontier.append(succ)
+    visits = len(reached)
+    # backward sweep over the marks: each one that reaches the root is
+    # moved from ``reached`` into the component
+    del reached[root.tx_id]
+    unmark = reached.pop
+    component = [root]
+    frontier = [root]
+    while frontier:
+        node = frontier.pop()
+        for edge in node.in_edges:
+            pred = unmark(edge.src.tx_id, None)
+            if pred is not None:
+                component.append(pred)
+                frontier.append(pred)
+        pred = node.intra_prev
+        if pred is not None and unmark(pred.tx_id, None) is not None:
+            component.append(pred)
+            frontier.append(pred)
+    return component, visits
 
 
 def is_cyclic_component(component: List[Transaction]) -> bool:

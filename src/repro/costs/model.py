@@ -177,7 +177,7 @@ class CostModel:
         breakdown.components["idg"] = (
             icd_stats.idg_edges * w.edge_add
             + icd_stats.scc_computations * w.scc_setup
-            # charge the Tarjan traversal work that actually ran
+            # charge the SCC passes' traversal work that actually ran
             + icd_stats.scc_visits * w.graph_visit
             + icd_stats.cycle_detection_calls * w.graph_visit
         )

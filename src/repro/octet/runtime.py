@@ -141,10 +141,12 @@ class OctetRuntime:
         #: hook name -> the listeners' bound hooks, filled by add_listener
         self._hooks: Dict[str, List[Callable]] = {name: [] for name in _HOOKS}
         self._stats = OctetStats()
-        # Hot-counter batching: the two counters every barrier bumps
-        # live in plain attributes and are folded into ``_stats`` only
-        # when someone reads ``stats`` (or calls ``flush_hot_counters``)
-        # — the per-access telemetry cost stays one attribute store.
+        # Hot-counter batching: the counters every barrier bumps live in
+        # plain attributes and are folded into ``_stats`` only when
+        # someone reads ``stats`` (or calls ``flush_hot_counters``) —
+        # the per-access telemetry cost stays one attribute store (a
+        # fused barrier's, ``_fused_pending``, also counts as a barrier
+        # and a fast-path hit).
         self._barriers_pending = 0
         self._fastpath_pending = 0
         self._fused_pending = 0
@@ -169,9 +171,10 @@ class OctetRuntime:
     def flush_hot_counters(self) -> None:
         """Fold the batched barrier/fast-path counts into the stats."""
         stats = self._stats
-        stats.barriers += self._barriers_pending
-        stats.fast_path += self._fastpath_pending
-        stats.fast_path_fused += self._fused_pending
+        fused = self._fused_pending
+        stats.barriers += self._barriers_pending + fused
+        stats.fast_path += self._fastpath_pending + fused
+        stats.fast_path_fused += fused
         self._barriers_pending = 0
         self._fastpath_pending = 0
         self._fused_pending = 0

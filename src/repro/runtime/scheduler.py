@@ -83,12 +83,7 @@ class RandomScheduler(Scheduler):
             raise SchedulerError(f"switch_prob must be in [0, 1], got {switch_prob}")
         self.seed = seed
         self.switch_prob = switch_prob
-        self._rng = random.Random(seed)
-        # choose() runs once per executor step; bind the RNG methods
-        # once per (re)seed instead of resolving them on every call
-        self._random = self._rng.random
-        self._randrange = self._rng.randrange
-        self._current: Optional[str] = None
+        self.reset()
 
     def choose(self, runnable: Sequence[str], step: int) -> str:
         if (
@@ -96,14 +91,23 @@ class RandomScheduler(Scheduler):
             and self._random() >= self.switch_prob
         ):
             return self._current
-        self._current = runnable[self._randrange(len(runnable))]
+        # randrange(n), as CPython draws it: k = n.bit_length() random
+        # bits, redrawn while out of range (so n == 1 consumes bits too)
+        n = len(runnable)
+        k = n.bit_length()
+        r = self._getrandbits(k)
+        while r >= n:
+            r = self._getrandbits(k)
+        self._current = runnable[r]
         return self._current
 
     def reset(self) -> None:
         self._rng = random.Random(self.seed)
+        # choose() runs once per executor step; bind the RNG methods
+        # once per (re)seed instead of resolving them on every call
         self._random = self._rng.random
-        self._randrange = self._rng.randrange
-        self._current = None
+        self._getrandbits = self._rng.getrandbits
+        self._current: Optional[str] = None
 
 
 class ScriptedScheduler(Scheduler):

@@ -106,7 +106,7 @@ def test_self_component_root_unfinished():
 
 
 def test_deep_chain_does_not_recurse():
-    """The iterative Tarjan handles chains far beyond Python's
+    """The iterative sweeps handle chains far beyond Python's
     recursion limit."""
     txs = make_txs(5000)
     for i in range(4999):
@@ -165,12 +165,11 @@ def reachable(start):
 @settings(max_examples=300, deadline=None)
 @given(transaction_graphs())
 def test_pass_returns_exactly_the_mutually_reachable_transactions(txs):
-    """The definition of the root's SCC, checked without Tarjan from
-    every root: the finished, uncollected transactions that reach the
-    root and that the root reaches, through finished, uncollected
-    transactions over ``out_edges`` and ``intra_next``; ``[root]`` for
-    an unfinished root.  The visit count is the root's reachable
-    region."""
+    """The definition of the root's SCC, checked from every root: the
+    finished, uncollected transactions that reach the root and that the
+    root reaches, through finished, uncollected transactions over
+    ``out_edges`` and ``intra_next``; ``[root]`` for an unfinished
+    root.  The visit count is the root's reachable region."""
     for root in txs:
         component, visits = scc_containing_counted(root)
         if not root.finished:

@@ -644,7 +644,11 @@ def test_replay_order_is_seq_order_and_satisfies_every_anchor(monkeypatch):
     orders = []
 
     def checked_merge(pcd, members, cut):
-        pairs, entries, broken = merge(pcd, members, cut)
+        merged = merge(pcd, members, cut)
+        order, accesses, owners, entries, broken = merged
+        assert sorted(order) == list(range(len(accesses)))
+        assert len(owners) == len(accesses)
+        pairs = [(accesses[i], owners[i]) for i in order]
         expected = sorted(
             (
                 (entry, tx) for tx in members for entry in tx.log
@@ -671,7 +675,7 @@ def test_replay_order_is_seq_order_and_satisfies_every_anchor(monkeypatch):
                     assert max(before) < min(after), (edge, cut)
         assert broken == 0
         orders.append(len(pairs))
-        return pairs, entries, broken
+        return merged
 
     monkeypatch.setattr(PCD, "_merge_logs", checked_merge)
 

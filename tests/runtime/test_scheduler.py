@@ -1,5 +1,7 @@
 """Scheduler policies."""
 
+import random
+
 import pytest
 
 from repro.errors import SchedulerError
@@ -81,6 +83,38 @@ class TestRandom:
         first = scheduler.choose(["A", "B"], 0)
         others = [t for t in ["A", "B"] if t != first]
         assert scheduler.choose(others, 1) == others[0]
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2014])
+    def test_draws_what_randrange_draws(self, seed):
+        """``choose`` draws its switch target with ``getrandbits``, as
+        CPython's ``randrange(n)`` does, so every schedule is the one a
+        reference that calls ``randrange`` makes: here for every runnable
+        size from 1 (which consumes bits too) to 13.  Each step's
+        runnable set excludes the previous pick, so every step draws."""
+        scheduler = RandomScheduler(seed=seed, switch_prob=0.3)
+        reference = random.Random(seed)
+        for step in range(13 * 20):
+            n = step % 13 + 1
+            runnable = [f"T{step}.{k}" for k in range(n)]
+            expected = runnable[reference.randrange(n)]
+            assert scheduler.choose(runnable, step) == expected
+
+    @pytest.mark.parametrize("seed", [0, 3, 11])
+    def test_keeps_or_switches_as_the_randrange_reference(self, seed):
+        """The whole policy against the same reference: keep the current
+        thread unless ``random()`` falls under ``switch_prob``, else
+        switch to ``runnable[randrange(len(runnable))]``."""
+        scheduler = RandomScheduler(seed=seed, switch_prob=0.5)
+        reference = random.Random(seed)
+        threads = [f"T{k}" for k in range(13)]
+        current = None
+        for step in range(600):
+            # a runnable set of every size, rotating through the threads
+            n = step % 13 + 1
+            runnable = sorted(threads[(step + k) % 13] for k in range(n))
+            if current not in runnable or reference.random() < 0.5:
+                current = runnable[reference.randrange(n)]
+            assert scheduler.choose(runnable, step) == current
 
 
 class TestScripted:
