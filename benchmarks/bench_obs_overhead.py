@@ -1,8 +1,8 @@
 """Telemetry-overhead microbenchmark.
 
-Measures what the observability layer costs the executor hot path (the
-same workloads as ``bench_executor_throughput``) and records the
-results into ``results/BENCH_obs.json``.
+Measures what the observability layer costs the uninstrumented
+executor on three catalog workloads (hsqldb6, xalan6, sor) and records
+the results into ``results/BENCH_obs.json``.
 
 **Disabled-mode overhead is measured paired.**  The pre-telemetry
 ``Executor.run`` body survives verbatim as ``Executor._run_loop``; the
@@ -55,18 +55,9 @@ ENABLED_ROUNDS = 4
 #: (the PR acceptance budget)
 OVERHEAD_BUDGET_PERCENT = 2.0
 
-RESULTS_DIR = os.path.join(os.path.dirname(__file__), "..", "results")
-RESULTS_PATH = os.path.join(RESULTS_DIR, "BENCH_obs.json")
-EXECUTOR_BASELINE_PATH = os.path.join(RESULTS_DIR, "BENCH_executor.json")
-
-
-def _committed_executor_baseline():
-    """The committed executor reference numbers, if present."""
-    try:
-        with open(EXECUTOR_BASELINE_PATH) as handle:
-            return json.load(handle)["workloads"]
-    except (OSError, ValueError, KeyError):
-        return {}
+RESULTS_PATH = os.path.join(
+    os.path.dirname(__file__), "..", "results", "BENCH_obs.json"
+)
 
 
 def _measure():
@@ -88,7 +79,6 @@ def _measure():
         finally:
             use_registry(previous)
 
-    reference = _committed_executor_baseline()
     report = {}
     gc_was_enabled = gc.isenabled()
     gc.disable()
@@ -117,7 +107,7 @@ def _measure():
             # identical executions (same seed) in both arms: the
             # min-elapsed ratio is exactly the off-mode slowdown
             steps = fresh()._run_loop().steps
-            entry = {
+            report[name] = {
                 "pretelemetry_loop_steps_per_second": round(
                     steps / min(loop)
                 ),
@@ -128,13 +118,6 @@ def _measure():
                     100.0 * (min(off) / min(loop) - 1.0), 2
                 ),
             }
-            # informational pointer to the committed executor baseline;
-            # named so the regression gate's *steps_per_second scan
-            # does not compare this constant against itself
-            ref = reference.get(name, {}).get("baseline_steps_per_second")
-            if ref:
-                entry["committed_executor_reference"] = ref
-            report[name] = entry
     finally:
         if gc_was_enabled:
             gc.enable()
@@ -160,11 +143,7 @@ def write_report(path=RESULTS_PATH):
 
 
 def check_overhead_budget(report):
-    """Return a list of budget violations (empty = within budget).
-
-    Shared by the pytest wrapper below and
-    ``benchmarks/check_bench_regression.py``.
-    """
+    """Return a list of budget violations (empty = within budget)."""
     budget = report["overhead_budget_percent"]
     violations = []
     for name, stats in sorted(report["workloads"].items()):

@@ -14,7 +14,6 @@
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
 
@@ -49,7 +48,6 @@ class SingleRunResult:
     elision_stats: ElisionStats
     protocol_stats: dict
     pcd_stats: Optional[PCDStats] = None
-    elapsed_seconds: float = 0.0
 
     @property
     def blamed_methods(self) -> set:
@@ -67,7 +65,6 @@ class FirstRunResult:
     octet_stats: OctetStats
     gc_stats: GcStats
     protocol_stats: dict
-    elapsed_seconds: float = 0.0
 
 
 @dataclass
@@ -140,10 +137,8 @@ class DoubleChecker:
             monitor_unary=monitor_unary,
             monitor_unary_site=monitor_unary_site,
         )
-        started = time.perf_counter()
         execution = self._execute(program, scheduler, icd)
-        elapsed = time.perf_counter() - started
-        return self._package(icd, execution, violations, pcd, elapsed)
+        return self._package(icd, execution, violations, pcd)
 
     # ------------------------------------------------------------------
     # multi-run mode
@@ -172,9 +167,7 @@ class DoubleChecker:
             on_scc=handle_scc,
             track_unary_sites=track_unary_sites,
         )
-        started = time.perf_counter()
         execution = self._execute(program, scheduler, icd)
-        elapsed = time.perf_counter() - started
         return FirstRunResult(
             static_info=StaticTransactionInfo.from_components(
                 components,
@@ -186,7 +179,6 @@ class DoubleChecker:
             octet_stats=icd.octet.stats,
             gc_stats=icd.collector.stats,
             protocol_stats=icd.octet.protocol.stats(),
-            elapsed_seconds=elapsed,
         )
 
     def run_second(
@@ -267,14 +259,12 @@ class DoubleChecker:
             cycle_detection=False,
             gc_interval=None,
         )
-        started = time.perf_counter()
         execution = self._execute(program, scheduler, icd)
         everything = [
             tx for tx in icd.tx_manager.all_transactions if tx.log is not None
         ]
         violations.extend(pcd.process(everything))
-        elapsed = time.perf_counter() - started
-        return self._package(icd, execution, violations, pcd, elapsed)
+        return self._package(icd, execution, violations, pcd)
 
     # ------------------------------------------------------------------
     # internals
@@ -321,11 +311,9 @@ class DoubleChecker:
         icd: ICD,
         execution: ExecutionResult,
         violations: ViolationSummary,
-        pcd: Optional[PCD],
-        elapsed: float,
+        pcd: PCD,
     ) -> SingleRunResult:
-        if pcd is not None:
-            pcd.publish_metrics()
+        pcd.publish_metrics()
         return SingleRunResult(
             violations=violations,
             execution=execution,
@@ -335,6 +323,5 @@ class DoubleChecker:
             gc_stats=icd.collector.stats,
             elision_stats=icd._elision.stats,
             protocol_stats=icd.octet.protocol.stats(),
-            pcd_stats=pcd.stats if pcd is not None else None,
-            elapsed_seconds=elapsed,
+            pcd_stats=pcd.stats,
         )

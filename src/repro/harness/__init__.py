@@ -8,7 +8,6 @@ pytest-benchmark tests.
 
 from repro.harness.runner import (
     CellResult,
-    baseline_steps,
     final_spec,
     initial_spec,
     make_scheduler,
@@ -20,7 +19,6 @@ from repro.harness.runner import (
 
 __all__ = [
     "CellResult",
-    "baseline_steps",
     "final_spec",
     "initial_spec",
     "make_scheduler",

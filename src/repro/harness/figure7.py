@@ -10,10 +10,11 @@ For each compute-bound benchmark under its final refined specification:
   the static transactions identified by first runs.
 
 Each configuration reports the *modelled* normalized execution time
-(the calibrated event-cost model; see :mod:`repro.costs.model`), its
-GC share (Figure 7's sub-bars), and — as a secondary signal — the
-measured wall-clock ratio of the Python analyses themselves.  Medians
-over ``trials`` seeds, geomean across benchmarks.
+(the calibrated event-cost model; see :mod:`repro.costs.model`) and
+its GC share (Figure 7's sub-bars).  Medians over ``trials`` seeds,
+geomean across benchmarks.  Every cell is a function of the seeds, so
+a render is byte-identical for any job count; measured wall-clock
+time is the layer ledger's (``benchmarks/layers``).
 """
 
 from __future__ import annotations
@@ -41,8 +42,6 @@ class Figure7Row:
     normalized: Dict[str, float] = field(default_factory=dict)
     #: configuration -> modelled GC share of total time
     gc_fraction: Dict[str, float] = field(default_factory=dict)
-    #: configuration -> measured wall-clock ratio vs baseline
-    measured: Dict[str, float] = field(default_factory=dict)
 
 
 @dataclass
@@ -56,13 +55,6 @@ class Figure7Result:
             out[config] = geomean(values)
         return out
 
-    def measured_geomeans(self) -> Dict[str, float]:
-        out = {}
-        for config in CONFIGS:
-            values = [r.measured[config] for r in self.rows if r.measured]
-            out[config] = geomean(values) if values else float("nan")
-        return out
-
     def render(self) -> str:
         headers = [
             "benchmark",
@@ -72,10 +64,6 @@ class Figure7Result:
             "Second run",
             "gc%V",
             "gc%S",
-            "measV",
-            "measS",
-            "meas1",
-            "meas2",
         ]
         rows = []
         for r in self.rows:
@@ -88,14 +76,9 @@ class Figure7Result:
                     r.normalized["second"],
                     f"{r.gc_fraction['velodrome']:.0%}",
                     f"{r.gc_fraction['single']:.0%}",
-                    r.measured.get("velodrome", float("nan")),
-                    r.measured.get("single", float("nan")),
-                    r.measured.get("first", float("nan")),
-                    r.measured.get("second", float("nan")),
                 ]
             )
         means = self.geomeans()
-        measured = self.measured_geomeans()
         rows.append(
             [
                 "geomean",
@@ -105,19 +88,10 @@ class Figure7Result:
                 means["second"],
                 "",
                 "",
-                measured["velodrome"],
-                measured["single"],
-                measured["first"],
-                measured["second"],
             ]
         )
         return render_table(
-            headers,
-            rows,
-            title=(
-                "Figure 7: normalized execution time "
-                "(modelled; meas* = measured wall-clock ratio)"
-            ),
+            headers, rows, title="Figure 7: normalized execution time (modelled)"
         )
 
 
@@ -134,8 +108,8 @@ def generate(
 
     All (benchmark, configuration, seed) cells are independent, so
     they run in two global fan-out stages across ``pool``'s workers:
-    first every baseline/Velodrome/single/first cell of every
-    benchmark, then every second-run cell (which needs the first runs'
+    first every Velodrome/single/first cell of every benchmark, then
+    every second-run cell (which needs the first runs'
     static-transaction info).  Results are aggregated in submission
     order, so the rendered figure is byte-identical for any job count.
     """
@@ -149,7 +123,6 @@ def generate(
         stage1 = []
         for name in selected:
             spec = specs[name]
-            stage1 += [("baseline", name, None, s) for s in seeds]
             stage1 += [("velodrome", name, spec, s) for s in seeds]
             stage1 += [("single", name, spec, s) for s in seeds]
             stage1 += [("first", name, spec, s) for s in seeds]
@@ -157,7 +130,7 @@ def generate(
                 ("first", name, spec, seed_base + 100 + i)
                 for i in range(first_trials)
             ]
-        stride = 4 * trials + first_trials
+        stride = 3 * trials + first_trials
         results1 = cells.starmap(runner.run_cell, stage1)
 
         # stage 2: second runs, restricted to the statically identified
@@ -167,7 +140,7 @@ def generate(
         for index, name in enumerate(selected):
             chunk = results1[index * stride:(index + 1) * stride]
             infos[name] = StaticTransactionInfo.union_all(
-                r.static_info for r in chunk[4 * trials:]
+                r.static_info for r in chunk[3 * trials:]
             )
             stage2 += [("second", name, specs[name], s, infos[name]) for s in seeds]
         results2 = cells.starmap(runner.run_cell, stage2)
@@ -175,44 +148,20 @@ def generate(
     rows = []
     for index, name in enumerate(selected):
         chunk = results1[index * stride:(index + 1) * stride]
-        baselines = chunk[:trials]
-        velodrome = chunk[trials:2 * trials]
-        single = chunk[2 * trials:3 * trials]
-        firsts = chunk[3 * trials:4 * trials]
+        velodrome = chunk[:trials]
+        single = chunk[trials:2 * trials]
+        firsts = chunk[2 * trials:3 * trials]
         seconds = results2[index * trials:(index + 1) * trials]
 
-        base_wall = median([b.elapsed_seconds for b in baselines])
         row = Figure7Row(name)
-
-        breakdowns = [model.velodrome(r) for r in velodrome]
-        row.normalized["velodrome"] = median(
-            [b.normalized_time for b in breakdowns]
-        )
-        row.gc_fraction["velodrome"] = median([b.gc_fraction for b in breakdowns])
-        row.measured["velodrome"] = (
-            median([r.elapsed_seconds for r in velodrome]) / base_wall
-        )
-
-        breakdowns = [model.double_checker_single(r) for r in single]
-        row.normalized["single"] = median([b.normalized_time for b in breakdowns])
-        row.gc_fraction["single"] = median([b.gc_fraction for b in breakdowns])
-        row.measured["single"] = (
-            median([r.elapsed_seconds for r in single]) / base_wall
-        )
-
-        breakdowns = [model.double_checker_first(r) for r in firsts]
-        row.normalized["first"] = median([b.normalized_time for b in breakdowns])
-        row.gc_fraction["first"] = median([b.gc_fraction for b in breakdowns])
-        row.measured["first"] = (
-            median([r.elapsed_seconds for r in firsts]) / base_wall
-        )
-
-        breakdowns = [model.double_checker_single(r) for r in seconds]
-        row.normalized["second"] = median([b.normalized_time for b in breakdowns])
-        row.gc_fraction["second"] = median([b.gc_fraction for b in breakdowns])
-        row.measured["second"] = (
-            median([r.elapsed_seconds for r in seconds]) / base_wall
-        )
-
+        for config, breakdown, results in (
+            ("velodrome", model.velodrome, velodrome),
+            ("single", model.double_checker_single, single),
+            ("first", model.double_checker_first, firsts),
+            ("second", model.double_checker_single, seconds),
+        ):
+            breakdowns = [breakdown(r) for r in results]
+            row.normalized[config] = median([b.normalized_time for b in breakdowns])
+            row.gc_fraction[config] = median([b.gc_fraction for b in breakdowns])
         rows.append(row)
     return Figure7Result(rows)

@@ -31,7 +31,7 @@ from repro.core.doublechecker import (
 )
 from repro.core.static_info import StaticTransactionInfo
 from repro.obs.spans import phase
-from repro.runtime.executor import ExecutionResult, Executor
+from repro.runtime.executor import ExecutionResult
 from repro.runtime.program import Program
 from repro.runtime.scheduler import RandomScheduler, Scheduler
 from repro.spec.refinement import RefinementResult, iterative_refinement
@@ -79,12 +79,6 @@ class CellResult:
     config: str
     blamed: Set[str]
     execution: ExecutionResult
-
-
-def baseline_steps(name: str, seed: int = 0) -> ExecutionResult:
-    """Run the uninstrumented program (the Figure 7 baseline)."""
-    executor = Executor(build(name), make_scheduler(seed))
-    return executor.run()
 
 
 def run_velodrome(
@@ -195,14 +189,12 @@ def run_cell(
 ):
     """Dispatch one (configuration, workload, seed) cell by kind.
 
-    ``kind`` is ``"baseline"``, ``"velodrome"``, ``"vc"``,
-    ``"single"``, ``"first"``, or ``"second"`` (the latter requires
-    ``info``).  Experiments submit heterogeneous batches of these to a
+    ``kind`` is ``"velodrome"``, ``"vc"``, ``"single"``, ``"first"``,
+    or ``"second"`` (the latter requires ``info``).  Experiments submit
+    heterogeneous batches of these to a
     :class:`~repro.harness.parallel.CellPool` in one go.
     """
     with phase(f"cell.{kind}", workload=name, seed=seed):
-        if kind == "baseline":
-            return baseline_steps(name, seed)
         if kind == "velodrome":
             return run_velodrome(name, spec, seed)
         if kind == "vc":

@@ -104,9 +104,17 @@ class AccessEvent:
     must never mutate an event they receive.
 
     Attributes:
-        seq: global sequence number assigned by the executor; used only
-            by test oracles and never consulted by the checkers (the
-            paper's analyses cannot observe a global order either).
+        seq: global sequence number assigned by the executor, the true
+            execution order.  ICD stamps every log entry and edge mark
+            with it, PCD replays a component's accesses in seq order
+            and cuts logs on it to resume a replay, and
+            ``UnsoundVelodrome``'s race model counts its window in
+            seqs.  Seq-order replay is sound: both marks of an IDG
+            edge carry the seq of the access that created it, so seq
+            order is one linearization the logs' anchors allow, and
+            Octet's happens-before makes every such linearization
+            order conflicting accesses alike (see
+            :mod:`repro.core.rwlog` and :mod:`repro.core.pcd`).
         thread_name: the accessing thread.
         obj: the :class:`~repro.runtime.heap.SharedObject` or
             :class:`~repro.runtime.heap.SharedArray` accessed.

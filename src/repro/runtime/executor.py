@@ -141,15 +141,14 @@ class Executor:
     bound once per run: the lowered fast path calls it with its
     pre-interned column values, and :meth:`_emit_access` (synchronization
     pseudo-accesses, generator bodies) interns the same values first.
+    As in the paper, every synchronization operation is also presented
+    to listeners as a read or write of the object synchronized on.
 
     Args:
         program: the program to run.
         scheduler: interleaving policy; defaults to round-robin.
         listeners: analyses to attach (barrier order = list order).
         step_limit: abort threshold for runaway executions.
-        sync_as_accesses: when true (the default, matching the paper),
-            synchronization operations are also presented to listeners
-            as reads/writes of the object being synchronized on.
     """
 
     def __init__(
@@ -158,14 +157,12 @@ class Executor:
         scheduler: Optional[Scheduler] = None,
         listeners: Iterable[ExecutionListener] = (),
         step_limit: int = DEFAULT_STEP_LIMIT,
-        sync_as_accesses: bool = True,
     ) -> None:
         program.validate()
         self.program = program
         self.scheduler = scheduler or RoundRobinScheduler()
         self.pipeline = ListenerPipeline(listeners)
         self.step_limit = step_limit
-        self.sync_as_accesses = sync_as_accesses
 
         self.heap = program.heap
         self.locks = LockTable()
@@ -670,8 +667,7 @@ class Executor:
     def _emit_sync_access(
         self, thread: VThread, obj: Any, fieldname: str, kind: AccessKind, site: Site
     ) -> None:
-        if self.sync_as_accesses:
-            self._emit_access(thread, obj, fieldname, kind, site, is_sync=True)
+        self._emit_access(thread, obj, fieldname, kind, site, is_sync=True)
 
     # --- memory ---------------------------------------------------------
     def _do_read(self, thread: VThread, op: ops.Read) -> None:

@@ -20,7 +20,6 @@ alone as its check; everything else here is shared.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
@@ -84,7 +83,6 @@ class VelodromeResult:
     stats: VelodromeStats
     tx_stats: TransactionStats
     gc_stats: GcStats
-    elapsed_seconds: float = 0.0
 
     @property
     def blamed_methods(self) -> set:
@@ -469,16 +467,13 @@ class VelodromeChecker(ExecutionListener):
         self, program: Program, scheduler: Optional[Scheduler] = None
     ) -> VelodromeResult:
         """Execute ``program`` under this checker."""
-        started = time.perf_counter()
         executor = Executor(program, scheduler, [self])
         self.bind_view(ExecutorView(executor))
         execution = executor.run()
-        elapsed = time.perf_counter() - started
         return VelodromeResult(
             violations=self.violations,
             execution=execution,
             stats=self.stats,
             tx_stats=self.tx_manager.stats,
             gc_stats=self.collector.stats,
-            elapsed_seconds=elapsed,
         )

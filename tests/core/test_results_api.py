@@ -32,7 +32,6 @@ def test_first_run_result_surface():
     )
     assert result.static_info is not None
     assert result.icd_stats.log_entries == 0
-    assert result.elapsed_seconds > 0
 
 
 def test_multi_run_result_surface():

@@ -1,7 +1,5 @@
 """Figure 7 result aggregation, on synthetic rows (no runs)."""
 
-import math
-
 import pytest
 
 from repro.harness.figure7 import CONFIGS, Figure7Result, Figure7Row
@@ -16,7 +14,6 @@ def row(name, velodrome, single, first, second):
         "second": second,
     }
     r.gc_fraction = {c: 0.1 for c in CONFIGS}
-    r.measured = {c: 1.5 for c in CONFIGS}
     return r
 
 
@@ -35,12 +32,6 @@ def test_render_includes_every_benchmark_and_geomean():
     assert "alpha" in text and "beta" in text
     assert "geomean" in text
     assert "Figure 7" in text
-
-
-def test_measured_geomeans_handle_rows():
-    result = Figure7Result([row("a", 4, 2, 1, 1)])
-    measured = result.measured_geomeans()
-    assert measured["velodrome"] == pytest.approx(1.5)
 
 
 def test_configs_constant_stable():

@@ -287,7 +287,6 @@ def test_table3_counters_identical(jobs4):
 def test_figure7_normalized_times_identical(jobs4):
     serial = figure7.generate(NAMES, trials=2, first_trials=1)
     parallel = figure7.generate(NAMES, trials=2, first_trials=1, pool=jobs4)
-    # modelled numbers are deterministic; measured wall-clock is not
     assert [r.normalized for r in serial.rows] == [
         r.normalized for r in parallel.rows
     ]
@@ -295,3 +294,4 @@ def test_figure7_normalized_times_identical(jobs4):
         r.gc_fraction for r in parallel.rows
     ]
     assert serial.geomeans() == parallel.geomeans()
+    assert serial.render() == parallel.render()

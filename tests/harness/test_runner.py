@@ -25,11 +25,6 @@ def test_initial_spec_excludes_worker_entry():
     assert spec.is_atomic("unsafe_op0")
 
 
-def test_baseline_run():
-    result = runner.baseline_steps("hedc", seed=0)
-    assert result.steps > 0
-
-
 def test_cells_run():
     spec = runner.initial_spec("hedc")
     assert runner.run_velodrome("hedc", spec, 0).execution.steps > 0

@@ -110,6 +110,16 @@ def test_vc_sync_builds_velodrome_graph(matrix, name):
     )
 
 
+@pytest.mark.parametrize("name", all_names())
+def test_vc_without_sync_edges_adds_nothing(matrix, name):
+    """Skipping synchronization pseudo-accesses only drops edges: the
+    default vc arm makes no more edges and finds no more cycles than
+    the sync-edge arm."""
+    vc, vc_sync = matrix[name]["vc"].stats, matrix[name]["vc_sync"].stats
+    assert vc.edges <= vc_sync.edges
+    assert vc.cycles_found <= vc_sync.cycles_found
+
+
 # ----------------------------------------------------------------------
 # the designed divergence: release-acquire-only cycles
 # ----------------------------------------------------------------------

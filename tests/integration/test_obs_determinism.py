@@ -45,7 +45,7 @@ def _cells(spec):
         ("single", WORKLOAD, spec, seed) for seed in range(3)
     ] + [
         ("first", WORKLOAD, spec, 7),
-        ("baseline", WORKLOAD, None, 0),
+        ("first", WORKLOAD, spec, 0),
     ]
 
 
@@ -131,6 +131,6 @@ def test_disabled_mode_parallel_path_unchanged():
     assert recorder().enabled is False
     with CellPool(2) as pool:
         results = pool.starmap(
-            runner.run_cell, [("baseline", WORKLOAD, None, 0)] * 2
+            runner.run_cell, [("first", WORKLOAD, spec_for_test(), 0)] * 2
         )
-    assert all(r.steps > 0 for r in results)
+    assert all(r.execution.steps > 0 for r in results)

@@ -283,19 +283,6 @@ def test_sync_accesses_reported_to_listeners():
     ]
 
 
-def test_sync_as_accesses_can_be_disabled():
-    recorder = Recorder()
-
-    def body(ctx):
-        obj = yield New("o")
-        yield Acquire(obj)
-        yield Release(obj)
-
-    program = single_thread_program(body)
-    Executor(program, listeners=[recorder], sync_as_accesses=False).run()
-    assert all(not e.is_sync for e in recorder.accesses)
-
-
 def test_thread_lifecycle_events():
     recorder = Recorder()
     program = counter_program(threads=2, iterations=1)
