@@ -47,7 +47,7 @@ class SingleRunResult:
     gc_stats: GcStats
     elision_stats: ElisionStats
     protocol_stats: dict
-    pcd_stats: Optional[PCDStats] = None
+    pcd_stats: PCDStats
 
     @property
     def blamed_methods(self) -> set:

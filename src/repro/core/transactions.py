@@ -118,7 +118,7 @@ class Transaction:
         return self is other
 
 
-@dataclass
+@dataclass(slots=True)
 class IdgEdge:
     """A cross-thread edge of the imprecise dependence graph.
 

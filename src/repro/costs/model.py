@@ -194,12 +194,11 @@ class CostModel:
         breakdown.components["logging"] = (
             logged * w.log_append + candidates * w.elision_check
         )
-        if result.pcd_stats is not None:
-            breakdown.components["pcd"] = (
-                result.pcd_stats.entries_replayed * w.pcd_replay_entry
-                + result.pcd_stats.pdg_edges * w.pcd_edge
-                + result.pcd_stats.cycle_check_visits * w.graph_visit
-            )
+        breakdown.components["pcd"] = (
+            result.pcd_stats.entries_replayed * w.pcd_replay_entry
+            + result.pcd_stats.pdg_edges * w.pcd_edge
+            + result.pcd_stats.cycle_check_visits * w.graph_visit
+        )
         breakdown.components["gc"] = (
             logged * w.gc_per_log_entry
             + result.gc_stats.transactions_collected * w.gc_per_tx_scanned

@@ -7,7 +7,6 @@ pytest-benchmark tests.
 """
 
 from repro.harness.runner import (
-    CellResult,
     final_spec,
     initial_spec,
     make_scheduler,
@@ -18,7 +17,6 @@ from repro.harness.runner import (
 )
 
 __all__ = [
-    "CellResult",
     "final_spec",
     "initial_spec",
     "make_scheduler",

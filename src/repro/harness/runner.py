@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -31,7 +30,6 @@ from repro.core.doublechecker import (
 )
 from repro.core.static_info import StaticTransactionInfo
 from repro.obs.spans import phase
-from repro.runtime.executor import ExecutionResult
 from repro.runtime.program import Program
 from repro.runtime.scheduler import RandomScheduler, Scheduler
 from repro.spec.refinement import RefinementResult, iterative_refinement
@@ -71,16 +69,6 @@ def initial_spec(name: str) -> AtomicitySpecification:
 # ----------------------------------------------------------------------
 # single cells
 # ----------------------------------------------------------------------
-@dataclass
-class CellResult:
-    """One (benchmark, configuration, seed) execution."""
-
-    name: str
-    config: str
-    blamed: Set[str]
-    execution: ExecutionResult
-
-
 def run_velodrome(
     name: str, spec: AtomicitySpecification, seed: int
 ) -> VelodromeResult:

@@ -47,9 +47,10 @@ class ExecutionListener:
         address and site string included, and passes it to
         :meth:`on_access`, bound when the barrier is built.  A listener
         that fuses its per-access steps into one closure (ICD fuses the
-        Octet state check with its logging; vc its metadata no-op
-        check) overrides this and consumes the fields directly, so an
-        access on its fast path allocates nothing.
+        Octet state check with its logging; Velodrome, and with it vc
+        and the unsound variant, all of Figure 5's per-access rule)
+        overrides this and consumes the fields directly, so an access
+        on its fast path allocates nothing.
         """
         on_access = self.on_access
 

@@ -108,18 +108,19 @@ class VcChecker(VelodromeChecker):
             gc_interval=gc_interval,
         )
         self.sync_edges = sync_edges
-        self.stats = VcStats()
+        self._stats = VcStats()
 
     def _check_cycle(self, closing: IdgEdge) -> None:
         """The clock probe alone: ``src`` happens-after a transaction of
         ``dst``'s thread at least as new as ``dst`` => a path
         ``dst ~> src`` exists, and the closing edge completes it."""
-        self.stats.cycle_checks += 1
+        stats = self._stats
+        stats.cycle_checks += 1
         src, dst = closing.src, closing.dst
         clock = self.clocks.clock(src)
         if clock is None or clock.get(dst.thread_name, 0) < dst.tx_id:
             return
-        self.stats.cycles_found += 1
+        stats.cycles_found += 1
         # the closing edge's destination is the current accessor — the
         # same node Velodrome's oldest-out/newest-in blame rule singles
         # out on a two-transaction cycle, so the backends agree there;

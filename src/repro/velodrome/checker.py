@@ -15,7 +15,10 @@ The check probes the per-transaction vector clocks of
 :mod:`repro.core.clocks`; only an edge that closes a cycle runs a DFS,
 which reconstructs it for the report.  The vector-clock checker
 (:class:`repro.vc.checker.VcChecker`) is this class with the probe
-alone as its check; everything else here is shared.
+alone as its check; everything else here is shared.  So is the
+per-access rule, which runs in one closure (:meth:`access_barrier`)
+for every checker, the unsound variant
+(:class:`repro.velodrome.unsound.UnsoundVelodrome`) included.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from repro.runtime.program import Program
 from repro.runtime.scheduler import Scheduler
 from repro.runtime.view import ExecutorView, NullView, RuntimeView
 from repro.spec.specification import AtomicitySpecification
-from repro.velodrome.metadata import FieldMetadata, MetadataTable
+from repro.velodrome.metadata import Address, MetadataTable
 
 
 @dataclass
@@ -71,6 +74,8 @@ class VelodromeStats:
     cycle_checks_certified: int = 0
     cycles_found: int = 0
     array_accesses_skipped: int = 0
+    #: synchronization accesses skipped (only when ``sync_edges`` is off)
+    sync_accesses_skipped: int = 0
     lost_metadata_updates: int = 0
 
 
@@ -134,7 +139,9 @@ class VelodromeChecker(ExecutionListener):
         self.gc_interval = gc_interval
         self.view: RuntimeView = NullView()
 
-        self.stats = VelodromeStats()
+        self._stats = VelodromeStats()
+        #: one fold per barrier built (see access_barrier)
+        self._folds: List[Callable[[], None]] = []
         self.metadata = MetadataTable()
         self.violations = ViolationSummary()
         self.tx_manager = TransactionManager(
@@ -175,7 +182,15 @@ class VelodromeChecker(ExecutionListener):
 
     def on_execution_end(self) -> None:
         self.tx_manager.finish_all()
+        self._fold_barrier_counts()
         self.publish_metrics()
+
+    @property
+    def stats(self) -> VelodromeStats:
+        """The access-level counters; reading folds in what the
+        barriers have batched, the transaction manager's counts too."""
+        self._fold_barrier_counts()
+        return self._stats
 
     def publish_metrics(self) -> None:
         """Publish every counter this analysis owns onto the registry."""
@@ -192,27 +207,56 @@ class VelodromeChecker(ExecutionListener):
         )
 
     # ------------------------------------------------------------------
-    # the fused barrier: transaction resolution inline, and a fast path
-    # for accesses whose field metadata already names the accessing
-    # transaction (they can neither add an edge nor change metadata);
-    # everything else falls into _analyze
+    # the fused barrier: Figure 5's per-access rule, whole, in one closure
     # ------------------------------------------------------------------
     def access_barrier(self) -> AccessBarrier:
         """Build the fused barrier over the executor's pre-interned
-        access fields; a synchronization access is skipped unless
-        ``sync_edges`` is set."""
+        access fields: one closure runs Figure 5's whole per-access
+        rule.
+
+        A synchronization access is skipped unless ``sync_edges`` is
+        set.  A regular transaction, or a unary one the manager would
+        merge the access into, is resolved inline, as in ICD's fused
+        barrier; ``transaction_for_fields`` resolves the rest.  An
+        access whose field metadata already names its transaction can
+        neither add an edge nor change the metadata, and returns there
+        (the no-op predicate).  Any other access adds its edges, updates
+        the metadata, then checks each new edge for a cycle.  The
+        closure's constants are cells, as keyword-only defaults slow
+        every call, and its per-access counters are batched in cells
+        that :attr:`stats` folds in when read, as
+        :meth:`on_execution_end` does before publishing.
+
+        :meth:`_race_model` fixes the unsound variant's switches when
+        the barrier is built.  With a race model, the barrier pays for
+        synchronization only when the access changes the metadata, lets
+        the model drop the update, and never takes the no-op return:
+        ``edges_deduplicated`` and the model's RNG draws count every
+        access.
+        """
         tx_manager = self.tx_manager
         tx_for_fields = tx_manager.transaction_for_fields
+        # the regular and merged-unary paths of transaction_for_fields
+        # (the latter only where no unary-site filter could intervene)
         tx_current = tx_manager._current
+        merge_unary = (tx_manager._merge_unary and tx_manager._monitor_unary
+                       and tx_manager._monitor_unary_site is None)
         tx_stats = tx_manager.stats
-        stats = self.stats
+        stats = self._stats
         fields_get = self.metadata._fields.get
         lookup = self.metadata.lookup
         instrument_arrays = self.instrument_arrays
         object_granularity = self.array_granularity_object
         sync_edges = self.sync_edges
         critical_section = self.critical_section
-        analyze = self._analyze
+        update_allowed = self._race_model()
+        unsynchronized = update_allowed is not None
+        add_edge = self._add_edge
+        unchecked = self._unchecked
+        check_cycle = self._check_cycle
+        READ = AccessKind.READ
+        # the batched counters (see fold)
+        instrumented = regular = merged = hits = updates = paid = 0
 
         def fused_access(
             seq: int,
@@ -225,9 +269,8 @@ class VelodromeChecker(ExecutionListener):
             site_str: str,
             is_array: bool,
             is_sync: bool,
-            *,
-            _READ: AccessKind = AccessKind.READ,
         ) -> None:
+            nonlocal instrumented, regular, merged, hits, updates, paid
             if is_array:
                 if not instrument_arrays:
                     stats.array_accesses_skipped += 1
@@ -242,78 +285,108 @@ class VelodromeChecker(ExecutionListener):
                 if not tx.monitored:
                     tx_stats.skipped_accesses += 1
                     return
-                tx_stats.regular_accesses += 1
+                regular += 1
+            elif tx is not None and merge_unary and not tx.edge_touched:
+                merged += 1
             else:
                 tx = tx_for_fields(thread, site)
                 if tx is None:
                     return  # not instrumented in this configuration
-            stats.instrumented_accesses += 1
-            if critical_section:
-                stats.atomic_operations += 1
-                stats.memory_fences += 2
-            is_read = kind is _READ
+            instrumented += 1
             meta = fields_get(address)
             if meta is None:
                 meta = lookup(address)
-            elif is_read:
-                if meta.last_readers.get(thread) is tx:
-                    stats.fastpath_hits += 1
+            writer = meta.last_writer
+            readers = meta.last_readers
+            update = True
+            if kind is READ:
+                seen = readers.get(thread) is tx
+                if seen and not unsynchronized:
+                    hits += 1
                     return
-            elif meta.last_writer is tx and not meta.last_readers:
-                stats.fastpath_hits += 1
-                stats.metadata_updates += 1
-                return
-            analyze(tx, meta, is_read)
+                if unsynchronized:
+                    if not seen:
+                        paid += 1
+                    update = update_allowed(seq, thread, address)
+                # the read's edge: from the last writer
+                if writer is not None and writer.thread_name != thread:
+                    add_edge(writer, tx)
+                if update and not seen:
+                    updates += 1
+                    readers[thread] = tx
+            else:
+                if writer is tx and not readers and not unsynchronized:
+                    hits += 1
+                    updates += 1  # a write counts its (unchanged) update
+                    return
+                if unsynchronized:
+                    if meta.would_change_on_write(tx):
+                        paid += 1
+                    update = update_allowed(seq, thread, address)
+                # the write's edges: from the last writer and from every
+                # other thread's last reader
+                if writer is not None and writer.thread_name != thread:
+                    add_edge(writer, tx)
+                if readers:
+                    # snapshot: adding an edge can end an interrupted
+                    # unary transaction, whose GC purges weak metadata
+                    # references
+                    for name, reader in list(readers.items()):
+                        if name != thread:
+                            add_edge(reader, tx)
+                if update:
+                    updates += 1
+                    readers.clear()
+                    meta.last_writer = tx
+            if unchecked:
+                for edge in unchecked:
+                    check_cycle(edge)
+                unchecked.clear()
 
+        def fold() -> None:
+            nonlocal instrumented, regular, merged, hits, updates, paid
+            stats.instrumented_accesses += instrumented
+            if critical_section:
+                stats.atomic_operations += instrumented
+                stats.memory_fences += 2 * instrumented
+            if paid:
+                # no releasing fence: the variant runs unsynchronized
+                stats.atomic_operations += paid
+                stats.memory_fences += paid
+            stats.fastpath_hits += hits
+            stats.metadata_updates += updates
+            tx_stats.regular_accesses += regular
+            tx_stats.unary_accesses += merged
+            instrumented = regular = merged = hits = updates = paid = 0
+
+        self._folds.append(fold)
         return fused_access
 
-    # ------------------------------------------------------------------
-    # the per-access analysis (Figure 5 rules, applied online)
-    # ------------------------------------------------------------------
-    def _analyze(
-        self,
-        tx: Transaction,
-        meta: FieldMetadata,
-        is_read: bool,
-        update: bool = True,
-    ) -> None:
-        """Add the access's dependence edges, update the field's
-        metadata (unless ``update`` is false: an update the unsound
-        variant lost), then check each new edge for a cycle."""
-        writer = meta.last_writer
-        if writer is not None and writer.thread_name != tx.thread_name:
-            self._add_edge(writer, tx)
+    def _race_model(self) -> Optional[Callable[[int, str, Address], bool]]:
+        """Section 5.3's lost-update model, or ``None``.
 
-        if is_read:
-            if update:
-                readers = meta.last_readers
-                if readers.get(tx.thread_name) is not tx:
-                    self.stats.metadata_updates += 1
-                    readers[tx.thread_name] = tx
-        else:
-            # snapshot: adding an edge can end an interrupted unary
-            # transaction, whose GC purges weak metadata references
-            for thread_name, reader in list(meta.last_readers.items()):
-                if thread_name != tx.thread_name:
-                    self._add_edge(reader, tx)
-            if update:
-                self.stats.metadata_updates += 1
-                meta.last_readers.clear()
-                meta.last_writer = tx
+        Called once per barrier build.  A model takes an access's
+        ``(seq, thread, address)`` and says whether its metadata update
+        lands.  The sound checkers have none, so every update lands.
+        """
+        return None
 
-        unchecked = self._unchecked
-        if unchecked:
-            for edge in unchecked:
-                self._check_cycle(edge)
-            unchecked.clear()
+    def _fold_barrier_counts(self) -> None:
+        """Fold every barrier's batched counters into the stats."""
+        for fold in self._folds:
+            fold()
 
     def _add_edge(self, src: Transaction, dst: Transaction) -> None:
-        if src is dst or src.collected:
+        """Add the cross-thread edge ``src -> dst`` into the accessing
+        transaction, unless ``src`` was collected or the edge exists."""
+        if src.collected:
             return
-        stats = self.stats
-        if any(e.dst is dst for e in src.out_edges):
-            stats.edges_deduplicated += 1
-            return  # already joined; eager propagation keeps it current
+        stats = self._stats
+        for edge in src.out_edges:
+            if edge.dst is dst:
+                # already joined; eager propagation keeps it current
+                stats.edges_deduplicated += 1
+                return
         self._edge_order += 1
         edge = IdgEdge(src, dst, self.detector, self._edge_order)
         src.out_edges.append(edge)
@@ -339,7 +412,8 @@ class VelodromeChecker(ExecutionListener):
     # program order)
     # ------------------------------------------------------------------
     def _check_cycle(self, closing: IdgEdge) -> None:
-        self.stats.cycle_checks += 1
+        stats = self._stats
+        stats.cycle_checks += 1
         target = closing.src
         start = closing.dst
         # the target's clock records start ⇝ target exactly when the
@@ -347,7 +421,7 @@ class VelodromeChecker(ExecutionListener):
         # has no clock, and can join no cycle
         reach = self.clocks.clock(target)
         if reach is None or reach.get(start.thread_name, 0) < start.tx_id:
-            self.stats.cycle_checks_certified += 1
+            stats.cycle_checks_certified += 1
             return
         # admitting only the target and the nodes whose path into it
         # the clock records cannot change the path found: a node with
@@ -375,7 +449,7 @@ class VelodromeChecker(ExecutionListener):
                     found = True
                     break
                 stack.append(succ)
-        self.stats.cycle_check_visits += len(seen)
+        stats.cycle_check_visits += len(seen)
         if not found:
             return
         self._report_cycle(closing, discovered, start, target)
@@ -405,7 +479,7 @@ class VelodromeChecker(ExecutionListener):
         if key in self._reported_cycles:
             return
         self._reported_cycles.add(key)
-        self.stats.cycles_found += 1
+        self._stats.cycles_found += 1
 
         tx_by_id = {s.tx_id: s for s, _d, _o in steps}
         for _s, d, _o in steps:
@@ -457,6 +531,7 @@ class VelodromeChecker(ExecutionListener):
         if self.memory_budget is not None:
             used = len(self.tx_manager.all_transactions)
             if used > self.memory_budget:
+                self._fold_barrier_counts()
                 raise OutOfMemoryBudget(self.detector, used, self.memory_budget)
 
     # ------------------------------------------------------------------

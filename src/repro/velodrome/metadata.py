@@ -25,7 +25,7 @@ from repro.core.transactions import Transaction
 Address = Tuple[int, str]
 
 
-@dataclass
+@dataclass(slots=True)
 class FieldMetadata:
     """The two metadata words of one field."""
 

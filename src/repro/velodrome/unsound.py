@@ -26,18 +26,17 @@ naturally; we model their *effects* mechanically and deterministically:
 from __future__ import annotations
 
 import random
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.errors import ReproError
-from repro.runtime.events import AccessEvent
-from repro.runtime.listeners import AccessBarrier, ExecutionListener
 from repro.velodrome.checker import VelodromeChecker
+from repro.velodrome.metadata import Address
 
 
 class MetadataRaceError(ReproError):
     """The unsound variant corrupted its metadata beyond recovery."""
 
-    def __init__(self, address: Tuple[int, str], races: int) -> None:
+    def __init__(self, address: Address, races: int) -> None:
         super().__init__(
             f"metadata race storm on field {address}: {races} racy update "
             "pairs (the unsound variant crashes under this contention)"
@@ -58,7 +57,15 @@ class UnsoundVelodrome(VelodromeChecker):
             different-thread updates must be to count as racy.
         crash_threshold: racy-pair count on one field that crashes the
             analysis (``None`` disables crashing).
+
+    Its accesses go through Velodrome's barrier, which
+    :meth:`_race_model` switches to this variant's rules (see
+    :meth:`VelodromeChecker.access_barrier`).
     """
+
+    #: no analysis-access critical section: the barrier pays one atomic
+    #: op and one fence only for an access that changes the metadata
+    critical_section = False
 
     def __init__(
         self,
@@ -76,68 +83,36 @@ class UnsoundVelodrome(VelodromeChecker):
         self.race_window = race_window
         self.crash_threshold = crash_threshold
         #: address -> (seq, thread) of the last metadata update
-        self._last_update: Dict[Tuple[int, str], Tuple[int, str]] = {}
-        self._race_counts: Dict[Tuple[int, str], int] = {}
-
-    # ------------------------------------------------------------------
-    # the event path: every access as one AccessEvent, so the race model
-    # sees its sequence number and thread
-    # ------------------------------------------------------------------
-    def access_barrier(self) -> AccessBarrier:
-        return ExecutionListener.access_barrier(self)
-
-    def on_access(self, event: AccessEvent) -> None:
-        if event.is_array and not self.instrument_arrays:
-            self.stats.array_accesses_skipped += 1
-            return
-        tx = self.tx_manager.transaction_for_access(event)
-        if tx is None:
-            return
-        self.stats.instrumented_accesses += 1
-        address = (
-            event.object_address
-            if (event.is_array and self.array_granularity_object)
-            else event.address
-        )
-        meta = self.metadata.lookup(address)
-        is_read = event.is_read()
-        # cost: pay for synchronization only when metadata changes, and
-        # no releasing fence (the variant runs unsynchronized)
-        changes = (
-            meta.would_change_on_read(tx)
-            if is_read
-            else meta.would_change_on_write(tx)
-        )
-        if changes:
-            self.stats.atomic_operations += 1
-            self.stats.memory_fences += 1
-        self._analyze(
-            tx, meta, is_read, self._metadata_update_allowed(event, address)
-        )
+        self._last_update: Dict[Address, Tuple[int, str]] = {}
+        self._race_counts: Dict[Address, int] = {}
 
     # ------------------------------------------------------------------
     # unsoundness: racy updates can be lost, storms crash
     # ------------------------------------------------------------------
+    def _race_model(self) -> Callable[[int, str, Address], bool]:
+        return self._metadata_update_allowed
+
     def _metadata_update_allowed(
-        self, event: AccessEvent, address: Tuple[int, str]
+        self, seq: int, thread: str, address: Address
     ) -> bool:
         last = self._last_update.get(address)
-        self._last_update[address] = (event.seq, event.thread_name)
+        self._last_update[address] = (seq, thread)
         if last is None:
             return True
         last_seq, last_thread = last
         racy = (
-            last_thread != event.thread_name
-            and event.seq - last_seq <= self.race_window
-            and not self.view.holds_any_lock(event.thread_name)
+            last_thread != thread
+            and seq - last_seq <= self.race_window
+            and not self.view.holds_any_lock(thread)
         )
         if not racy:
             return True
         races = self._race_counts.get(address, 0) + 1
         self._race_counts[address] = races
         if self.crash_threshold is not None and races > self.crash_threshold:
+            self._fold_barrier_counts()
             raise MetadataRaceError(address, races)
         if self._rng.random() < self.loss_prob:
-            self.stats.lost_metadata_updates += 1
+            self._stats.lost_metadata_updates += 1
             return False
         return True

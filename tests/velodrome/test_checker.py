@@ -120,6 +120,29 @@ class TestFilters:
         result = checker.run(program, scheduler())
         assert result.stats.array_accesses_skipped > 0
 
+    def test_sync_edges_off_matches_vc(self):
+        """With sync edges off, Velodrome skips the synchronization
+        accesses vc skips by default, and builds vc's graph."""
+        from repro.harness.runner import initial_spec, make_scheduler
+        from repro.vc.checker import VcChecker
+        from repro.workloads import build
+
+        spec = initial_spec("hedc")
+        velodrome = VelodromeChecker(spec)
+        velodrome.sync_edges = False
+        ours = velodrome.run(build("hedc"), make_scheduler(0))
+        vc = VcChecker(spec).run(build("hedc"), make_scheduler(0))
+        assert ours.stats.sync_accesses_skipped > 0
+        for counter in (
+            "sync_accesses_skipped", "array_accesses_skipped",
+            "instrumented_accesses", "fastpath_hits", "metadata_updates",
+            "edges", "edges_deduplicated", "clock_joins", "propagations",
+            "cycle_checks",
+        ):
+            assert getattr(ours.stats, counter) == getattr(vc.stats, counter)
+        assert ours.tx_stats == vc.tx_stats
+        assert bool(ours.violations) == bool(vc.violations)
+
 
 class TestGcAndBudget:
     def test_gc_preserves_detection(self):
