@@ -34,10 +34,10 @@ NAMES = ["hsqldb6", "lusearch9", "montecarlo", "tsp"]
 def run_icd_variant(name, spec, seed, **icd_kwargs):
     """One single-run-style execution with custom ICD knobs."""
     violations = ViolationSummary()
-    pcd = PCD()
     icd = ICD(
         spec, on_scc=lambda c: violations.extend(pcd.process(c)), **icd_kwargs
     )
+    pcd = PCD(icd.octet.conflicted)
     executor = Executor(build(name), runner.make_scheduler(seed), [icd])
     icd.bind_view(ExecutorView(executor))
     execution = executor.run()

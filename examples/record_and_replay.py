@@ -60,8 +60,8 @@ def main() -> None:
 
     # ---- DoubleChecker's analyses over the trace ------------------------
     violations = ViolationSummary()
-    pcd = PCD()
     icd = ICD(spec, on_scc=lambda c: violations.extend(pcd.process(c)))
+    pcd = PCD(icd.octet.conflicted)
     replay_trace(loaded, [icd])
     print(f"ICD+PCD (replayed):   "
           f"{sorted(violations.blamed_methods()) or 'clean'}")

@@ -125,7 +125,6 @@ class DoubleChecker:
     ) -> SingleRunResult:
         """Run ICD+PCD on one execution (fully sound and precise)."""
         violations = ViolationSummary()
-        pcd = PCD(memory_budget=self.pcd_memory_budget)
 
         def handle_scc(component: Sequence[Transaction]) -> None:
             violations.extend(pcd.process(component))
@@ -137,6 +136,7 @@ class DoubleChecker:
             monitor_unary=monitor_unary,
             monitor_unary_site=monitor_unary_site,
         )
+        pcd = PCD(icd.octet.conflicted, self.pcd_memory_budget)
         execution = self._execute(program, scheduler, icd)
         return self._package(icd, execution, violations, pcd)
 
@@ -252,13 +252,13 @@ class DoubleChecker:
         this variant exhausts memory on the larger benchmarks.
         """
         violations = ViolationSummary()
-        pcd = PCD(memory_budget=self.pcd_memory_budget)
         icd = self._make_icd(
             logging_enabled=True,
             on_scc=None,
             cycle_detection=False,
             gc_interval=None,
         )
+        pcd = PCD(icd.octet.conflicted, self.pcd_memory_budget)
         execution = self._execute(program, scheduler, icd)
         everything = [
             tx for tx in icd.tx_manager.all_transactions if tx.log is not None

@@ -96,7 +96,9 @@ class TransactionCollector:
     def __init__(self, manager: TransactionManager) -> None:
         self._manager = manager
         self.stats = GcStats()
-        #: log entries swept by the most recent :meth:`collect` — lets
+        #: log entries (accesses and edge anchors, see
+        #: :attr:`Transaction.anchors`) swept by the most recent
+        #: :meth:`collect` — lets
         #: clients that count appends incrementally (ICD) subtract the
         #: swept entries instead of re-summing every live log
         self.last_swept_log_entries = 0
@@ -226,7 +228,7 @@ class TransactionCollector:
                 swept_ids.append(tx.tx_id)
                 tx.collected = True
                 if tx.log is not None:
-                    log_entries += len(tx.log)
+                    log_entries += len(tx.log) + tx.anchors
                     tx.log = None
                 self._unlink_marked(tx, pgen, egen)
             manager.all_transactions = survivors

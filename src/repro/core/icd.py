@@ -60,7 +60,10 @@ class ICDStats:
     #: transactions the SCC passes' forward sweeps marked, summed
     scc_visits: int = 0
     cycle_detection_calls: int = 0
+    #: logged accesses
     log_entries: int = 0
+    #: edge anchors (one per logged side of an IDG edge), which count
+    #: as log entries against the memory budgets and in GC's sweeps
     log_marks: int = 0
     #: sum of live log entries sampled at every transaction end: the
     #: integral the garbage collector repeatedly traverses.  Bounded
@@ -443,30 +446,25 @@ class ICD(ExecutionListener, OctetListener):
                 return None
             self._seen_edges.add(key)
         order = self._edge_order = self._edge_order + 1
-        edge = IdgEdge(src, dst, kind, order)
+        # edges arise only inside on_access: the requesting access's
+        # seq anchors the edge in both logs (see repro.core.rwlog)
+        edge = IdgEdge(src, dst, kind, order, self._req_event.seq)  # type: ignore[union-attr]
         if self.logging_enabled:
-            # edges arise only inside on_access, so both marks carry the
-            # requesting access's seq: PCD's resumption cut relies on
-            # every log being nondecreasing in seq (see repro.core.rwlog)
-            seq = self._req_event.seq  # type: ignore[union-attr]
             # edges interrupt the elision windows of both threads
             window = self._elision._thread_ts
             window[src_thread] = window.get(src_thread, 0) + 1
             window[dst_thread] = window.get(dst_thread, 0) + 1
-            # each mark is a log entry, checked against the budget at once
+            # each anchor counts as a log entry, checked against the
+            # budget at once
             check_budget = self.memory_budget is not None
-            log = src.log
-            if log is not None:
-                edge.src_log_index = len(log)
-                log.append((seq, order, True))
+            if src.log is not None:
+                src.anchors += 1
                 stats.log_marks += 1
                 self._live_log_entries += 1
                 if check_budget:
                     self._check_budget()
-            log = dst.log
-            if log is not None:
-                edge.dst_log_index = len(log)
-                log.append((seq, order, False))
+            if dst.log is not None:
+                dst.anchors += 1
                 stats.log_marks += 1
                 self._live_log_entries += 1
                 if check_budget:
@@ -566,8 +564,8 @@ class ICD(ExecutionListener, OctetListener):
             return
         self._tx_ends_since_gc = 0
         # _live_log_entries is maintained incrementally (+1 per logged
-        # access/mark, minus what each collection sweeps), so neither
-        # the peak sample nor the post-collect refresh needs the
+        # access or edge anchor, minus what each collection sweeps), so
+        # neither the peak sample nor the post-collect refresh needs the
         # collector's O(live transactions) log re-scan — profiling
         # showed those scans dominating instrumented single-run time
         self.collector.note_peak(self._live_log_entries)

@@ -2,30 +2,37 @@
 
 PCD is a sound and precise analysis that identifies dependence cycles
 among a set of transactions provided as input: the transactions of one
-imprecise SCC detected by ICD, their read/write logs, and the IDG
-edges anchored in those logs.  PCD "replays" the corresponding subset
-of the execution, tracking the last transaction to write each field
-and each thread's last transaction to read it (Figure 5), adding
-precise cross-thread edges to a PDG and checking for cycles after
-every new edge.  A detected cycle is a precise atomicity violation;
-blame assignment identifies the transaction that completed it.
+imprecise SCC detected by ICD and their read/write logs.  PCD "replays"
+the corresponding subset of the execution, tracking the last
+transaction to write each field and each thread's last transaction to
+read it (Figure 5), adding precise cross-thread edges to a PDG and
+checking for cycles after every new edge.  A detected cycle is a
+precise atomicity violation; blame assignment identifies the
+transaction that completed it.
 
-**Replay order.**  ICD anchors every IDG edge in both logs: the source
-mark of an edge must be replayed before its sink mark.  PCD replays the
-component's accesses in seq order, the executor's global sequence
-number: it takes each member's log suffix from the cut (below), keeps
-the access entries and sorts them by seq together with their owners.
-Each log is nondecreasing in seq and access seqs are unique, so seq
-order satisfies an anchor exactly when the source mark's seq is no
-later than the sink mark's.  ICD gives both marks the seq of the
-access that created the edge (see :mod:`repro.core.rwlog`), so the
-check, one comparison per anchor through the edge's log indexes,
-always holds on ICD's logs; a broken anchor counts in
-``order_fallbacks`` and the replay still runs in seq order.  Octet's
-happens-before guarantees make any linearization of the anchors agree
-on the relative order of conflicting accesses; seq order is one such
-linearization, the true execution order (which lets a property test
-verify the agreement claim).
+**Replay order.**  ICD anchors every IDG edge in both logs at the seq
+of the access that created it (:attr:`IdgEdge.seq`): the source's
+accesses logged before the anchor must replay before the sink's
+accesses logged after it.  PCD replays the component's accesses in seq
+order, the executor's global sequence number, which satisfies every
+anchor, as the former have lower seqs than the anchor and the latter
+no lower seq (see :mod:`repro.core.rwlog`).  Octet's happens-before
+guarantees make any linearization of the anchors agree on the relative
+order of conflicting accesses; seq order is one such linearization,
+the true execution order (which lets a property test verify the
+agreement claim).
+
+**Conflict filter.**  Conflict serializability is decided by
+conflicting access pairs alone.  Octet records every object that has
+taken a conflicting transition (:attr:`OctetRuntime.conflicted`, which
+PCD is given), and an object outside that set was never accessed by
+two threads with a write among the accesses, so none of its accesses
+can add a PDG edge.  PCD therefore replays a member's accesses to
+objects in the set, plus the member's first access, which places its
+program-order edge where a replay of every access places it: the PDG,
+every cycle check and every blamed transaction are the ones a replay
+of every access produces.  A component's members have finished, so
+every conflict among their accesses is in the set when PCD reads it.
 
 **Resumption.**  ICD hands PCD every cyclic SCC whose member set is
 new, and SCCs grow by absorbing members, so consecutive components
@@ -35,28 +42,33 @@ chain, the transactions seen, the PDG, and an undo trail with one
 record per replayed access — and picks it up for the next component
 at a *cut* sequence number: the smallest of
 
-* the first logged access of every member the kept component lacks,
-* the first logged access of every kept member the new one lacks, and
+* the first access of every member the kept component lacks,
+* the first access of every kept member the new one lacks, and
 * the kept replay's last access plus one (logs grow only at the end,
-  and every entry appended after that replay has a higher seq).
+  and every access logged after that replay has a higher seq).
 
-Records at or past the cut are undone newest-first and the PDG is
-truncated to its size at the cut; then only the log entries from the
-cut on are collected and replayed.
+Records at or past the cut are undone newest-first, the PDG loses the
+edges created from the cut on, and the undone records come back in seq
+order: they are the replayed accesses of the shared members from the
+cut on, plus every record of the kept members the new component lacks
+(whose first access is at or past the cut), which are dropped.  PCD
+replays them together with the new members' accesses and the entries
+a shared member's log gained since it was read (SCC members have
+finished, so their logs are final; only a direct caller grows one), so
+no shared member's log is read again.
 
 The resumed replay is exact — it reports what a from-scratch replay
-reports, call by call.  Accesses replay in seq order, and below the
-cut both components hold the same accesses (those of shared members),
-so both replays make the same table updates and add the same PDG
-edges in the same order.  The newest-edge truncation then restores exactly that
-prefix, and re-added edges get the ``order`` they would get from
-scratch, so blame does not change.  Every cycle the prefix closes was
-already reported and is suppressed as a duplicate either way.  A
-source mark and its sink carry the same seq (the edge's creation
-time), so a cut never separates them; each log is nondecreasing in seq
-(see :mod:`repro.core.rwlog`), so the entries from the cut on are a
-suffix found by bisection.  A component with a broken anchor is not
-replayed in an order its anchors allow, so its state is not kept.
+reports, call by call.  Below the cut both components hold the same
+replayed accesses (those of shared members), so both replays make the
+same table updates and add the same PDG edges in the same order; the
+rollback restores exactly that prefix, and re-added edges get the
+``order`` they would get from scratch, so blame does not change.
+Every cycle the prefix closes was already reported and is suppressed
+as a duplicate either way.  The kept replay filtered with the conflict
+set as it then was, so it is resumed only while the set has not grown
+(the set only grows, so its size tells); otherwise the component is
+replayed from scratch, since an access the kept replay skipped may
+conflict now.
 
 Only one state is kept: almost every grown component extends the one
 processed just before it, and one state per lineage would hold every
@@ -65,10 +77,10 @@ lineage's trail in memory.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import compress
 from operator import itemgetter
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import AbstractSet, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.blame import blamed_nodes
 from repro.core.pdg import PDG, PdgEdge
@@ -77,14 +89,8 @@ from repro.core.transactions import Transaction
 from repro.errors import OutOfMemoryBudget
 from repro.obs.registry import publish_stats, recorder as obs_recorder
 
-#: a log entry's seq; an access entry has four fields, an edge mark
-#: three (see :mod:`repro.core.rwlog`)
+#: an access entry's seq (see :mod:`repro.core.rwlog`)
 _entry_seq = itemgetter(0)
-_ACCESS = 4
-
-#: first-access seq of a member whose log holds no access: it bounds
-#: no cut
-_NO_ACCESS = float("inf")
 
 #: undo-record chain slot of an access whose transaction had already
 #: appeared in the replay (otherwise the slot holds the chain entry
@@ -92,34 +98,31 @@ _NO_ACCESS = float("inf")
 _SEEN = object()
 
 #: slots per undo record in :attr:`_ReplayState.trail`
-_RECORD = 6
+_RECORD = 5
 
 
 @dataclass
 class PCDStats:
     """Work counters for the precise analysis.
 
-    ``entries_replayed``, ``accesses_replayed``, ``pdg_edges``,
-    ``cycle_checks`` and ``cycle_check_visits`` count the work actually
-    done: a resumed replay counts only what it replays past its cut.
+    ``entries_replayed``, ``pdg_edges``, ``cycle_checks`` and
+    ``cycle_check_visits`` count the work actually done: a resumed
+    replay counts only what it replays past its cut.
     """
 
     components_processed: int = 0
     transactions_processed: int = 0
-    #: log entries (accesses and marks) from the cut on
+    #: accesses replayed: those the conflict filter keeps, from the
+    #: cut on
     entries_replayed: int = 0
-    #: log entries before a resumed replay's cut, which the kept state
+    #: accesses before a resumed replay's cut, which the kept state
     #: already covered; with ``entries_replayed`` they add up to the
-    #: processed components' log entries
+    #: accesses the filter keeps in the processed components
     entries_resumed: int = 0
-    accesses_replayed: int = 0
     pdg_edges: int = 0
     cycle_checks: int = 0
     cycle_check_visits: int = 0
     cycles_found: int = 0
-    #: anchors between members whose source mark has a later seq than
-    #: their sink mark: seq order breaks them (never on ICD's logs)
-    order_fallbacks: int = 0
 
 
 class _ReplayState:
@@ -127,13 +130,17 @@ class _ReplayState:
     the transactions seen, the PDG and the undo trail."""
 
     __slots__ = (
-        "first_seq", "last_write", "last_reads", "chain", "seen", "pdg",
-        "trail",
+        "conflicts", "read", "first_seq", "last_write", "last_reads",
+        "chain", "seen", "pdg", "trail",
     )
 
-    def __init__(self) -> None:
-        #: member tx id -> seq of its first logged access
-        self.first_seq: Dict[int, float] = {}
+    def __init__(self, conflicts: int) -> None:
+        #: the size of the conflict set the replay filtered with
+        self.conflicts = conflicts
+        #: member tx id -> the number of its log's entries read, and
+        #: the seq of its first access (members with an access)
+        self.read: Dict[int, int] = {}
+        self.first_seq: Dict[int, int] = {}
         self.last_write: Dict[Tuple[int, str], Transaction] = {}
         self.last_reads: Dict[Tuple[int, str], Dict[str, Transaction]] = {}
         #: per-thread most recent transaction seen during replay, for
@@ -143,24 +150,26 @@ class _ReplayState:
         self.seen: Dict[int, Transaction] = {}
         self.pdg = PDG()
         #: one record of ``_RECORD`` slots per replayed access, in seq
-        #: order: the entry, the PDG edge count before it, its
-        #: transaction, the chain slot, the thread's previous reader
-        #: (reads) or the previous writer (writes), and the readers a
-        #: write cleared.  A flat list: a tuple per access would be
-        #: one more long-lived object for the cyclic GC to traverse.
+        #: order: the entry, its transaction, the chain slot, the
+        #: thread's previous reader (reads) or the previous writer
+        #: (writes), and the readers a write cleared.  A flat list: a
+        #: tuple per access would be one more long-lived object for the
+        #: cyclic GC to traverse.
         self.trail: list = []
 
-    def rollback(self, cut: int) -> None:
-        """Undo every replayed access with seq >= ``cut``, newest first."""
+    def rollback(self, cut: int) -> Tuple[list, List[Transaction]]:
+        """Undo every replayed access with seq >= ``cut``, newest first;
+        returns the undone accesses and their transactions in seq
+        order."""
         trail = self.trail
         last_write = self.last_write
         last_reads = self.last_reads
         chain = self.chain
         seen = self.seen
-        edge_count = self.pdg.edge_count
-        while trail and trail[-_RECORD][0] >= cut:
-            entry, edge_count, tx, chained, prev, readers = trail[-_RECORD:]
-            del trail[-_RECORD:]
+        i = len(trail)
+        while i and trail[i - _RECORD][0] >= cut:
+            i -= _RECORD
+            entry, tx, chained, prev, readers = trail[i:i + _RECORD]
             address = entry[1]
             thread = tx.thread_name
             if not entry[2]:
@@ -181,27 +190,31 @@ class _ReplayState:
                     del chain[thread]
                 else:
                     chain[thread] = chained
-        self.pdg.truncate(edge_count)
-
-
-def _first_access_seq(tx: Transaction) -> float:
-    for entry in tx.log:
-        if len(entry) == _ACCESS:
-            return entry[0]
-    return _NO_ACCESS
+        entries = trail[i::_RECORD]
+        owners = trail[i + 1::_RECORD]
+        del trail[i:]
+        self.pdg.truncate(cut)
+        return entries, owners
 
 
 class PCD:
     """The precise analysis.
 
     Args:
-        memory_budget: optional cap on the number of log entries a
-            single component may hold (the paper's PCD runs out of
-            memory on long-running transactions — raytracer and
-            sunflow9 — which this cap reproduces).
+        conflicted: the oids of the objects that have taken a
+            conflicting Octet transition (:attr:`OctetRuntime.conflicted`
+            of the run's ICD), read at each component: the replay
+            skips accesses to other objects (see above).
+        memory_budget: optional cap on the number of log entries (an
+            edge anchor counts as one) a single component may hold (the
+            paper's PCD runs out of memory on long-running transactions
+            — raytracer and sunflow9 — which this cap reproduces).
     """
 
-    def __init__(self, memory_budget: Optional[int] = None) -> None:
+    def __init__(
+        self, conflicted: AbstractSet[int], memory_budget: Optional[int] = None
+    ) -> None:
+        self.conflicted = conflicted
         self.memory_budget = memory_budget
         self.stats = PCDStats()
         self._obs = obs_recorder()
@@ -233,91 +246,84 @@ class PCD:
         if len(members) < 2:
             return []
 
-        total_entries = sum(len(tx.log) for tx in members)
-        if self.memory_budget is not None and total_entries > self.memory_budget:
-            raise OutOfMemoryBudget("PCD", total_entries, self.memory_budget)
+        budget = self.memory_budget
+        if budget is not None:
+            total_entries = sum(len(tx.log) + tx.anchors for tx in members)
+            if total_entries > budget:
+                raise OutOfMemoryBudget("PCD", total_entries, budget)
 
-        first_seq = {tx.tx_id: _first_access_seq(tx) for tx in members}
-        state, cut = self._resume(first_seq)
-        order, accesses, owners, replayed, broken = self._merge_logs(
-            members, cut
-        )
-        stats.entries_replayed += replayed
-        stats.entries_resumed += total_entries - replayed
+        conflicted = self.conflicted
+        state, accesses, owners = self._resume(members, len(conflicted))
+        # read each member's log from its first entry the state has not
+        # read: all of a new member's, none of an unchanged one's
+        read = state.read
+        first_seq = state.first_seq
+        for tx in members:
+            log = tx.log
+            tx_id = tx.tx_id
+            start = read.get(tx_id, 0)
+            if len(log) == start:
+                continue
+            read[tx_id] = len(log)
+            if start:
+                log = log[start:]
+            else:
+                first_seq[tx_id] = log[0][0]
+            picked = [entry for entry in log if entry[1][0] in conflicted]
+            if not start and log[0][1][0] not in conflicted:
+                # the first access places the program-order edge
+                picked.append(log[0])
+            accesses += picked
+            owners += [tx] * len(picked)
+        seqs = list(map(_entry_seq, accesses))
+        order = sorted(range(len(seqs)), key=seqs.__getitem__)
+        stats.entries_replayed += len(order)
         violations = self._replay(state, order, accesses, owners)
-        if broken:
-            stats.order_fallbacks += broken
-            self._kept = None
-        else:
-            state.first_seq = first_seq
-            self._kept = state
+        self._kept = state
         return violations
 
     # ------------------------------------------------------------------
     # resumption
     # ------------------------------------------------------------------
-    def _resume(self, first_seq: Dict[int, float]) -> Tuple[_ReplayState, int]:
-        """The state to replay into and the seq to replay from: the kept
-        state rolled back to the cut, or a fresh state and 0 when the
-        cut would undo all of it (a disjoint component, for one)."""
+    def _resume(
+        self, members: List[Transaction], conflicts: int
+    ) -> Tuple[_ReplayState, list, List[Transaction]]:
+        """The state to replay into and the undone accesses to replay
+        again, with their transactions: the kept state rolled back to
+        the cut, or a fresh state and nothing when the conflict set has
+        grown or the cut would undo all of it (a disjoint component,
+        for one)."""
         kept = self._kept
-        if kept is None or not kept.trail:
-            return _ReplayState(), 0
+        if kept is None or kept.conflicts != conflicts or not kept.trail:
+            return _ReplayState(conflicts), [], []
         trail = kept.trail
         cut = trail[-_RECORD][0] + 1
-        old = kept.first_seq
-        for tx_id, seq in first_seq.items():
-            if seq < cut and tx_id not in old:
-                cut = seq
-        for tx_id, seq in old.items():
-            if seq < cut and tx_id not in first_seq:
-                cut = seq
-        if cut <= trail[0][0]:
-            return _ReplayState(), 0
-        kept.rollback(cut)
-        return kept, cut
-
-    # ------------------------------------------------------------------
-    # seq-order collection
-    # ------------------------------------------------------------------
-    def _merge_logs(
-        self, members: Sequence[Transaction], cut: int
-    ) -> Tuple[List[int], List[tuple], List[Transaction], int, int]:
-        """Collect the members' accesses with seq >= ``cut`` in seq order.
-
-        Returns the order as indexes into the accesses and into the
-        transactions that logged them (no object per access), those two
-        lists, the number of log entries from the cut on, and the number
-        of anchors between members that seq order breaks.
-        """
-        member_ids = {tx.tx_id for tx in members}
-        accesses: List[tuple] = []
-        owners: List[Transaction] = []
-        entries = 0
-        broken = 0
+        read = kept.read
+        shared = 0
         for tx in members:
-            log = tx.log
-            if not log or log[-1][0] < cut:
-                continue
-            # each log is nondecreasing in seq, so the entries from the
-            # cut on are a suffix
-            suffix = log[bisect_left(log, cut, key=_entry_seq):] if cut else log
-            entries += len(suffix)
-            logged = [entry for entry in suffix if len(entry) == _ACCESS]
-            accesses += logged
-            owners += [tx] * len(logged)
-            # the anchors created from the cut on: out-edges are kept in
-            # creation order, and a mark carries its edge's creation seq
-            for edge in reversed(tx.out_edges):
-                seq = log[edge.src_log_index][0]
-                if seq < cut:
-                    break
-                dst = edge.dst
-                if dst.tx_id in member_ids and dst.log[edge.dst_log_index][0] < seq:
-                    broken += 1
-        seqs = list(map(_entry_seq, accesses))
-        order = sorted(range(len(seqs)), key=seqs.__getitem__)
-        return order, accesses, owners, entries, broken
+            if tx.tx_id in read:
+                shared += 1
+            elif tx.log and tx.log[0][0] < cut:
+                cut = tx.log[0][0]
+        first_seq = kept.first_seq
+        gone: Set[int] = set()
+        if shared < len(read):
+            ids = {tx.tx_id for tx in members}
+            gone = {tx_id for tx_id in read if tx_id not in ids}
+            cut = min(cut, *(first_seq[tx_id] for tx_id in gone))
+        if cut <= trail[0][0]:
+            return _ReplayState(conflicts), [], []
+        accesses, owners = kept.rollback(cut)
+        if gone:
+            # forget the members the component lacks, and drop their
+            # undone accesses
+            for tx_id in gone:
+                del read[tx_id], first_seq[tx_id]
+            keep = [tx.tx_id not in gone for tx in owners]
+            accesses = list(compress(accesses, keep))
+            owners = list(compress(owners, keep))
+        self.stats.entries_resumed += len(trail) // _RECORD
+        return kept, accesses, owners
 
     # ------------------------------------------------------------------
     # Figure 5 replay
@@ -331,20 +337,21 @@ class PCD:
         chain = state.chain
         seen = state.seen
         pdg = state.pdg
-        pdg_edges = pdg.edges
         add_edge = pdg.add_edge
+        # add_edge's duplicate check, inlined: most conflicting accesses
+        # repeat an edge the PDG already has
+        adj = pdg._adj
         trail = state.trail
         violations: List[ViolationRecord] = []
         stats = self.stats
         visits_before = pdg.nodes_visited
 
-        stats.accesses_replayed += len(order)
         for i in order:
             entry = accesses[i]
+            seq, address, is_write, _ = entry
             tx = owners[i]
             thread = tx.thread_name
             tx_id = tx.tx_id
-            edge_count = len(pdg_edges)
             if tx_id in seen:
                 chained = _SEEN
             else:
@@ -352,22 +359,21 @@ class PCD:
                 chained = chain.get(thread)
                 if chained is not None:
                     # created at tx start; can never close a cycle
-                    add_edge(chained.tx_id, tx_id)
+                    add_edge(chained.tx_id, tx_id, seq)
                 chain[thread] = tx
-            address = entry[1]
             new_edges: Optional[List[PdgEdge]] = None
 
             writer = last_write.get(address)
             if writer is not None and writer.thread_name != thread:
-                edge = add_edge(writer.tx_id, tx_id)
-                if edge is not None:
-                    new_edges = [edge]
+                out = adj.get(writer.tx_id)
+                if out is None or tx_id not in out:
+                    new_edges = [add_edge(writer.tx_id, tx_id, seq)]
 
             readers = last_reads.get(address)
-            if not entry[2]:
+            if not is_write:
                 if readers is None:
                     readers = last_reads[address] = {}
-                trail += (entry, edge_count, tx, chained, readers.get(thread), None)
+                trail += (entry, tx, chained, readers.get(thread), None)
                 readers[thread] = tx
             else:
                 if readers:
@@ -375,17 +381,19 @@ class PCD:
                     # the undo record instead of emptying it
                     del last_reads[address]
                     for reader_thread, reader in readers.items():
-                        if reader_thread != thread:
-                            edge = add_edge(reader.tx_id, tx_id)
-                            if edge is not None:
-                                if new_edges is None:
-                                    new_edges = [edge]
-                                else:
-                                    new_edges.append(edge)
+                        if reader_thread == thread:
+                            continue
+                        out = adj.get(reader.tx_id)
+                        if out is None or tx_id not in out:
+                            edge = add_edge(reader.tx_id, tx_id, seq)
+                            if new_edges is None:
+                                new_edges = [edge]
+                            else:
+                                new_edges.append(edge)
                 else:
                     readers = None
                 last_write[address] = tx
-                trail += (entry, edge_count, tx, chained, writer, readers)
+                trail += (entry, tx, chained, writer, readers)
 
             if new_edges is None:
                 continue

@@ -20,10 +20,11 @@ Hence only cross-thread edges need the per-edge cycle check.
 **A plain adjacency map, searched by DFS.**  A PDG spans one ICD
 component (on pcdheavy a median of 14 transactions, at most 128), so
 each cycle check is a DFS from the new edge's sink over the whole
-graph, and the newest edges can be undone: :meth:`PDG.truncate`
-deletes them, which is what lets PCD roll a kept replay back (see
-:mod:`repro.core.pcd`); an edge re-added after a rollback gets the
-creation order it would get in a from-scratch replay.
+graph, and the newest edges can be undone: each edge keeps the seq of
+the replayed access that created it, and :meth:`PDG.truncate` deletes
+the edges from a seq on, which is what lets PCD roll a kept replay
+back (see :mod:`repro.core.pcd`); an edge re-added after a rollback
+gets the creation order it would get in a from-scratch replay.
 """
 
 from __future__ import annotations
@@ -36,12 +37,16 @@ from typing import Dict, List, Optional, Set
 class PdgEdge:
     """A precise cross-thread dependence edge between transactions.
 
-    ``order`` is the creation index used by blame assignment.
+    ``order`` is the creation index used by blame assignment; ``seq``
+    is the executor sequence number of the replayed access that created
+    the edge (0 for Velodrome's cycle witnesses, which are never
+    truncated).
     """
 
     src: int
     dst: int
     order: int
+    seq: int = 0
 
 
 class PDG:
@@ -61,8 +66,10 @@ class PDG:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def add_edge(self, src: int, dst: int) -> Optional[PdgEdge]:
-        """Add an edge; returns it if new, ``None`` if it already existed."""
+    def add_edge(self, src: int, dst: int, seq: int = 0) -> Optional[PdgEdge]:
+        """Add an edge created at ``seq``; returns it if new, ``None``
+        if it already existed.  Seqs must not decrease from one added
+        edge to the next."""
         if src == dst:
             return None
         out = self._adj.get(src)
@@ -70,16 +77,16 @@ class PDG:
             out = self._adj[src] = {}
         elif dst in out:
             return None
-        edge = PdgEdge(src, dst, len(self.edges) + 1)
+        edge = PdgEdge(src, dst, len(self.edges) + 1, seq)
         out[dst] = edge
         self.edges.append(edge)
         return edge
 
-    def truncate(self, edge_count: int) -> None:
-        """Delete the newest edges until ``edge_count`` remain."""
+    def truncate(self, seq: int) -> None:
+        """Delete every edge created at ``seq`` or later."""
         edges = self.edges
         adj = self._adj
-        while len(edges) > edge_count:
+        while edges and edges[-1].seq >= seq:
             edge = edges.pop()
             del adj[edge.src][edge.dst]
 

@@ -2,42 +2,47 @@
 
 In single-run mode (and the second run of multi-run mode), ICD records
 a read/write log for every transaction: the exact memory accesses the
-transaction performed, in order, interleaved with special entries that
-anchor the source and sink of each cross-thread IDG edge.  PCD later
-replays the accesses of an SCC's transactions in seq order, which
-satisfies those anchors.
+transaction performed, in order.  Each cross-thread IDG edge is
+anchored in the logs of both its transactions; PCD later replays the
+accesses of an SCC's transactions in seq order, which satisfies those
+anchors.  Every access is logged, but PCD replays only those to
+objects that took a conflicting Octet transition, plus each
+transaction's first access (see :mod:`repro.core.pcd`).
 
-**Layout.**  A transaction's ``log`` is a plain ``list`` of tuples:
+**Layout.**  A transaction's ``log`` is a plain ``list`` of access
+tuples ``(seq, address, is_write, site)``: the executor's global
+sequence number, the executor's interned ``(oid, fieldname)`` field
+address, whether the access wrote, and the executor's interned site
+string.  The fused barrier and the slow path log the values the
+barrier was called with, so one field is one tuple object in every log
+(an object-granularity array logs its own ``(oid, "*")``).
 
-* an access is ``(seq, address, is_write, site)``: the executor's
-  global sequence number, the executor's interned ``(oid, fieldname)``
-  field address, whether the access wrote, and the executor's interned
-  site string.  The fused barrier and the slow path log the values the
-  barrier was called with, so one field is one tuple object in every
-  log (an object-granularity array logs its own ``(oid, "*")``);
-* an edge mark is ``(seq, edge_order, is_source)``: the seq of the
-  access whose barrier created the edge, the edge's ``order``, and
-  whether this is the edge's source side (else its sink).
+The address is stored by value, which also models the paper's
+weak-reference scheme: when a logged object dies, the real
+implementation replaces the reference with the old field address,
+"distinguishing the field precisely" — exactly the information kept
+here.  Every item of an entry is an int, a bool, a str or the address
+(a tuple of an int and a str).  CPython's cyclic collector stops
+tracking a tuple in the first collection that examines it once its
+items are untracked: the address in its first collection, an entry
+within two.  After that it never traverses the logs, which single-run
+mode keeps by the hundred thousand.
 
-The length tells the two apart.  The address is stored by value, which
-also models the paper's weak-reference scheme: when a logged object
-dies, the real implementation replaces the reference with the old
-field address, "distinguishing the field precisely" — exactly the
-information kept here.  Every item of an entry is an int, a bool, a
-str or the address (a tuple of an int and a str).  CPython's cyclic
-collector stops tracking a tuple in the first collection that examines
-it once its items are untracked: the address in its first collection,
-an entry within two.  After that it never traverses the logs, which
-single-run mode keeps by the hundred thousand.
+**Anchors.**  An edge's anchor is the seq of the access whose barrier
+created it (:attr:`~repro.core.transactions.IdgEdge.seq`): every access
+either log holds before the edge has a lower seq, and every access
+logged after it (the sink's creating access first) has no lower seq.
+So replaying accesses in seq order satisfies every anchor, and the
+logs hold no entry for the anchors themselves.  Each transaction counts
+its anchors (:attr:`~repro.core.transactions.Transaction.anchors`),
+one per edge end, since an anchor is a log entry for the memory
+budgets of ICD and PCD, for the collector's swept count and for
+``ICDStats.log_marks``.
 
-Every log is nondecreasing in ``seq``.  Entries are only appended, and
-each carries the seq of the access executing when it is appended: an
-access entry its own, an edge mark that of the access whose barrier
-created the edge (so a sink mark shares its seq with the access entry
-that follows it).  Both marks of an edge thus carry the same seq, so
-replaying accesses in seq order satisfies every anchor; PCD replays in
-that order and bisects logs on seq to resume a replay (see
-:mod:`repro.core.pcd`).
+Every log is nondecreasing in ``seq``: entries are only appended, and
+each carries the seq of the access executing when it is appended.  PCD
+relies on it to take a log's first entry as the transaction's first
+access and to resume a replay at a seq cut (see :mod:`repro.core.pcd`).
 
 Duplicate-entry elision (Section 4, "Instrumenting program accesses"):
 logs are ordered, but duplicate entries with no incoming or outgoing

@@ -45,8 +45,10 @@ class Transaction:
             dependences.
         edge_touched: true once any cross-thread edge has this
             transaction as source or sink; used for unary merging.
-        log: the read/write log, a list of entry tuples (only when
+        log: the read/write log, a list of access tuples (only when
             logging is enabled; see :mod:`repro.core.rwlog`).
+        anchors: the IDG edges anchored in the log, one per edge end
+            (each counts as a log entry against the memory budgets).
         monitored: false for transactions excluded from analysis during
             the second run of multi-run mode.
     """
@@ -63,6 +65,7 @@ class Transaction:
         "intra_prev",
         "edge_touched",
         "log",
+        "anchors",
         "monitored",
         "collected",
         "gc_pmark",
@@ -88,6 +91,7 @@ class Transaction:
         self.intra_prev: Optional["Transaction"] = None
         self.edge_touched = False
         self.log = None  # type: ignore[assignment]
+        self.anchors = 0
         self.monitored = monitored
         self.collected = False
         # incremental-GC mark words (see repro.core.gc): generation
@@ -122,18 +126,20 @@ class Transaction:
 class IdgEdge:
     """A cross-thread edge of the imprecise dependence graph.
 
-    ``src_log_index``/``dst_log_index`` anchor the edge in the two
-    transactions' read/write logs so PCD can order accesses across
-    threads (Section 3.2.4); they are ``None`` when logging is off
-    (the first run of multi-run mode).
+    ``seq`` is the executor sequence number of the access whose barrier
+    created an ICD edge, which anchors the edge in both transactions'
+    logs (Section 3.2.4): each log's accesses logged before the edge
+    have lower seqs and those logged after it no lower seq, so replaying
+    accesses in seq order satisfies the anchor (see
+    :mod:`repro.core.rwlog`).
+    Velodrome's edges leave it ``None``.
     """
 
     src: Transaction
     dst: Transaction
     kind: str
     order: int
-    src_log_index: Optional[int] = None
-    dst_log_index: Optional[int] = None
+    seq: Optional[int] = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Edge#{self.order} {self.kind} Tx{self.src.tx_id}->Tx{self.dst.tx_id}>"

@@ -14,6 +14,13 @@ per transition to describe it.  :func:`~repro.octet.transitions.classify`
 stays the pure reference form of Table 1 that the tests pin
 ``observe`` against; the barrier never calls it.
 
+``observe`` also adds every object that takes a conflicting
+transition to :attr:`OctetRuntime.conflicted`.  Under Table 1 a write
+after another thread's access, and an access after another thread's
+write, both need one, so every object two threads accessed with a
+write among the accesses is in the set; PCD skips the accesses to
+every other object.
+
 The runtime never inspects transactions; it only knows threads and
 objects.  That separation mirrors the paper, where Octet is an
 independently published mechanism that ICD extends.
@@ -22,7 +29,7 @@ independently published mechanism that ICD extends.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Set
 
 from repro.obs.registry import publish_stats
 from repro.octet.protocol import CoordinationProtocol
@@ -141,6 +148,10 @@ class OctetRuntime:
         #: hook name -> the listeners' bound hooks, filled by add_listener
         self._hooks: Dict[str, List[Callable]] = {name: [] for name in _HOOKS}
         self._stats = OctetStats()
+        #: oids of the objects that have taken a conflicting transition:
+        #: every object two threads accessed with a write among the
+        #: accesses (PCD replays only accesses to these)
+        self.conflicted: Set[int] = set()
         # Hot-counter batching: the counters every barrier bumps live in
         # plain attributes and are folded into ``_stats`` only when
         # someone reads ``stats`` (or calls ``flush_hot_counters``) —
@@ -288,6 +299,7 @@ class OctetRuntime:
         # implicit response (to a blocked responder) sets a flag
         # atomically
         stats.conflicting += 1
+        self.conflicted.add(oid)
         by_kind = stats.conflicting_by_kind
         by_kind[key] = by_kind.get(key, 0) + 1
         self.intermediate_entries += 1

@@ -105,16 +105,16 @@ class AccessEvent:
 
     Attributes:
         seq: global sequence number assigned by the executor, the true
-            execution order.  ICD stamps every log entry and edge mark
-            with it, PCD replays a component's accesses in seq order
-            and cuts logs on it to resume a replay, and
-            ``UnsoundVelodrome``'s race model counts its window in
-            seqs.  Seq-order replay is sound: both marks of an IDG
-            edge carry the seq of the access that created it, so seq
-            order is one linearization the logs' anchors allow, and
-            Octet's happens-before makes every such linearization
-            order conflicting accesses alike (see
-            :mod:`repro.core.rwlog` and :mod:`repro.core.pcd`).
+            execution order.  ICD stamps every log entry with it and
+            anchors every IDG edge at the seq of the access that
+            created it, PCD replays a component's accesses in seq
+            order and rolls a kept replay back to a seq cut to resume
+            it, and ``UnsoundVelodrome``'s race model counts its window
+            in seqs.  Seq-order replay is sound: seq order is one
+            linearization the edges' anchors allow, and Octet's
+            happens-before makes every such linearization order
+            conflicting accesses alike (see :mod:`repro.core.rwlog`
+            and :mod:`repro.core.pcd`).
         thread_name: the accessing thread.
         obj: the :class:`~repro.runtime.heap.SharedObject` or
             :class:`~repro.runtime.heap.SharedArray` accessed.

@@ -76,7 +76,6 @@ MODES = {
 def run(case, mode, instrument_arrays, fused):
     method_specs, thread_scripts, seed = case
     program = materialize_scripted(method_specs, thread_scripts)
-    pcd = PCD()
     records = []
     components = []
 
@@ -93,6 +92,7 @@ def run(case, mode, instrument_arrays, fused):
         instrument_arrays=instrument_arrays,
         **MODES[mode],
     )
+    pcd = PCD(icd.octet.conflicted)
     if fused:
         assert icd.access_barrier().__code__.co_kwonlyargcount == 0
     else:
@@ -113,7 +113,7 @@ def run(case, mode, instrument_arrays, fused):
         "protocol": icd.octet.protocol.stats(),
         "elision": dataclasses.asdict(icd._elision.stats),
         "logs": [
-            (tx.tx_id, tx.method, tx.log)
+            (tx.tx_id, tx.method, tx.log, tx.anchors)
             for tx in icd.tx_manager.all_transactions
         ],
     }

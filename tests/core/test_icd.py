@@ -177,12 +177,12 @@ class TestLogging:
             from repro.core.reports import ViolationSummary
 
             violations = ViolationSummary()
-            pcd = PCD()
             icd = ICD(
                 spec_for(program),
                 on_scc=lambda c: violations.extend(pcd.process(c)),
                 elide_duplicates=elide,
             )
+            pcd = PCD(icd.octet.conflicted)
             Executor(
                 program, RandomScheduler(seed=12, switch_prob=0.7), [icd]
             ).run()

@@ -89,7 +89,7 @@ class TestArrayInstrumentation:
         addresses = [
             entry[1] for tx in icd.tx_manager.all_transactions
             for entry in tx.log or ()
-            if len(entry) == 4 and entry[1][0] == arr.oid
+            if entry[1][0] == arr.oid
         ]
         assert addresses
         assert all(address is arr.object_address for address in addresses)

@@ -8,6 +8,8 @@ from repro.core.pcd import PCD
 from repro.core.transactions import IdgEdge, Transaction
 from repro.errors import OutOfMemoryBudget
 
+from tests.util import ALL_OBJECTS
+
 #: an access entry's is_write (see repro.core.rwlog)
 R, W = False, True
 
@@ -23,22 +25,23 @@ def log(tx, is_write, oid, field, seq):
     tx.log.append((seq, (oid, field), is_write, "site"))
 
 
-def mark(tx, order, is_source, seq):
-    """Append an edge mark to ``tx``'s log; returns its index."""
-    tx.log.append((seq, order, is_source))
-    return len(tx.log) - 1
-
-
 _order = [0]
 
 
 def link(src, dst, seq):
+    """An IDG edge created by the access at ``seq``, anchored in both
+    logs as ICD anchors it."""
     _order[0] += 1
-    edge = IdgEdge(src, dst, "test", _order[0])
-    edge.src_log_index = mark(src, edge.order, True, seq)
-    edge.dst_log_index = mark(dst, edge.order, False, seq)
+    edge = IdgEdge(src, dst, "test", _order[0], seq)
+    src.anchors += 1
+    dst.anchors += 1
     src.out_edges.append(edge)
     dst.in_edges.append(edge)
+
+
+def make_pcd(memory_budget=None):
+    """A PCD that replays every access."""
+    return PCD(ALL_OBJECTS, memory_budget)
 
 
 class TestCycles:
@@ -49,7 +52,7 @@ class TestCycles:
         log(b, R, 100, "f", 2)
         log(b, W, 100, "f", 3)
         log(a, R, 100, "f", 4)
-        violations = PCD().process([a, b])
+        violations = make_pcd().process([a, b])
         assert len(violations) == 1
         record = violations[0]
         assert set(record.cycle_tx_ids) == {1, 2}
@@ -61,7 +64,7 @@ class TestCycles:
         b = make_tx(2, "T2")
         log(a, W, 100, "f", 1)
         log(b, R, 100, "f", 2)
-        assert PCD().process([a, b]) == []
+        assert make_pcd().process([a, b]) == []
 
     def test_field_granularity_rules_out_icd_false_positive(self):
         """Different fields of one object: ICD (object granularity)
@@ -72,7 +75,7 @@ class TestCycles:
         log(b, W, 100, "g", 2)
         log(b, R, 100, "g", 3)
         log(a, R, 100, "f", 4)
-        assert PCD().process([a, b]) == []
+        assert make_pcd().process([a, b]) == []
 
     def test_read_write_conflict_cycle(self):
         """R->W then W->R in the other direction."""
@@ -82,7 +85,7 @@ class TestCycles:
         log(b, W, 100, "f", 2)   # B writes f: R->W edge A->B
         log(b, R, 100, "g", 3)   # B reads g
         log(a, W, 100, "g", 4)   # A writes g: R->W edge B->A -> cycle
-        violations = PCD().process([a, b])
+        violations = make_pcd().process([a, b])
         assert len(violations) == 1
 
     def test_three_party_cycle(self):
@@ -93,7 +96,7 @@ class TestCycles:
         log(c, R, 2, "y", 4)   # b -> c
         log(c, W, 3, "z", 5)
         log(a, R, 3, "z", 6)   # c -> a: cycle
-        violations = PCD().process([a, b, c])
+        violations = make_pcd().process([a, b, c])
         assert len(violations) == 1
         assert set(violations[0].cycle_tx_ids) == {1, 2, 3}
 
@@ -102,10 +105,10 @@ class TestCycles:
         a2 = make_tx(2, "T1")
         log(a1, W, 1, "f", 1)
         log(a2, R, 1, "f", 2)
-        assert PCD().process([a1, a2]) == []
+        assert make_pcd().process([a1, a2]) == []
 
     def test_duplicate_cycles_reported_once(self):
-        pcd = PCD()
+        pcd = make_pcd()
         a = make_tx(1, "T1")
         b = make_tx(2, "T2")
         log(a, W, 1, "f", 1)
@@ -118,29 +121,30 @@ class TestCycles:
 
 
 class TestReplayOrdering:
-    def test_edge_marks_constrain_merge(self):
-        """A sink mark must wait for its source even when sequence
-        numbers would tempt the merge to run ahead."""
+    def test_anchor_orders_the_source_before_the_sink(self):
+        """The edge's anchor, at the seq of the access that created it,
+        lies between the source's write and the sink's read; seq order
+        replays the write first."""
         a = make_tx(1, "T1")
         b = make_tx(2, "T2")
         log(a, W, 1, "f", 10)
         link(a, b, 11)          # A's state change happened before B's read
         log(b, R, 1, "f", 12)
-        pcd = PCD()
+        pcd = make_pcd()
         pcd.process([a, b])
-        assert pcd.stats.order_fallbacks == 0
-        assert pcd.stats.entries_replayed == 4  # 2 accesses + 2 marks
+        assert pcd.stats.entries_replayed == 2  # the accesses only
+        assert [(e.src, e.dst) for e in pcd._kept.pdg.edges] == [(1, 2)]
 
-    def test_marks_for_out_of_component_edges_ignored(self):
+    def test_anchors_of_out_of_component_edges_ignored(self):
         a = make_tx(1, "T1")
         b = make_tx(2, "T2")
         outsider = make_tx(3, "T3")
         log(a, W, 1, "f", 1)
         link(a, outsider, 2)    # edge leaves the component
         log(b, R, 1, "f", 3)
-        pcd = PCD()
+        pcd = make_pcd()
         assert pcd.process([a, b]) == []
-        assert pcd.stats.order_fallbacks == 0
+        assert pcd.stats.entries_replayed == 2
 
     def test_conflicting_accesses_replayed_in_execution_order(self):
         a = make_tx(1, "T1")
@@ -148,18 +152,19 @@ class TestReplayOrdering:
         # true order: B writes f (5), A writes f (6): dependence B -> A only
         log(b, W, 1, "f", 5)
         log(a, W, 1, "f", 6)
-        pcd = PCD()
+        pcd = make_pcd()
         assert pcd.process([a, b]) == []
         assert pcd.stats.pdg_edges == 1
 
     def test_late_created_marks_never_reorder_accesses(self):
-        """Edge marks created long after their source transaction's
-        accesses (or attributed by ICD to a thread's *next* transaction,
-        whose log starts later) carry their creation seq, far from the
-        accesses around them.  The replay still takes the accesses in
-        seq order: a merge that once ordered a thread's log by such a
-        mark let a later write overtake an earlier one here, deriving a
-        phantom backwards dependence and a false-positive cycle."""
+        """Edges created long after their source transaction's accesses
+        (or attributed by ICD to a thread's *next* transaction, whose
+        log starts later) are anchored at their creation seq, far from
+        the accesses around them.  The replay still takes the accesses
+        in seq order: a merge that once ordered a thread's log by such
+        an anchor let a later write overtake an earlier one here,
+        deriving a phantom backwards dependence and a false-positive
+        cycle."""
         x1 = make_tx(1, "TX")  # writes f early
         x2 = make_tx(2, "TX")  # ICD attributes a later edge to it
         y = make_tx(3, "TY")   # reads then writes f in the middle
@@ -167,19 +172,19 @@ class TestReplayOrdering:
         log(x1, W, 1, "f", 10)
         log(y, R, 1, "f", 20)
         # an edge attributed to TX's *next* transaction: its source
-        # mark opens x2's (still empty) log, its sink sits in TY's log
-        # before the seq-28 write
+        # anchor is x2's only one (x2's log is empty), its sink sits in
+        # TY's log before the seq-28 write
         link(x2, y, 27)
         log(y, W, 1, "f", 28)
         log(z, W, 1, "f", 45)
         # a late edge anchored at the end of x1's log with seq 51,
         # after TZ's seq-45 write
         link(x1, z, 51)
-        pcd = PCD()
+        pcd = make_pcd()
         violations = pcd.process([x1, x2, y, z])
         # true access order 10 < 20 < 28 < 45 is acyclic: x1->y->z
         assert violations == []
-        assert pcd.stats.order_fallbacks == 0
+        assert pcd.stats.pdg_edges == 2
 
 
 class TestMemory:
@@ -194,7 +199,7 @@ class TestMemory:
         log(b, R, 1, "f", 3)
         log(b, W, 1, "f", 4)
         log(a, R, 1, "f", 5)
-        pcd = PCD()
+        pcd = make_pcd()
         gc.collect()
         enabled, flags, saved = gc.isenabled(), gc.get_debug(), len(gc.garbage)
         gc.disable()
@@ -216,14 +221,14 @@ class TestInputHandling:
     def test_components_smaller_than_two_skipped(self):
         a = make_tx(1, "T1")
         log(a, W, 1, "f", 1)
-        assert PCD().process([a]) == []
+        assert make_pcd().process([a]) == []
 
     def test_transactions_without_logs_skipped(self):
         a = make_tx(1, "T1")
         log(a, W, 1, "f", 1)
         b = Transaction(2, "T2", "m2", False)  # no log (unmonitored)
         b.finished = True
-        assert PCD().process([a, b]) == []
+        assert make_pcd().process([a, b]) == []
 
     def test_memory_budget_enforced(self):
         a = make_tx(1, "T1")
@@ -232,10 +237,22 @@ class TestInputHandling:
             log(a, W, 1, f"f{i}", i)
             log(b, R, 1, f"f{i}", 100 + i)
         with pytest.raises(OutOfMemoryBudget):
-            PCD(memory_budget=10).process([a, b])
+            make_pcd(memory_budget=10).process([a, b])
+
+    def test_anchors_count_against_the_memory_budget(self):
+        """An edge anchor counts as a log entry, as in ICD's budget."""
+        a = make_tx(1, "T1")
+        b = make_tx(2, "T2")
+        log(a, W, 1, "f", 1)
+        log(b, R, 1, "f", 2)
+        assert make_pcd(memory_budget=2).process([a, b]) == []
+        link(a, b, 2)
+        with pytest.raises(OutOfMemoryBudget) as failure:
+            make_pcd(memory_budget=3).process([a, b])
+        assert failure.value.used == 4
 
     def test_stats_accumulate(self):
-        pcd = PCD()
+        pcd = make_pcd()
         a = make_tx(1, "T1")
         b = make_tx(2, "T2")
         log(a, W, 1, "f", 1)
@@ -243,7 +260,7 @@ class TestInputHandling:
         pcd.process([a, b])
         assert pcd.stats.components_processed == 1
         assert pcd.stats.transactions_processed == 2
-        assert pcd.stats.accesses_replayed == 2
+        assert pcd.stats.entries_replayed == 2
         assert pcd.stats.pdg_edges == 1
 
 
@@ -268,7 +285,7 @@ class TestResumption:
         log(b, W, 1, "z", 4)
         log(a, R, 1, "y", 6)
         log(c, R, 1, "z", 7)
-        pcd, reference = PCD(), PCD()
+        pcd, reference = make_pcd(), make_pcd()
         assert process_like_fresh(pcd, reference, [a, b]) == []
         # c's first access (3) precedes a's read of y (6): the replay
         # rolls back to 3, so c -> a and b -> c close a -> b -> c -> a;
@@ -277,20 +294,20 @@ class TestResumption:
         assert len(violations) == 1
         assert set(violations[0].cycle_tx_ids) == {1, 2, 3}
         assert pcd.stats.entries_resumed == 2   # x's write and read
-        assert pcd.stats.accesses_replayed == 4 + 4
+        assert pcd.stats.entries_replayed == 4 + 4
 
     def test_grown_log_resumes_at_the_kept_end(self):
         a, b = make_tx(1, "T1"), make_tx(2, "T2")
         log(a, W, 1, "x", 1)
         log(b, R, 1, "x", 2)    # a -> b
-        pcd, reference = PCD(), PCD()
+        pcd, reference = make_pcd(), make_pcd()
         assert process_like_fresh(pcd, reference, [a, b]) == []
         log(b, W, 1, "y", 3)
         log(a, R, 1, "y", 4)    # b -> a closes the cycle
         violations = process_like_fresh(pcd, reference, [a, b])
         assert len(violations) == 1
         assert pcd.stats.entries_resumed == 2
-        assert pcd.stats.accesses_replayed == 2 + 2
+        assert pcd.stats.entries_replayed == 2 + 2
 
     def test_kept_member_missing_from_next_component_rolls_back(self):
         a, b, c = make_tx(1, "T1"), make_tx(2, "T2"), make_tx(3, "T3")
@@ -299,7 +316,7 @@ class TestResumption:
         log(b, W, 1, "y", 3)
         log(c, W, 1, "y", 4)    # b -> c
         log(a, R, 1, "y", 5)    # c -> a: a -> b -> c -> a
-        pcd, reference = PCD(), PCD()
+        pcd, reference = make_pcd(), make_pcd()
         assert len(process_like_fresh(pcd, reference, [a, b, c])) == 1
         # without c, a reads b's write: the replay rolls back to c's
         # first access (4) and finds b -> a
@@ -315,11 +332,11 @@ class TestResumption:
         log(b, R, 1, "x", 2)
         log(c, W, 1, "x", 3)
         log(d, R, 1, "x", 4)
-        pcd, reference = PCD(), PCD()
+        pcd, reference = make_pcd(), make_pcd()
         process_like_fresh(pcd, reference, [a, b])
         process_like_fresh(pcd, reference, [c, d])
         assert pcd.stats.entries_resumed == 0
-        assert pcd.stats.accesses_replayed == 4
+        assert pcd.stats.entries_replayed == 4
         # nothing of the first component's replay carries over
         assert pcd._kept.pdg.nodes() == {3, 4}
         assert set(pcd._kept.seen) == {3, 4}
@@ -330,35 +347,55 @@ class TestResumption:
         log(b, R, 1, "f", 2)
         log(b, W, 1, "f", 3)
         log(a, R, 1, "f", 4)
-        pcd, reference = PCD(), PCD()
+        pcd, reference = make_pcd(), make_pcd()
         assert len(process_like_fresh(pcd, reference, [a, b])) == 1
         assert process_like_fresh(pcd, reference, [a, b]) == []
         assert pcd.stats.entries_replayed == 4
         assert pcd.stats.entries_resumed == 4
-        assert pcd.stats.accesses_replayed == 4
-        assert reference.stats.accesses_replayed == 8
+        assert reference.stats.entries_replayed == 8
 
-    def test_state_after_order_fallback_is_not_kept(self):
-        a, b = make_tx(1, "T1"), make_tx(2, "T2")
-        # contradictory anchors (see test_pcd_fallback): e2's source
-        # mark (seq 4) is later than its sink mark (seq 1)
-        e1 = IdgEdge(a, b, "x", 1)
-        e2 = IdgEdge(b, a, "x", 2)
-        e2.dst_log_index = mark(a, 2, False, 1)
-        e1.src_log_index = mark(a, 1, True, 2)
-        e1.dst_log_index = mark(b, 1, False, 3)
-        e2.src_log_index = mark(b, 2, True, 4)
-        a.out_edges.append(e1)
-        b.in_edges.append(e1)
-        b.out_edges.append(e2)
-        a.in_edges.append(e2)
-        log(a, W, 1, "f", 5)
-        log(b, R, 1, "f", 6)
-        pcd, reference = PCD(), PCD()
-        process_like_fresh(pcd, reference, [a, b])
-        assert pcd.stats.order_fallbacks > 0
-        assert pcd._kept is None
-        c = make_tx(3, "T3")
-        log(c, W, 1, "f", 7)
-        process_like_fresh(pcd, reference, [a, b, c])
+
+class TestConflictFilter:
+    """PCD replays only accesses to objects in Octet's conflict set,
+    plus each member's first access (see repro.core.pcd)."""
+
+    def test_first_access_places_a_program_order_edge_in_the_cycle(self):
+        """B -> A1 -> A2 -> A3 -> B, where A1 -> A2 -> A3 is program
+        order and A2 touches only a thread-local object: A2's first
+        access is replayed, so the cycle runs through A2 and not
+        through a direct A1 -> A3 chain edge."""
+        x, y, local = 1, 2, 3
+        a1, a2, a3 = make_tx(1, "T1"), make_tx(2, "T1"), make_tx(3, "T1")
+        b = make_tx(4, "T2")
+        log(b, W, x, "f", 1)
+        log(a1, R, x, "f", 2)       # B -> A1
+        log(a2, W, local, "f", 3)
+        log(a2, R, local, "g", 4)   # skipped: not A2's first access
+        log(a3, W, y, "f", 5)
+        log(b, R, y, "f", 6)        # A3 -> B closes the cycle
+        pcd = PCD({x, y})
+        violations = pcd.process([a1, a2, a3, b])
+        assert [set(v.cycle_tx_ids) for v in violations] == [{1, 2, 3, 4}]
+        assert pcd.stats.entries_replayed == 5
+
+    def test_grown_set_replays_from_scratch(self):
+        """A's write of o is skipped while o is outside the set.  Once
+        the set gains o, a kept replay would lack that write below the
+        cut and miss A -> C; the grown set makes PCD start fresh."""
+        x, y, o = 1, 2, 3
+        a, b, c = make_tx(1, "T1"), make_tx(2, "T2"), make_tx(3, "T3")
+        log(a, W, x, "f", 1)
+        log(a, W, o, "f", 2)
+        log(b, R, x, "f", 3)        # A -> B
+        log(c, R, o, "f", 5)        # A -> C once o is in the set
+        log(c, W, y, "f", 6)
+        log(a, R, y, "f", 7)        # C -> A
+        conflicted = {x, y}
+        pcd, reference = PCD(conflicted), PCD(conflicted)
+        assert process_like_fresh(pcd, reference, [a, b]) == []
+        assert pcd.stats.entries_replayed == 3
+        conflicted.add(o)
+        violations = process_like_fresh(pcd, reference, [a, b, c])
+        assert [set(v.cycle_tx_ids) for v in violations] == [{1, 3}]
         assert pcd.stats.entries_resumed == 0
+        assert pcd.stats.entries_replayed == 3 + 6

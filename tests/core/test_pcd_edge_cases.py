@@ -1,12 +1,10 @@
-"""PCD's defensive order fallback and other edge paths.
-
-Seq order satisfies every anchor of well-formed input (property-tested
-elsewhere); these tests exercise the defensive path directly with
-deliberately inconsistent anchors, plus other rare input shapes.
-"""
+"""PCD on rare input shapes: empty logs, single-thread components,
+and blame in cycles with unary members."""
 
 from repro.core.pcd import PCD
-from repro.core.transactions import IdgEdge, Transaction
+from repro.core.transactions import Transaction
+
+from tests.util import ALL_OBJECTS
 
 #: an access entry's is_write (see repro.core.rwlog)
 R, W = False, True
@@ -23,41 +21,10 @@ def access(tx, is_write, oid, field, seq):
     tx.log.append((seq, (oid, field), is_write, "s"))
 
 
-def mark(tx, order, is_source, seq):
-    """Append an edge mark to ``tx``'s log; returns its index."""
-    tx.log.append((seq, order, is_source))
-    return len(tx.log) - 1
-
-
-def test_contradictory_anchors_fall_back_to_sequence_order():
-    """Two edges anchored in opposite directions: no order satisfies
-    both, so PCD replays in sequence order rather than fail."""
-    a = make_tx(1, "T1")
-    b = make_tx(2, "T2")
-    # edge 1: a-source before b-sink; edge 2: b-source before a-sink —
-    # but interleave the marks so each log's front waits on the other
-    e1 = IdgEdge(a, b, "x", 1)
-    e2 = IdgEdge(b, a, "x", 2)
-    e2.dst_log_index = mark(a, 2, False, 1)   # a waits for e2's source...
-    e1.src_log_index = mark(a, 1, True, 2)
-    e1.dst_log_index = mark(b, 1, False, 3)   # ...b waits for e1's source
-    e2.src_log_index = mark(b, 2, True, 4)
-    a.out_edges.append(e1)
-    b.in_edges.append(e1)
-    b.out_edges.append(e2)
-    a.in_edges.append(e2)
-    access(a, W, 1, "f", 5)
-    access(b, R, 1, "f", 6)
-
-    pcd = PCD()
-    pcd.process([a, b])
-    assert pcd.stats.order_fallbacks > 0  # survived the inconsistency
-
-
 def test_empty_logs_component():
     a = make_tx(1, "T1")
     b = make_tx(2, "T2")
-    assert PCD().process([a, b]) == []
+    assert PCD(ALL_OBJECTS).process([a, b]) == []
 
 
 def test_single_thread_component_is_trivially_serializable():
@@ -65,7 +32,7 @@ def test_single_thread_component_is_trivially_serializable():
     a2 = make_tx(2, "T1")
     access(a1, W, 1, "f", 1)
     access(a2, W, 1, "f", 2)
-    assert PCD().process([a1, a2]) == []
+    assert PCD(ALL_OBJECTS).process([a1, a2]) == []
 
 
 def test_unary_only_cycle_blames_unary_identity():
@@ -80,7 +47,7 @@ def test_unary_only_cycle_blames_unary_identity():
     access(b, R, 1, "f", 2)
     access(b, W, 1, "f", 3)
     access(a, R, 1, "f", 4)
-    violations = PCD().process([a, b])
+    violations = PCD(ALL_OBJECTS).process([a, b])
     assert len(violations) == 1
     assert violations[0].blamed_method == "<unary>"
 
@@ -98,7 +65,7 @@ def test_mixed_unary_regular_cycle_blames_regular():
     access(b, R, 1, "f", 2)
     access(b, W, 1, "g", 3)
     access(a, R, 1, "g", 4)
-    violations = PCD().process([a, b])
+    violations = PCD(ALL_OBJECTS).process([a, b])
     assert len(violations) == 1
     # the blame rule picks the transaction whose outgoing edge is older:
     # that is a (W f before R g); a is regular, so the preference and the

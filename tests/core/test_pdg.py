@@ -138,18 +138,22 @@ def test_cycle_check_counter():
     assert pdg.cycle_checks == 2
 
 
-def test_truncate_deletes_newest_edges_and_reuses_their_orders():
+def test_truncate_deletes_edges_from_a_seq_and_reuses_their_orders():
     pdg = PDG()
-    pdg.add_edge(1, 2)
-    pdg.add_edge(2, 3)
-    pdg.add_edge(3, 1)
-    pdg.add_edge(1, 4)
-    pdg.truncate(2)
-    assert [(e.src, e.dst, e.order) for e in pdg.edges] == [(1, 2, 1), (2, 3, 2)]
+    pdg.add_edge(1, 2, 10)
+    pdg.add_edge(2, 3, 20)
+    pdg.add_edge(3, 1, 30)
+    pdg.add_edge(1, 4, 30)
+    pdg.truncate(21)
+    assert [(e.src, e.dst, e.order, e.seq) for e in pdg.edges] == [
+        (1, 2, 1, 10), (2, 3, 2, 20),
+    ]
     assert pdg.successors(3) == {} and 4 not in pdg.successors(1)
+    pdg.truncate(21)
+    assert pdg.edge_count == 2
     # re-added edges get the orders a graph built from the prefix gives
-    assert pdg.add_edge(1, 4).order == 3
-    closing = pdg.add_edge(3, 1)
+    assert pdg.add_edge(1, 4, 25).order == 3
+    closing = pdg.add_edge(3, 1, 26)
     assert closing.order == 4
     assert [(e.src, e.dst) for e in pdg.find_cycle_through(closing)] == [
         (1, 2),

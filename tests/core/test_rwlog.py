@@ -18,55 +18,59 @@ def single_run(gc_interval=None):
     """ICD and PCD over a contended counter (single-run mode); with
     ``gc_interval`` None every transaction and its log survive."""
     program = counter_program(threads=2, iterations=6)
-    pcd = PCD()
-    icd = ICD(spec_for(program), gc_interval=gc_interval, on_scc=pcd.process)
+    icd = ICD(spec_for(program), gc_interval=gc_interval)
+    icd.on_scc = PCD(icd.octet.conflicted).process
     executor = Executor(program, RandomScheduler(seed=3, switch_prob=0.7), [icd])
     executor.run()
     logs = [tx.log for tx in icd.tx_manager.all_transactions if tx.log]
     return icd, executor, logs
 
 
-def is_access(entry):
-    return len(entry) == 4
-
-
 def accesses(logs):
-    return [entry for log in logs for entry in log if is_access(entry)]
+    return [entry for log in logs for entry in log]
+
+
+def idg_edges(icd):
+    return [
+        edge for tx in icd.tx_manager.all_transactions for edge in tx.out_edges
+    ]
 
 
 class TestReadWriteLog:
-    """A transaction's log is a plain list of tuples (see
-    :mod:`repro.core.rwlog`), appended by ICD."""
+    """A transaction's log is a plain list of access tuples (see
+    :mod:`repro.core.rwlog`), appended by ICD; its IDG edges are
+    anchored by their creation seq and counted in ``anchors``."""
 
-    def test_edge_log_indexes_point_at_their_marks(self):
+    def test_edge_seq_is_the_seq_of_its_sink_access(self):
+        """ICD creates an edge in the barrier of the sink's access, and
+        the edge opens a new elision window, so the sink logs that
+        access with the edge's seq."""
         icd, _, _ = single_run()
-        edges = [
-            edge for tx in icd.tx_manager.all_transactions
-            for edge in tx.out_edges
-        ]
+        edges = idg_edges(icd)
         assert edges
         for edge in edges:
-            seq, order, is_source = edge.src.log[edge.src_log_index]
-            assert (order, is_source) == (edge.order, True)
-            assert edge.dst.log[edge.dst_log_index] == (seq, edge.order, False)
+            assert type(edge.seq) is int
+            assert edge.seq in {entry[0] for entry in edge.dst.log}, edge
+            assert all(
+                entry[0] != edge.seq for entry in edge.src.log
+            ), edge
 
-    def test_edge_marks_interleave(self):
-        """Marks sit between a transaction's accesses; only the
-        four-field entries are accesses, and the counters agree."""
+    def test_anchors_count_each_logged_edge_end(self):
+        """Each transaction counts one anchor per IDG edge it is an end
+        of, and the counters agree; anchors fall between accesses."""
         icd, _, logs = single_run()
-        marks = [entry for log in logs for entry in log if not is_access(entry)]
-        assert len(marks) == icd.stats.log_marks > 0
+        transactions = [
+            tx for tx in icd.tx_manager.all_transactions if tx.log is not None
+        ]
+        for tx in transactions:
+            assert tx.anchors == len(tx.out_edges) + len(tx.in_edges), tx
+        assert sum(tx.anchors for tx in transactions) == icd.stats.log_marks > 0
         assert len(accesses(logs)) == icd.stats.log_entries > 0
         assert any(
-            not is_access(entry)
-            and any(map(is_access, log[:i]))
-            and any(map(is_access, log[i + 1:]))
-            for log in logs
-            for i, entry in enumerate(log)
+            any(entry[0] < edge.seq for entry in edge.src.log)
+            and any(entry[0] > edge.seq for entry in edge.src.log)
+            for edge in idg_edges(icd)
         )
-        for seq, order, is_source in marks:
-            assert type(seq) is int and type(order) is int
-            assert type(is_source) is bool
 
     def test_entry_address(self):
         """An access is ``(seq, address, is_write, site)``."""
@@ -122,8 +126,7 @@ class TestReadWriteLog:
         for log in logs:
             for entry in log:
                 assert not gc.is_tracked(entry), entry
-                if is_access(entry):
-                    assert not gc.is_tracked(entry[1]), entry
+                assert not gc.is_tracked(entry[1]), entry
 
 
 class TestElision:

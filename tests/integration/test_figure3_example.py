@@ -116,7 +116,6 @@ def run():
     spec = AtomicitySpecification.initial(program)
     assert all(spec.is_atomic(f"tx{i}") for i in range(1, 8))
 
-    pcd = PCD()
     components = []
     violations = []
 
@@ -125,6 +124,7 @@ def run():
         violations.extend(pcd.process(component))
 
     icd = ICD(spec, on_scc=on_scc)
+    pcd = PCD(icd.octet.conflicted)
     Executor(program, ScriptedScheduler(SCRIPT), [icd]).run()
     return {
         "icd": icd,

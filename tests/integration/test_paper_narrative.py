@@ -64,7 +64,6 @@ def run():
     program, o, p = build_section_323_example()
     spec = AtomicitySpecification.initial(program)
     assert spec.is_atomic("tx_a") and spec.is_atomic("tx_b")
-    pcd = PCD()
     violations = []
     components = []
 
@@ -73,6 +72,7 @@ def run():
         violations.extend(pcd.process(component))
 
     icd = ICD(spec, on_scc=on_scc)
+    pcd = PCD(icd.octet.conflicted)
     Executor(program, ScriptedScheduler(SCRIPT), [icd]).run()
     return icd, components, violations
 

@@ -40,6 +40,8 @@ from repro.spec.specification import AtomicitySpecification
 from repro.vc.checker import VcChecker
 from repro.velodrome.checker import VelodromeChecker
 
+from tests.util import ALL_OBJECTS
+
 # ----------------------------------------------------------------------
 # random-program strategy
 # ----------------------------------------------------------------------
@@ -154,18 +156,19 @@ def run_checked(checker, program, seed, sync_edges=True):
 
 
 def run_all(method_specs, thread_scripts, seed, sync_edges=True,
-            gc_interval=None):
+            gc_interval=None, **icd_kwargs):
     """Run DC single-run and Velodrome on one schedule, each beside the
     oracle's recorder.
 
     Returns ``(violations, components, oracle, velodrome,
     velodrome_oracle, pcd)``: the oracles judge ICD's and Velodrome's
     transactions.  ``sync_edges`` is passed to the oracles only (see
-    :func:`oracle_cyclic_sccs`); ``gc_interval`` to ICD and Velodrome."""
+    :func:`oracle_cyclic_sccs`); ``gc_interval`` to ICD and Velodrome;
+    the other keyword arguments to ICD.  PCD replays with ICD's Octet
+    conflict set, as in single-run mode."""
     program = materialize(method_specs, thread_scripts)
     spec = AtomicitySpecification.initial(program)
 
-    pcd = PCD()
     violations = ViolationSummary()
     components = []
 
@@ -173,7 +176,8 @@ def run_all(method_specs, thread_scripts, seed, sync_edges=True,
         components.append({tx.tx_id for tx in component})
         violations.extend(pcd.process(component))
 
-    icd = ICD(spec, on_scc=on_scc, gc_interval=gc_interval)
+    icd = ICD(spec, on_scc=on_scc, gc_interval=gc_interval, **icd_kwargs)
+    pcd = PCD(icd.octet.conflicted)
     oracle = run_checked(icd, program, seed, sync_edges)
 
     program_v = materialize(method_specs, thread_scripts)
@@ -281,17 +285,23 @@ def test_velodrome_and_vc_are_clean_where_the_icd_oracle_is():
             assert not checker.violations, (checker_class, gc_interval)
 
 
+#: ICD settings the single-run verdict is refereed under: the defaults,
+#: and each setting that changes which accesses PCD reads
+ICD_SETTINGS = ({}, {"elide_duplicates": False}, {"merge_unary": False})
+
+
 @given(program_strategy)
 @example(_MERGE_REGRESSION_1)
 @example(_MERGE_REGRESSION_2)
 @example(_UNARY_MEMBER)
 @settings(max_examples=60, deadline=None)
 def test_single_run_sound_and_precise_vs_oracle(case):
-    for gc_interval in GC_INTERVALS:
-        violations, _, oracle, _, _, _ = run_all(
-            *case, gc_interval=gc_interval
-        )
-        assert bool(violations) == bool(oracle), gc_interval
+    for icd_kwargs in ICD_SETTINGS:
+        for gc_interval in GC_INTERVALS:
+            violations, _, oracle, _, _, _ = run_all(
+                *case, gc_interval=gc_interval, **icd_kwargs
+            )
+            assert bool(violations) == bool(oracle), (gc_interval, icd_kwargs)
 
 
 @given(program_strategy)
@@ -388,16 +398,6 @@ def test_vector_clock_agrees_with_oracle_and_velodrome(case):
             gc_interval
         assert vc_sync.stats.cycle_checks == velodrome.stats.cycle_checks, \
             gc_interval
-
-
-@given(program_strategy)
-@settings(max_examples=40, deadline=None)
-def test_replay_never_falls_back(case):
-    """Seq order never breaks an edge anchor: both marks of an edge
-    carry its creation seq (see repro.core.rwlog)."""
-    for gc_interval in GC_INTERVALS:
-        pcd = run_all(*case, gc_interval=gc_interval)[-1]
-        assert pcd.stats.order_fallbacks == 0, gc_interval
 
 
 # ----------------------------------------------------------------------
@@ -498,7 +498,6 @@ def run_scripted(method_specs, thread_scripts, seed):
         return RandomScheduler(seed=seed, switch_prob=0.7)
 
     program = materialize_scripted(method_specs, thread_scripts)
-    pcd = PCD()
     violations = ViolationSummary()
     icd = ICD(
         AtomicitySpecification.initial(program),
@@ -506,6 +505,7 @@ def run_scripted(method_specs, thread_scripts, seed):
         gc_interval=None,
         instrument_arrays=True,
     )
+    pcd = PCD(icd.octet.conflicted)
     executor = Executor(program, schedule(), [icd])
     result = executor.run()
 
@@ -567,49 +567,45 @@ def test_lowered_single_run_sound_and_precise_vs_oracle(case):
 
 
 # ----------------------------------------------------------------------
-# resumable PCD: every resumed replay against a from-scratch replay
+# resumable, filtered PCD: every replay against a from-scratch replay
+# of every access
 # ----------------------------------------------------------------------
 def _schedule(seed):
     return RandomScheduler(seed=seed, switch_prob=0.7)
 
 
-def test_resumed_replay_equals_from_scratch_replay(monkeypatch):
-    """PCD resumes each component from the kept replay of the one
-    before (:mod:`repro.core.pcd`).  Inside single-run mode, every call
-    must return exactly the records that a reference PCD returns on the
-    same component after its kept state is cleared, and must count
-    each of the component's log entries as replayed or resumed.  Some
-    call across the examples must resume, or the property checked
-    nothing."""
-    process = PCD.process
-    references = {}
-    resumed_calls = []
+def _filtered(members, conflicted):
+    """The accesses PCD replays for ``members`` from scratch, with
+    their transactions, in seq order: each member's accesses to objects
+    in ``conflicted`` and its first access (see repro.core.pcd)."""
+    pairs = [
+        (entry, tx) for tx in members for i, entry in enumerate(tx.log)
+        if i == 0 or entry[1][0] in conflicted
+    ]
+    return sorted(pairs, key=lambda pair: pair[0][0])
 
-    def checked_process(pcd, component):
-        reference = references.get(pcd)
-        if reference is None:
-            reference = references[pcd] = PCD(pcd.memory_budget)
-        reference._kept = None
-        stats = pcd.stats
-        replayed, resumed = stats.entries_replayed, stats.entries_resumed
-        records = process(pcd, component)
-        assert records == process(reference, component)
-        members = [tx for tx in component if tx.log is not None]
-        total = sum(len(tx.log) for tx in members) if len(members) > 1 else 0
-        resumed = stats.entries_resumed - resumed
-        assert stats.entries_replayed - replayed + resumed == total
-        if resumed:
-            resumed_calls.append(len(members))
-        return records
 
-    monkeypatch.setattr(PCD, "process", checked_process)
+#: objs[0] becomes conflicted late, through T0's and T2's closing bare
+#: accesses: the conflict set grows between two components that share
+#: their first members, so the second, which the kept replay could
+#: otherwise resume, starts fresh
+_GROWN_SET = (
+    [[(2, 1, 0), (0, 1, 0)]],
+    [[0, 0, 0, (0, 0, 0)], [0, 0], [0, 0, (1, 0, 0)]],
+    328,
+)
+
+
+def _run_examples(max_examples):
+    """Single-run mode on generated and scripted programs, with
+    collection off and at every transaction end."""
 
     @given(program_strategy)
-    @settings(max_examples=60, deadline=None)
+    @example(_GROWN_SET)
+    @settings(max_examples=max_examples, deadline=None)
     def generated(case):
         method_specs, thread_scripts, seed = case
         for gc_interval in GC_INTERVALS:
-            references.clear()
             program = materialize(method_specs, thread_scripts)
             DoubleChecker(
                 AtomicitySpecification.initial(program),
@@ -617,11 +613,10 @@ def test_resumed_replay_equals_from_scratch_replay(monkeypatch):
             ).run_single(program, _schedule(seed))
 
     @given(scripted_program_strategy)
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=max_examples, deadline=None)
     def scripted(case):
         method_specs, thread_scripts, seed = case
         for gc_interval in GC_INTERVALS:
-            references.clear()
             program = materialize_scripted(method_specs, thread_scripts)
             DoubleChecker(
                 AtomicitySpecification.initial(program),
@@ -631,81 +626,102 @@ def test_resumed_replay_equals_from_scratch_replay(monkeypatch):
 
     generated()
     scripted()
-    assert resumed_calls
+
+
+def test_resumed_replay_equals_from_scratch_replay(monkeypatch):
+    """PCD resumes each component from the kept replay of the one
+    before and skips accesses to objects Octet never saw conflict
+    (:mod:`repro.core.pcd`).  Inside single-run mode, every call must
+    return exactly the records that a reference PCD returns on the same
+    component from scratch, replaying every access, and must count each
+    access the filter keeps as replayed or resumed.  Some call across
+    the examples must resume, some must skip accesses, and some must
+    start fresh because the conflict set grew, or the property checked
+    nothing."""
+    process = PCD.process
+    references = {}
+    resumed_calls, skipping_calls, grown_calls = [], [], []
+
+    def checked_process(pcd, component):
+        reference = references.get(pcd)
+        if reference is None:
+            reference = references[pcd] = PCD(ALL_OBJECTS, pcd.memory_budget)
+        reference._kept = None
+        members = [tx for tx in component if tx.log is not None]
+        kept = pcd._kept
+        grown = kept is not None and kept.conflicts != len(pcd.conflicted)
+        stats = pcd.stats
+        replayed, resumed = stats.entries_replayed, stats.entries_resumed
+        records = process(pcd, component)
+        assert records == process(reference, component)
+        if len(members) < 2:
+            return records
+        kept_accesses = len(_filtered(members, pcd.conflicted))
+        every_access = sum(len(tx.log) for tx in members)
+        resumed = stats.entries_resumed - resumed
+        assert stats.entries_replayed - replayed + resumed == kept_accesses
+        if resumed:
+            resumed_calls.append(len(members))
+        if kept_accesses < every_access:
+            skipping_calls.append(every_access - kept_accesses)
+        if grown:
+            assert not resumed
+            grown_calls.append(len(members))
+        return records
+
+    monkeypatch.setattr(PCD, "process", checked_process)
+    _run_examples(60)
+    assert resumed_calls and skipping_calls and grown_calls
 
 
 def test_replay_order_is_seq_order_and_satisfies_every_anchor(monkeypatch):
-    """Every replay order PCD builds in single-run mode is exactly its
-    component's accesses from the cut on, in seq order, each with the
-    transaction that logged it; and for every anchor between members,
-    every access before the source mark replays before every access
-    after the sink mark.  No anchor is counted as broken."""
-    merge = PCD._merge_logs
-    orders = []
+    """Every replay PCD runs in single-run mode, the kept trail's
+    accesses followed by the replay order, is exactly its component's
+    filtered accesses in seq order, each with the transaction that
+    logged it; and for every edge between members, every access the
+    source logged before the edge's anchor (its creation seq) replays
+    before every access the sink logged from it on."""
+    process, replay = PCD.process, PCD._replay
+    components, orders = [], []
 
-    def checked_merge(pcd, members, cut):
-        merged = merge(pcd, members, cut)
-        order, accesses, owners, entries, broken = merged
+    def recording_process(pcd, component):
+        components.append(component)
+        return process(pcd, component)
+
+    def checked_replay(pcd, state, order, accesses, owners):
         assert sorted(order) == list(range(len(accesses)))
         assert len(owners) == len(accesses)
-        pairs = [(accesses[i], owners[i]) for i in order]
-        expected = sorted(
-            (
-                (entry, tx) for tx in members for entry in tx.log
-                if len(entry) == 4 and entry[0] >= cut
-            ),
-            key=lambda pair: pair[0][0],
-        )
+        members = [tx for tx in components[-1] if tx.log is not None]
+        trail = state.trail
+        pairs = list(zip(trail[0::5], trail[1::5]))
+        pairs += [(accesses[i], owners[i]) for i in order]
+        expected = _filtered(members, pcd.conflicted)
         assert len(pairs) == len(expected)
         for (entry, tx), (want, owner) in zip(pairs, expected):
             assert entry is want and tx is owner
         position = {entry[0]: i for i, (entry, _) in enumerate(pairs)}
         ids = {tx.tx_id for tx in members}
 
-        def replayed(log):
-            return [position[e[0]] for e in log if len(e) == 4 and e[0] >= cut]
+        def replayed(tx, keep):
+            return [
+                position[e[0]] for e in tx.log
+                if e[0] in position and keep(e[0])
+            ]
 
         for tx in members:
             for edge in tx.out_edges:
                 if edge.dst.tx_id not in ids:
                     continue
-                before = replayed(tx.log[:edge.src_log_index])
-                after = replayed(edge.dst.log[edge.dst_log_index + 1:])
+                before = replayed(tx, lambda seq: seq < edge.seq)
+                after = replayed(edge.dst, lambda seq: seq >= edge.seq)
                 if before and after:
-                    assert max(before) < min(after), (edge, cut)
-        assert broken == 0
-        orders.append(len(pairs))
-        return merged
+                    assert max(before) < min(after), edge
+        orders.append(len(order))
+        return replay(pcd, state, order, accesses, owners)
 
-    monkeypatch.setattr(PCD, "_merge_logs", checked_merge)
-
-    @given(program_strategy)
-    @settings(max_examples=40, deadline=None)
-    def generated(case):
-        method_specs, thread_scripts, seed = case
-        for gc_interval in GC_INTERVALS:
-            program = materialize(method_specs, thread_scripts)
-            result = DoubleChecker(
-                AtomicitySpecification.initial(program),
-                gc_interval=gc_interval,
-            ).run_single(program, _schedule(seed))
-            assert result.pcd_stats.order_fallbacks == 0
-
-    @given(scripted_program_strategy)
-    @settings(max_examples=40, deadline=None)
-    def scripted(case):
-        method_specs, thread_scripts, seed = case
-        for gc_interval in GC_INTERVALS:
-            program = materialize_scripted(method_specs, thread_scripts)
-            result = DoubleChecker(
-                AtomicitySpecification.initial(program),
-                gc_interval=gc_interval,
-                instrument_arrays=True,
-            ).run_single(program, _schedule(seed))
-            assert result.pcd_stats.order_fallbacks == 0
-
-    generated()
-    scripted()
+    monkeypatch.setattr(PCD, "process", recording_process)
+    monkeypatch.setattr(PCD, "_replay", checked_replay)
+    _run_examples(40)
     assert any(orders)
 
 
@@ -720,9 +736,9 @@ def _assert_logs_nondecreasing(icd):
 @given(program_strategy)
 @settings(max_examples=40, deadline=None)
 def test_every_log_is_nondecreasing_in_seq(case):
-    """PCD finds a resumed replay's entries by bisecting each log on
-    seq (:mod:`repro.core.rwlog`); edge marks included, no entry may
-    step back, and none may carry seq 0."""
+    """PCD takes a member's first logged access as its first access
+    and resumes a replay at a seq cut (:mod:`repro.core.rwlog`): no
+    entry may step back, and none may carry seq 0."""
     method_specs, thread_scripts, seed = case
     program = materialize(method_specs, thread_scripts)
     icd = ICD(AtomicitySpecification.initial(program), gc_interval=None)

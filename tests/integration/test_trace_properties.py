@@ -65,8 +65,8 @@ def test_serialization_round_trip_preserves_analysis(case):
 
     def dc_blames(t):
         violations = ViolationSummary()
-        pcd = PCD()
         icd = ICD(spec, on_scc=lambda c: violations.extend(pcd.process(c)))
+        pcd = PCD(icd.octet.conflicted)
         replay_trace(t, [icd])
         return violations.blamed_methods()
 

@@ -153,3 +153,22 @@ def test_conflicting_transitions_always_coordinate(script):
             assert thread not in responders
         else:
             assert conflicting == []
+
+
+@given(scripts)
+@settings(max_examples=150, deadline=None)
+def test_conflicted_holds_the_objects_shared_with_a_write(script):
+    """Every object two threads accessed, with a write among the
+    accesses, is in ``conflicted`` (PCD's filter relies on it); an
+    object only one thread accessed, or that no thread wrote, is not."""
+    runtime, objects, _ = run_script(script)
+    threads, written = {}, set()
+    for t, o, is_write in script:
+        threads.setdefault(o, set()).add(t)
+        if is_write:
+            written.add(o)
+    for o, obj in enumerate(objects):
+        shared = len(threads.get(o, ())) > 1
+        assert (obj.oid in runtime.conflicted) == (shared and o in written), (
+            o, threads.get(o), o in written,
+        )

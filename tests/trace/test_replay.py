@@ -36,8 +36,8 @@ def test_velodrome_offline_equals_online(trace_and_spec):
 def test_doublechecker_pipeline_over_replay(trace_and_spec):
     trace, spec = trace_and_spec
     violations = ViolationSummary()
-    pcd = PCD()
     icd = ICD(spec, on_scc=lambda c: violations.extend(pcd.process(c)))
+    pcd = PCD(icd.octet.conflicted)
     replay_trace(trace, [icd])
     assert violations.blamed_methods() == {"rmw"}
 

@@ -123,3 +123,19 @@ def rereading_program() -> Program:
         program.add_thread(name, "body")
     program.mark_entry("body")
     return program
+
+
+class AllObjects:
+    """A conflict set that holds every object, for driving
+    :class:`~repro.core.pcd.PCD` without Octet: PCD then replays every
+    logged access, and the set never grows."""
+
+    def __contains__(self, oid: object) -> bool:
+        return True
+
+    def __len__(self) -> int:
+        return 0
+
+
+#: the conflict set of every object
+ALL_OBJECTS = AllObjects()

@@ -150,9 +150,9 @@ class TestSafePatterns:
             program.add_thread(f"T{i}", "worker", (i,))
         spec = AtomicitySpecification.initial(program)
 
-        pcd = PCD()
         violations = []
         icd = ICD(spec, on_scc=lambda c: violations.extend(pcd.process(c)))
+        pcd = PCD(icd.octet.conflicted)
         Executor(
             program, RandomScheduler(seed=5, switch_prob=0.8), [icd]
         ).run()
